@@ -9,13 +9,12 @@ not-evaluated, never as fails.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .expr import Expression, ZERO, format_expression
+from .expr import format_expression
 from .parsing import parse_identity
 from .curvature import CurvatureBundle
-from .tensor import TensorError, endo_square
+from .tensor import Descriptor, TensorError, endo_square
 from .operators import (
     check_identity, two_form_recurrence, one_form_recurrence,
     recurrent_tensor, ricci_decompose, pure_radiation, compatibility_check,
@@ -165,8 +164,9 @@ class _Evaluator:
 
     def codazzi(self):
         ns = self.bundle.nabla("S")
-        n = self.bundle.dim
-        for x, y, z in itertools.product(range(n), repeat=3):
+        # the residual at (x, y, z) is minus the one at (y, x, z)
+        walk = Descriptor((("anti", 0, 1),)).reps(self.bundle.dim, 3)
+        for x, y, z in walk:
             r = ns.get((y, z, x)) - ns.get((x, z, y))
             if not r.is_zero:
                 return FAILS, ((f"residual_{_label((x, y, z))}",
@@ -175,8 +175,11 @@ class _Evaluator:
 
     def cyclic_parallel(self):
         ns = self.bundle.nabla("S")
-        n = self.bundle.dim
-        for x, y, z in itertools.product(range(n), repeat=3):
+        # a cyclic sum; with S symmetric it is totally symmetric
+        ops = ()
+        if ("sym", 0, 1) in ns.descriptor.ops:
+            ops = (("sym", 0, 1), ("sym", 1, 2))
+        for x, y, z in Descriptor(ops).reps(self.bundle.dim, 3):
             r = ns.get((y, z, x)) + ns.get((z, x, y)) + ns.get((x, y, z))
             if not r.is_zero:
                 return FAILS, ((f"residual_{_label((x, y, z))}",

@@ -18,18 +18,15 @@ consistently.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import cached_property
 
 from .chart import Chart
 from .expr import Atom, Expression, ONE, ZERO
 from .parsing import MetricSpec
-from .tensor import (Connection, D_RIEMANN, D_SYM2, Descriptor, Metric,
-                     Tensor, TensorError, covariant_derivative,
-                     divergence_first, kulkarni_nomizu, trace2)
-
-D_ANTI01 = Descriptor((("anti", 0, 1),))
+from .tensor import (Connection, D_ANTI2, D_RIEMANN, D_SYM2, Metric, Tensor,
+                     TensorError, covariant_derivative, divergence_first,
+                     kulkarni_nomizu, trace2)
 
 
 def christoffel(g: Metric) -> Connection:
@@ -170,7 +167,7 @@ class CurvatureBundle:
             i, j, k, l = idx
             return s.get((j, k)) * g.lower(i, l) - s.get((i, k)) * g.lower(j, l)
 
-        ds = Tensor.compute(self.chart, 4, D_ANTI01, entry)
+        ds = Tensor.compute(self.chart, 4, D_ANTI2, entry)
         return self.riemann.sub(ds.scale(ONE / (n - 1)))
 
     @cached_property
@@ -219,4 +216,4 @@ class CurvatureBundle:
         return t
 
     def divergence(self, name: str) -> Tensor:
-        return divergence_first(self.tensor(name), self.metric, self.connection)
+        return divergence_first(self.nabla(name), self.metric)

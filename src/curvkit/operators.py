@@ -17,8 +17,8 @@ from .curvature import CurvatureBundle
 from .expr import (Atom, Expression, ONE, ZERO, _KIND_COORD, _KIND_TRIG)
 from .linsolve import LinearEquation, solve_linear
 from .parsing import (IdentityAst, TDot, TName, TNabla, TQ, TWedge)
-from .tensor import (Metric, Tensor, TensorError, covariant_derivative,
-                     kulkarni_nomizu)
+from .tensor import (Descriptor, Metric, Tensor, TensorError,
+                     common_descriptor, covariant_derivative, kulkarni_nomizu)
 
 
 def dot_action(d: Tensor, h: Tensor, g: Metric) -> Tensor:
@@ -172,8 +172,12 @@ def check_identity(ast: IdentityAst, bundle: CurvatureBundle,
             else:
                 unknown_terms[term.unknown].append((coeff, t))
 
-    n = bundle.dim
-    valence = ast.valence
+    # every term shares these symmetries, so the equation or residual at
+    # any index tuple is +-1 times the one at its representative, or zero
+    walk = common_descriptor(
+        [t for _, t in concrete]
+        + [t for terms in unknown_terms.values() for _, t in terms]
+    ).reps(bundle.dim, ast.valence)
 
     def residual(idx):
         v = ZERO
@@ -184,7 +188,7 @@ def check_identity(ast: IdentityAst, bundle: CurvatureBundle,
         return v
 
     if not ast.unknowns:
-        for idx in itertools.product(range(n), repeat=valence):
+        for idx in walk:
             v = residual(idx)
             if not v.is_zero:
                 return IdentityCheck(False, None, (), IdentityWitness(
@@ -193,7 +197,7 @@ def check_identity(ast: IdentityAst, bundle: CurvatureBundle,
 
     equations = []
     by_label = {}
-    for idx in itertools.product(range(n), repeat=valence):
+    for idx in walk:
         coeffs = {}
         for u, terms in unknown_terms.items():
             cv = ZERO
@@ -257,6 +261,15 @@ def _solve_covector(equations, by_label, names, n) -> RecurrenceResult:
     return RecurrenceResult(True, covector, result.free)
 
 
+def _cyclic_ops(d: Tensor) -> tuple:
+    """Ops on the three indices of a cyclic sum in which two of them fill
+    d's first slot pair: total antisymmetry when d is antisymmetric in that
+    pair, else none."""
+    if ("anti", 0, 1) in d.descriptor.ops:
+        return ("anti", 0, 1), ("anti", 1, 2)
+    return ()
+
+
 def two_form_recurrence(bundle: CurvatureBundle, name: str) -> RecurrenceResult:
     """Decide whether the 2-forms induced by a (0,4) curvature-type tensor
     are recurrent: the cyclic first-derivative sum over (i,j,k) must equal
@@ -266,9 +279,12 @@ def two_form_recurrence(bundle: CurvatureBundle, name: str) -> RecurrenceResult:
     nd = bundle.nabla(name)
     n = bundle.dim
     names = [f"P{i + 1}" for i in range(n)]
+    ops = _cyclic_ops(d)
+    if ("anti", 2, 3) in d.descriptor.ops:   # (x, y) fill d's second pair
+        ops += (("anti", 3, 4),)
     equations = []
     by_label = {}
-    for idx in itertools.product(range(n), repeat=5):
+    for idx in Descriptor(ops).reps(n, 5):
         i, j, k, x, y = idx
         lhs = (nd.get((j, k, x, y, i)) + nd.get((k, i, x, y, j))
                + nd.get((i, j, x, y, k)))
@@ -296,7 +312,8 @@ def one_form_recurrence(bundle: CurvatureBundle, name: str) -> RecurrenceResult:
     names = [f"P{i + 1}" for i in range(n)]
     equations = []
     by_label = {}
-    for idx in itertools.product(range(n), repeat=3):
+    # the equation at (i, j, x) is minus the one at (j, i, x)
+    for idx in Descriptor((("anti", 0, 1),)).reps(n, 3):
         i, j, x = idx
         lhs = nz.get((j, x, i)) - nz.get((i, x, j))
         coeffs = {}
@@ -323,7 +340,7 @@ def recurrent_tensor(bundle: CurvatureBundle, name: str) -> RecurrenceResult:
     names = [f"P{i + 1}" for i in range(n)]
     equations = []
     by_label = {}
-    for idx in itertools.product(range(n), repeat=t.valence):
+    for idx in t.descriptor.reps(n, t.valence):
         tv = t.get(idx)
         for x in range(n):
             lhs = nt.get(idx + (x,))
@@ -595,7 +612,7 @@ def compatibility_check(d: Tensor, e: Tensor, g: Metric) -> CompatibilityResult:
                 v = v + w * dv
         return v
 
-    for idx in itertools.product(range(n), repeat=4):
+    for idx in Descriptor(_cyclic_ops(d)).reps(n, 4):
         i1, i2, i3, x = idx
         total = (term(i1, i2, x, i3) + term(i2, i3, x, i1)
                  + term(i3, i1, x, i2))
@@ -654,8 +671,9 @@ def compatible_space(d: Tensor, g: Metric, symmetric: bool = False,
             dd_cache[key] = v
         return v
 
+    walk = Descriptor(_cyclic_ops(d)).reps(n, 4)
     equations = []
-    for idx in itertools.product(range(n), repeat=4):
+    for idx in walk:
         i1, i2, i3, x = idx
         coeffs = {}
         for a, b, c in ((i1, i2, i3), (i2, i3, i1), (i3, i1, i2)):
@@ -693,7 +711,7 @@ def compatible_space(d: Tensor, g: Metric, symmetric: bool = False,
     params = tuple(prefix + u[1:] for u in unknowns if u in result.free)
 
     if verify:
-        for idx in itertools.product(range(n), repeat=4):
+        for idx in walk:
             i1, i2, i3, x = idx
             total = ZERO
             for a, b, c in ((i1, i2, i3), (i2, i3, i1), (i3, i1, i2)):

@@ -17,10 +17,10 @@ functions, or diff(f(args), coord, order, ...).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .chart import BUILTIN_CONSTANTS, Chart
 from .expr import Atom, Expression, ExprError, ONE, ZERO
+from .tensor import determinant
 
 
 class ParseError(ExprError):
@@ -303,24 +303,6 @@ class MetricSpec:
     @property
     def dim(self) -> int:
         return self.chart.dim
-
-
-def _det(rows: list[list[Expression]]) -> Expression:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = ZERO
-    for j in range(n):
-        if rows[0][j].is_zero:
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
-        cof = rows[0][j] * _det(minor)
-        total = total + (cof if j % 2 == 0 else -cof)
-    return total
-
-
-def determinant(matrix) -> Expression:
-    return _det([list(row) for row in matrix])
 
 
 def parse_metric_file(text: str) -> MetricSpec:

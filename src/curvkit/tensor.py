@@ -24,33 +24,38 @@ RIEMANN = (("anti", 0, 1), ("anti", 2, 3), ("block", 0, 1, 2, 3))
 
 
 def _apply_op(op, idx: tuple) -> tuple[tuple, int]:
-    if op[0] == "anti":
-        _, a, b = op
-        t = list(idx)
-        t[a], t[b] = t[b], t[a]
-        return tuple(t), -1
-    if op[0] == "sym":
-        _, a, b = op
-        t = list(idx)
-        t[a], t[b] = t[b], t[a]
-        return tuple(t), 1
-    _, a, b, c, d = op
     t = list(idx)
-    t[a], t[b], t[c], t[d] = t[c], t[d], t[a], t[b]
-    return tuple(t), 1
+    if op[0] == "block":
+        _, a, b, c, d = op
+        t[a], t[b], t[c], t[d] = t[c], t[d], t[a], t[b]
+        return tuple(t), 1
+    _, a, b = op
+    t[a], t[b] = t[b], t[a]
+    return tuple(t), -1 if op[0] == "anti" else 1
 
 
 class Descriptor:
-    """A finite set of index symmetries generating a signed orbit structure."""
+    """A finite set of index symmetries generating a signed orbit structure.
 
-    __slots__ = ("ops", "_cache")
+    Descriptors are interned per ops: Descriptor(ops) returns one shared
+    instance, so its orbit caches live for the whole process."""
 
-    def __init__(self, ops):
-        self.ops = tuple(tuple(op) for op in ops)
-        self._cache: dict[tuple, tuple[tuple, int]] = {}
+    __slots__ = ("ops", "_cache", "_reps")
+    _interned: dict = {}
 
-    def __eq__(self, other):
-        return isinstance(other, Descriptor) and self.ops == other.ops
+    def __new__(cls, ops):
+        ops = tuple(tuple(op) for op in ops)
+        self = cls._interned.get(ops)
+        if self is None:
+            self = super().__new__(cls)
+            self.ops = ops
+            self._cache: dict[tuple, tuple[tuple, int]] = {}
+            self._reps: dict[tuple, tuple] = {}
+            cls._interned[ops] = self
+        return self
+
+    def __reduce__(self):
+        return Descriptor, (self.ops,)
 
     def __repr__(self):
         return f"Descriptor{self.ops!r}"
@@ -83,6 +88,17 @@ class Descriptor:
             # value(t) = phase-relative sign * value(rep)
             self._cache[t] = (rep, 0 if zero else pt * phase[rep])
         return self._cache[idx]
+
+    def reps(self, n: int, k: int) -> tuple:
+        """Lex-ordered k-tuples over range(n) that represent an orbit not
+        forced to zero.  A representative is its orbit's minimum, so a walk
+        over reps meets each such orbit where the n^k walk first would."""
+        got = self._reps.get((n, k))
+        if got is None:
+            got = self._reps[n, k] = tuple(
+                idx for idx in itertools.product(range(n), repeat=k)
+                if self.canon(idx) == (idx, 1))
+        return got
 
     def with_extra(self, *ops) -> "Descriptor":
         return Descriptor(self.ops + tuple(ops))
@@ -154,12 +170,8 @@ class Tensor:
     def compute(chart: Chart, valence: int, descriptor: Descriptor,
                 getter) -> "Tensor":
         """Evaluate the getter on canonical representatives only."""
-        n = chart.dim
         comps = {}
-        for idx in itertools.product(range(n), repeat=valence):
-            rep, sign = descriptor.canon(idx)
-            if idx != rep or sign == 0:
-                continue
+        for idx in descriptor.reps(chart.dim, valence):
             v = getter(idx)
             if not v.is_zero:
                 comps[idx] = v
@@ -204,15 +216,8 @@ class Tensor:
         """Componentwise sum; the result keeps only symmetries common to both
         descriptors (set intersection of ops)."""
         self._check_same_shape(other)
-        common = tuple(op for op in self.descriptor.ops
-                       if op in other.descriptor.ops)
-        if common == self.descriptor.ops:
-            desc = self.descriptor
-        elif common == other.descriptor.ops:
-            desc = other.descriptor
-        else:
-            desc = Descriptor(common)
-        return Tensor.compute(self.chart, self.valence, desc,
+        return Tensor.compute(self.chart, self.valence,
+                              common_descriptor((self, other)),
                               lambda idx: self.get(idx) + other.get(idx))
 
     def sub(self, other: "Tensor") -> "Tensor":
@@ -220,11 +225,9 @@ class Tensor:
 
     def equals(self, other: "Tensor") -> bool:
         self._check_same_shape(other)
-        n = self.chart.dim
-        for idx in itertools.product(range(n), repeat=self.valence):
-            if not (self.get(idx) == other.get(idx)):
-                return False
-        return True
+        walk = common_descriptor((self, other)).reps(self.chart.dim,
+                                                     self.valence)
+        return all(self.get(idx) == other.get(idx) for idx in walk)
 
     def _check_same_shape(self, other: "Tensor"):
         if self.chart is not other.chart and self.chart != other.chart:
@@ -232,6 +235,14 @@ class Tensor:
         if self.valence != other.valence:
             raise TensorError(
                 f"valence mismatch: {self.valence} vs {other.valence}")
+
+
+def common_descriptor(tensors) -> Descriptor:
+    """The symmetries shared by every tensor in a non-empty iterable; each
+    of them holds for any linear combination of the tensors."""
+    first, *rest = tensors
+    return Descriptor(op for op in first.descriptor.ops
+                      if all(op in t.descriptor.ops for t in rest))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +261,7 @@ class Metric:
             for j in range(i + 1, n):
                 if not (self.matrix[i][j] == self.matrix[j][i]):
                     raise TensorError(f"metric is not symmetric at ({i},{j})")
-        self.det = _determinant(self.matrix)
+        self.det = determinant(self.matrix)
         if self.det.is_zero:
             raise TensorError("metric is degenerate")
         self.inverse = _adjugate_inverse(self.matrix, self.det)
@@ -283,7 +294,7 @@ class Metric:
         return Tensor(self.chart, 2, D_SYM2, comps)
 
 
-def _determinant(m) -> Expression:
+def determinant(m) -> Expression:
     n = len(m)
     if n == 1:
         return m[0][0]
@@ -292,7 +303,7 @@ def _determinant(m) -> Expression:
         if m[0][j].is_zero:
             continue
         minor = [[row[k] for k in range(n) if k != j] for row in m[1:]]
-        cof = m[0][j] * _determinant(minor)
+        cof = m[0][j] * determinant(minor)
         total = total + (cof if j % 2 == 0 else -cof)
     return total
 
@@ -304,7 +315,7 @@ def _adjugate_inverse(m, det: Expression):
         for j in range(n):
             minor = [[m[a][b] for b in range(n) if b != j]
                      for a in range(n) if a != i]
-            cof = _determinant(minor) if n > 1 else ONE
+            cof = determinant(minor) if n > 1 else ONE
             if (i + j) % 2:
                 cof = -cof
             inv[j][i] = cof / det
@@ -368,26 +379,6 @@ def kulkarni_nomizu(a: Tensor, e: Tensor) -> Tensor:
     return Tensor.compute(a.chart, 4, D_RIEMANN, entry)
 
 
-def raise_first(t: Tensor, g: Metric):
-    """Contract the first slot with the inverse metric.  Returns a plain dict
-    {(l, rest-indices): Expression} of nonzero mixed components."""
-    n = g.dim
-    out = {}
-    for idx in itertools.product(range(n), repeat=t.valence):
-        rest = idx[1:]
-        for l in range(n):
-            gi = g.upper(l, idx[0])
-            if gi.is_zero:
-                continue
-            v = t.get(idx)
-            if v.is_zero:
-                continue
-            key = (l,) + rest
-            cur = out.get(key)
-            out[key] = gi * v if cur is None else cur + gi * v
-    return {k: v for k, v in out.items() if not v.is_zero}
-
-
 def trace2(t: Tensor, g: Metric) -> Expression:
     """Full metric trace of a (0,2) tensor."""
     if t.valence != 2:
@@ -429,12 +420,15 @@ def endo_square(e: Tensor, g: Metric) -> Tensor:
     return Tensor.compute(e.chart, 2, D_SYM2, entry)
 
 
-def divergence_first(t: Tensor, g: Metric, conn: Connection) -> Tensor:
-    """g^{im} (nabla T)[i, rest..., m]: contract the first slot of T with the
-    derivative slot of its covariant derivative."""
-    nt = covariant_derivative(t, conn)
+def divergence_first(nt: Tensor, g: Metric) -> Tensor:
+    """g^{im} (nabla T)[i, rest..., m]: contract the first slot of a
+    covariant derivative nabla T with its derivative slot, the last.  The
+    result keeps the symmetries of T among the slots after the first."""
     n = g.dim
-    k = t.valence
+    k = nt.valence - 1
+    desc = Descriptor(op[:1] + tuple(a - 1 for a in op[1:])
+                      for op in nt.descriptor.ops
+                      if 0 not in op[1:] and k not in op[1:])
 
     def entry(rest):
         s = ZERO
@@ -448,7 +442,7 @@ def divergence_first(t: Tensor, g: Metric, conn: Connection) -> Tensor:
                     s = s + gim * v
         return s
 
-    return Tensor.compute(t.chart, k - 1, Descriptor(()), entry)
+    return Tensor.compute(nt.chart, k - 1, desc, entry)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Curvature of the catalog metrics against independently derived tables."""
+import itertools
+
 import pytest
 
 from curvkit import CurvatureBundle, TensorError
 from curvkit.curvature import christoffel
+from curvkit.expr import ZERO
 from curvkit.tensor import D_RIEMANN, D_SYM2
 
 import vaidya_reference as ref
@@ -107,6 +110,23 @@ class TestBundleApi:
     def test_divergence_shapes(self, vaidya):
         assert vaidya.divergence("S").valence == 1
         assert vaidya.divergence("R").valence == 3
+        # R's antisymmetry in its last pair survives the contraction
+        assert vaidya.divergence("R").descriptor.ops == (("anti", 1, 2),)
+
+    @pytest.mark.parametrize("name", ["S", "R", "C"])
+    def test_divergence_contracts_at_every_tuple(self, vaidya, name):
+        div = vaidya.divergence(name)
+        nt = vaidya.nabla(name)
+        n = vaidya.dim
+        # div S = (1/2) d kappa vanishes here, since kappa = 0
+        assert div.is_zero == (name == "S")
+        for rest in itertools.product(range(n), repeat=div.valence):
+            want = ZERO
+            for i in range(n):
+                for m in range(n):
+                    want = want + (vaidya.metric.upper(i, m)
+                                   * nt.get((i,) + rest + (m,)))
+            assert div.get(rest) == want, rest
 
     def test_gaussian_is_half_wedge(self, minkowski):
         from curvkit import kulkarni_nomizu

@@ -1,5 +1,7 @@
 """Symmetry descriptors, component tables, metric algebra, dumps."""
+import itertools
 import json
+import pickle
 
 import pytest
 
@@ -9,8 +11,8 @@ from curvkit.chart import Chart
 from curvkit.expr import Expression, ZERO, ONE
 from curvkit.parsing import parse_expression
 from curvkit.tensor import (
-    Descriptor, D_SYM2, D_RIEMANN, D_ANTI2, D_NONE2,
-    raise_first, trace2, divergence_first, format_component_lines,
+    Descriptor, D_SYM2, D_RIEMANN, D_ANTI2, D_NONE2, RIEMANN, SYM2,
+    trace2, divergence_first, format_component_lines,
 )
 
 CHART = Chart(coords=("x", "y"), constants=("a",))
@@ -44,6 +46,89 @@ class TestDescriptor:
     def test_with_extra(self):
         d = D_NONE2.with_extra(("sym", 0, 1))
         assert d == D_SYM2
+        assert d is D_SYM2
+        dot = D_RIEMANN.with_extra(("anti", 4, 5))
+        assert dot is D_RIEMANN.with_extra(("anti", 4, 5))
+        assert dot is Descriptor(RIEMANN + (("anti", 4, 5),))
+
+    def test_interned_per_ops(self):
+        assert Descriptor(RIEMANN) is D_RIEMANN
+        assert Descriptor([list(op) for op in SYM2]) is D_SYM2
+        assert Descriptor(()) is D_NONE2
+        assert Descriptor(SYM2) is not D_ANTI2
+        assert pickle.loads(pickle.dumps(D_RIEMANN)) is D_RIEMANN
+
+    # (ops, valence) of every walk: tensor storage, the (0,6) and (0,4)
+    # operator products, the identity and decision-procedure loops, and
+    # the divergence of a (0,4) tensor
+    WALKS = [
+        ((), 1), ((), 3), (SYM2, 2), (SYM2, 3), ((("anti", 0, 1),), 2),
+        ((("anti", 0, 1),), 3), ((("anti", 0, 1),), 4), (RIEMANN, 4),
+        (RIEMANN, 5), (RIEMANN + (("anti", 4, 5),), 6),
+        ((("anti", 0, 1), ("anti", 4, 5)), 6),
+        (SYM2 + (("anti", 2, 3),), 4),
+        ((("anti", 0, 1), ("anti", 1, 2), ("anti", 3, 4)), 5),
+        ((("anti", 0, 1), ("anti", 1, 2)), 5),
+        ((("anti", 0, 1), ("anti", 1, 2)), 4),
+        ((("sym", 0, 1), ("sym", 1, 2)), 3),
+        ((("anti", 1, 2),), 3),
+    ]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("ops,k", WALKS)
+    def test_reps_are_orbit_minima(self, ops, k, n):
+        want = []
+        for idx in itertools.product(range(n), repeat=k):
+            rep, zero = _orbit(ops, idx)
+            if rep == idx and not zero:
+                want.append(idx)
+        assert Descriptor(ops).reps(n, k) == tuple(want)
+
+
+def _orbit(ops, idx):
+    """Minimum of the orbit of idx under the slot ops, and whether the
+    orbit forces the value to zero, found by closing the orbit directly."""
+    sign = {idx: 1}
+    todo = [idx]
+    zero = False
+    while todo:
+        t = todo.pop()
+        for kind, *slots in ops:
+            u = list(t)
+            if kind == "block":
+                a, b, c, d = slots
+                u[a], u[b], u[c], u[d] = t[c], t[d], t[a], t[b]
+            else:
+                a, b = slots
+                u[a], u[b] = t[b], t[a]
+            u = tuple(u)
+            s = -sign[t] if kind == "anti" else sign[t]
+            if u not in sign:
+                sign[u] = s
+                todo.append(u)
+            elif sign[u] != s:
+                zero = True
+    return min(sign), zero
+
+
+def raise_first(t: Tensor, g: Metric):
+    """Contract the first slot with the inverse metric over all index tuples.
+    Returns a plain dict {(l, rest-indices): Expression} of nonzero mixed
+    components."""
+    n = g.dim
+    out = {}
+    for idx in itertools.product(range(n), repeat=t.valence):
+        v = t.get(idx)
+        if v.is_zero:
+            continue
+        for l in range(n):
+            gi = g.upper(l, idx[0])
+            if gi.is_zero:
+                continue
+            key = (l,) + idx[1:]
+            cur = out.get(key)
+            out[key] = gi * v if cur is None else cur + gi * v
+    return {k: v for k, v in out.items() if not v.is_zero}
 
 
 def _tensor(comps, valence=2, desc=D_SYM2, chart=CHART):
@@ -162,8 +247,9 @@ class TestCovariantDerivative:
         assert d.get((0, 0, 1)) == X
 
     def test_divergence_of_metric_vanishes(self, sphere2):
-        div = divergence_first(sphere2.g_tensor, sphere2.metric,
-                               sphere2.connection)
+        div = divergence_first(
+            covariant_derivative(sphere2.g_tensor, sphere2.connection),
+            sphere2.metric)
         assert div.is_zero
 
 
