@@ -16,7 +16,7 @@ from .parsing import parse_identity
 from .curvature import CurvatureBundle
 from .tensor import Descriptor, TensorError, endo_square
 from .operators import (
-    check_identity, two_form_recurrence, one_form_recurrence,
+    first_residual, check_identity, two_form_recurrence, one_form_recurrence,
     recurrent_tensor, ricci_decompose, pure_radiation, compatibility_check,
     compatible_space, weakly_ricci_symmetric)
 
@@ -70,33 +70,13 @@ def _label(component) -> str:
     return "".join(str(i + 1) for i in component)
 
 
-def _identity_witnesses(check) -> tuple:
-    out = []
-    if check.holds:
-        if check.solved:
-            for u in sorted(check.solved):
-                out.append((u, format_expression(check.solved[u])))
-        if check.free:
-            out.append(("free", ", ".join(check.free)))
-        return tuple(out)
-    w = check.witness
-    if w is None:
-        return ()
-    if w.kind == "ratio":
-        out.append((f"{w.unknown}_at_{_label(w.anchor_component)}",
-                    format_expression(w.anchor_value)))
-        out.append((f"{w.unknown}_at_{_label(w.component)}",
-                    format_expression(w.value)))
-    else:
-        out.append((f"residual_{_label(w.component)}",
-                    format_expression(w.value)))
-    return tuple(out)
-
-
-def _first_nonzero(tensor):
-    for idx, v in sorted(tensor.iter_nonzero()):
-        return idx, v
-    return None
+def _verdict(hit):
+    """holds when there is no nonzero residual, else fails naming the first
+    one as (index tuple, value)."""
+    if hit is None:
+        return HOLDS, ()
+    idx, v = hit
+    return FAILS, ((f"residual_{_label(idx)}", format_expression(v)),)
 
 
 class _Evaluator:
@@ -120,8 +100,19 @@ class _Evaluator:
     def identity(self, formula: str):
         ast = parse_identity(formula, self.bundle.chart)
         check = check_identity(ast, self.bundle, self.cache)
-        verdict = HOLDS if check.holds else FAILS
-        return verdict, _identity_witnesses(check)
+        if check.holds:
+            wit = [(u, format_expression(check.solved[u]))
+                   for u in sorted(check.solved)]
+            if check.free:
+                wit.append(("free", ", ".join(check.free)))
+            return HOLDS, tuple(wit)
+        w = check.witness
+        if w.kind == "ratio":
+            return FAILS, ((f"{w.unknown}_at_{_label(w.anchor_component)}",
+                            format_expression(w.anchor_value)),
+                           (f"{w.unknown}_at_{_label(w.component)}",
+                            format_expression(w.value)))
+        return _verdict((w.component, w.value))
 
     def scalar_flat(self):
         k = self.bundle.kappa
@@ -156,43 +147,36 @@ class _Evaluator:
 
     def endo_square_zero(self):
         sq = endo_square(self.bundle.ricci, self.bundle.metric)
-        hit = _first_nonzero(sq)
-        if hit is None:
-            return HOLDS, ()
-        idx, v = hit
-        return FAILS, ((f"residual_{_label(idx)}", format_expression(v)),)
+        return _verdict(next(sq.iter_nonzero(), None))
 
     def codazzi(self):
         ns = self.bundle.nabla("S")
+
+        def residual(idx):
+            x, y, z = idx
+            return ns.get((y, z, x)) - ns.get((x, z, y))
+
         # the residual at (x, y, z) is minus the one at (y, x, z)
         walk = Descriptor((("anti", 0, 1),)).reps(self.bundle.dim, 3)
-        for x, y, z in walk:
-            r = ns.get((y, z, x)) - ns.get((x, z, y))
-            if not r.is_zero:
-                return FAILS, ((f"residual_{_label((x, y, z))}",
-                                format_expression(r)),)
-        return HOLDS, ()
+        return _verdict(first_residual(walk, residual))
 
     def cyclic_parallel(self):
         ns = self.bundle.nabla("S")
+
+        def residual(idx):
+            x, y, z = idx
+            return ns.get((y, z, x)) + ns.get((z, x, y)) + ns.get((x, y, z))
+
         # a cyclic sum; with S symmetric it is totally symmetric
         ops = ()
         if ("sym", 0, 1) in ns.descriptor.ops:
             ops = (("sym", 0, 1), ("sym", 1, 2))
-        for x, y, z in Descriptor(ops).reps(self.bundle.dim, 3):
-            r = ns.get((y, z, x)) + ns.get((z, x, y)) + ns.get((x, y, z))
-            if not r.is_zero:
-                return FAILS, ((f"residual_{_label((x, y, z))}",
-                                format_expression(r)),)
-        return HOLDS, ()
+        walk = Descriptor(ops).reps(self.bundle.dim, 3)
+        return _verdict(first_residual(walk, residual))
 
     def divergence_free(self, name: str):
         div = self.bundle.divergence(name)
-        hit = _first_nonzero(div)
-        if hit is None:
-            return HOLDS, ()
-        idx, v = hit
-        return FAILS, ((f"residual_{_label(idx)}", format_expression(v)),)
+        return _verdict(next(div.iter_nonzero(), None))
 
     def _recurrence(self, result):
         if result.holds:
@@ -200,13 +184,10 @@ class _Evaluator:
             if result.free:
                 wit.append(("free", ", ".join(result.free)))
             return HOLDS, tuple(wit)
-        if result.witness_component is not None:
-            return FAILS, ((f"residual_{_label(result.witness_component)}",
-                            format_expression(result.witness_residual)),)
-        # consistent system whose only solution is the zero covector
-        if result.covector is not None:
+        if result.witness_component is None:
+            # consistent system whose only solution is the zero covector
             return FAILS, (("only_pi", _fmt_covector(result.covector)),)
-        return FAILS, ()
+        return _verdict((result.witness_component, result.witness_residual))
 
     def two_form(self, name: str):
         return self._recurrence(two_form_recurrence(self.bundle, name))
@@ -220,10 +201,8 @@ class _Evaluator:
     def ricci_compatible(self, name: str):
         d = self.bundle.tensor(name)
         res = compatibility_check(d, self.bundle.ricci, self.bundle.metric)
-        if res.holds:
-            return HOLDS, ()
-        return FAILS, ((f"residual_{_label(res.witness_component)}",
-                        format_expression(res.witness_value)),)
+        return _verdict(None if res.holds
+                        else (res.witness_component, res.witness_value))
 
     def compatible_family(self, name: str):
         d = self.bundle.tensor(name)
@@ -250,10 +229,7 @@ class _Evaluator:
             if res.free:
                 wit.append(("free", ", ".join(res.free)))
             return HOLDS, tuple(wit)
-        if res.witness_component is not None:
-            return FAILS, ((f"residual_{_label(res.witness_component)}",
-                            format_expression(res.witness_residual)),)
-        return FAILS, ()
+        return _verdict((res.witness_component, res.witness_residual))
 
     def pure_radiation_form(self):
         res = pure_radiation(self.bundle)

@@ -841,21 +841,6 @@ def _poly_subst(p: Poly, mapping: Mapping[Atom, Expression]) -> Expression:
     return total
 
 
-def differentiate(e: Expression, coord: str) -> Expression:
-    """Partial derivative with respect to a coordinate name."""
-    return e.derivative(coord)
-
-
-def is_zero(e: Expression) -> bool:
-    return e.is_zero
-
-
-def eval_numeric(e: Expression, assignment: Mapping[Atom, Fraction]) -> Fraction:
-    """Exact rational evaluation; trig atoms are assigned directly (callers
-    choose values with sin^2 + cos^2 = 1 when that matters)."""
-    return e.eval(assignment)
-
-
 # ---------------------------------------------------------------------------
 # printing
 

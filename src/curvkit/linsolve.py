@@ -1,10 +1,12 @@
 """Exact linear solving over the Expression fraction field.
 
-Systems arrive as labelled equations  sum_u coeff_u * u = rhs.  Elimination
-keeps a reduced basis (each pivot appears in exactly one row, with
-coefficient 1); pivots are chosen deterministically as the earliest unknown
-in the caller's ordering whose coefficient is provably nonzero, so solution
-displays are stable across runs.
+Systems arrive as labelled equations  sum_u coeff_u * u = rhs.  A label is
+the caller's index tuple of the component the equation was taken at, so
+witness and pivot labels name components directly.  Elimination keeps a
+reduced basis (each pivot appears in exactly one row, with coefficient 1);
+pivots are chosen deterministically as the earliest unknown in the caller's
+ordering whose coefficient is provably nonzero, so solution displays are
+stable across runs.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .expr import Expression, ONE, ZERO
 class LinearEquation:
     coeffs: dict          # unknown name -> Expression
     rhs: Expression
-    label: str = ""
+    label: tuple = ()     # the caller's index tuple
 
 
 @dataclass(frozen=True)
@@ -44,8 +46,8 @@ class SolveResult:
     unknowns: tuple[str, ...]
     solution: dict | None             # unknown -> AffineForm (None if inconsistent)
     free: tuple[str, ...]
-    pivot_labels: dict                # pivot unknown -> label that fixed it
-    witness_label: str = ""
+    pivot_labels: dict                # pivot unknown -> index tuple that fixed it
+    witness_label: tuple = ()         # index tuple of the inconsistent equation
     witness_residual: Expression = ZERO
     partial: dict | None = None       # best-effort particular values on failure
 
@@ -63,7 +65,7 @@ class SolveResult:
 class _Row:
     __slots__ = ("coeffs", "rhs", "label")
 
-    def __init__(self, coeffs: dict, rhs: Expression, label: str):
+    def __init__(self, coeffs: dict, rhs: Expression, label: tuple):
         self.coeffs = coeffs   # excludes the pivot itself (implicit 1)
         self.rhs = rhs
         self.label = label

@@ -156,6 +156,39 @@ class IdentityCheck:
     witness: IdentityWitness | None
 
 
+def solve_at(walk, unknowns, equation):
+    """Solve the linear system with one equation per index tuple of walk.
+
+    equation(idx) returns (terms, rhs), meaning sum of coeff * unknown over
+    the (unknown, coeff) pairs of terms equals rhs.  Coefficients of the same
+    unknown add up and zero ones are dropped; a tuple left with no
+    coefficient and a zero rhs gives no equation.  Each equation is labelled
+    by its index tuple, so the result's witness and pivot labels name
+    components.
+    """
+    equations = []
+    for idx in walk:
+        terms, rhs = equation(idx)
+        coeffs = {}
+        for u, c in terms:
+            if not c.is_zero:
+                coeffs[u] = coeffs.get(u, ZERO) + c
+        coeffs = {u: c for u, c in coeffs.items() if not c.is_zero}
+        if coeffs or not rhs.is_zero:
+            equations.append(LinearEquation(coeffs, rhs, idx))
+    return solve_linear(equations, unknowns)
+
+
+def first_residual(walk, residual):
+    """The first index tuple of walk with a nonzero residual, paired with
+    that residual, or None when every residual vanishes."""
+    for idx in walk:
+        v = residual(idx)
+        if not v.is_zero:
+            return idx, v
+    return None
+
+
 def check_identity(ast: IdentityAst, bundle: CurvatureBundle,
                    cache: dict | None = None) -> IdentityCheck:
     """Decide a tensor identity, solving for any unknown scalars."""
@@ -188,46 +221,32 @@ def check_identity(ast: IdentityAst, bundle: CurvatureBundle,
         return v
 
     if not ast.unknowns:
-        for idx in walk:
-            v = residual(idx)
-            if not v.is_zero:
-                return IdentityCheck(False, None, (), IdentityWitness(
-                    "component", idx, v))
-        return IdentityCheck(True, {}, (), None)
+        hit = first_residual(walk, residual)
+        if hit is None:
+            return IdentityCheck(True, {}, (), None)
+        return IdentityCheck(False, None, (),
+                             IdentityWitness("component", *hit))
 
-    equations = []
-    by_label = {}
-    for idx in walk:
-        coeffs = {}
-        for u, terms in unknown_terms.items():
-            cv = ZERO
-            for coeff, t in terms:
-                tv = t.get(idx)
-                if not tv.is_zero:
-                    cv = cv + coeff * tv
-            if not cv.is_zero:
-                coeffs[u] = cv
-        rhs = -residual(idx)
-        if not coeffs and rhs.is_zero:
-            continue
-        label = "".join(str(i + 1) for i in idx)
-        equations.append(LinearEquation(coeffs, rhs, label))
-        by_label[label] = (idx, coeffs, rhs)
+    def equation(idx):
+        return ([(u, coeff * t.get(idx))
+                 for u, terms in unknown_terms.items() for coeff, t in terms],
+                -residual(idx))
 
-    result = solve_linear(equations, ast.unknowns)
+    result = solve_at(walk, ast.unknowns, equation)
     if result.consistent:
         return IdentityCheck(True, result.particular(), result.free, None)
 
-    idx, coeffs, rhs = by_label[result.witness_label]
+    idx = result.witness_label
     if len(ast.unknowns) == 1:
         u = ast.unknowns[0]
-        cu = coeffs.get(u, ZERO)
-        anchor_label = result.pivot_labels.get(u)
-        if not cu.is_zero and anchor_label is not None:
-            anchor_idx = by_label[anchor_label][0]
+        terms, rhs = equation(idx)
+        cu = ZERO
+        for _, c in terms:
+            cu = cu + c
+        anchor = result.pivot_labels.get(u)
+        if not cu.is_zero and anchor is not None:
             return IdentityCheck(False, None, (), IdentityWitness(
-                "ratio", idx, rhs / cu, unknown=u,
-                anchor_component=anchor_idx,
+                "ratio", idx, rhs / cu, unknown=u, anchor_component=anchor,
                 anchor_value=result.partial[u]))
     return IdentityCheck(False, None, (), IdentityWitness(
         "forced", idx, result.witness_residual))
@@ -246,11 +265,9 @@ class RecurrenceResult:
     witness_residual: Expression | None = None
 
 
-def _solve_covector(equations, by_label, names, n) -> RecurrenceResult:
-    result = solve_linear(equations, names)
+def _solve_covector(result, names) -> RecurrenceResult:
     if not result.consistent:
-        return RecurrenceResult(False, None, (),
-                                by_label[result.witness_label],
+        return RecurrenceResult(False, None, (), result.witness_label,
                                 result.witness_residual)
     particular = result.particular()
     covector = tuple(particular[u] for u in names)
@@ -282,26 +299,16 @@ def two_form_recurrence(bundle: CurvatureBundle, name: str) -> RecurrenceResult:
     ops = _cyclic_ops(d)
     if ("anti", 2, 3) in d.descriptor.ops:   # (x, y) fill d's second pair
         ops += (("anti", 3, 4),)
-    equations = []
-    by_label = {}
-    for idx in Descriptor(ops).reps(n, 5):
+
+    def equation(idx):
         i, j, k, x, y = idx
-        lhs = (nd.get((j, k, x, y, i)) + nd.get((k, i, x, y, j))
-               + nd.get((i, j, x, y, k)))
-        coeffs = {}
-        for a, bb, cc in ((i, j, k), (j, k, i), (k, i, j)):
-            dv = d.get((bb, cc, x, y))
-            if dv.is_zero:
-                continue
-            u = names[a]
-            coeffs[u] = coeffs.get(u, ZERO) + dv
-        coeffs = {u: c for u, c in coeffs.items() if not c.is_zero}
-        if not coeffs and lhs.is_zero:
-            continue
-        label = "".join(str(i + 1) for i in idx)
-        equations.append(LinearEquation(coeffs, lhs, label))
-        by_label[label] = idx
-    return _solve_covector(equations, by_label, names, n)
+        return ([(names[a], d.get((bb, cc, x, y)))
+                 for a, bb, cc in ((i, j, k), (j, k, i), (k, i, j))],
+                nd.get((j, k, x, y, i)) + nd.get((k, i, x, y, j))
+                + nd.get((i, j, x, y, k)))
+
+    return _solve_covector(
+        solve_at(Descriptor(ops).reps(n, 5), names, equation), names)
 
 
 def one_form_recurrence(bundle: CurvatureBundle, name: str) -> RecurrenceResult:
@@ -310,26 +317,16 @@ def one_form_recurrence(bundle: CurvatureBundle, name: str) -> RecurrenceResult:
     nz = bundle.nabla(name)
     n = bundle.dim
     names = [f"P{i + 1}" for i in range(n)]
-    equations = []
-    by_label = {}
-    # the equation at (i, j, x) is minus the one at (j, i, x)
-    for idx in Descriptor((("anti", 0, 1),)).reps(n, 3):
+
+    def equation(idx):
         i, j, x = idx
-        lhs = nz.get((j, x, i)) - nz.get((i, x, j))
-        coeffs = {}
-        zj = z.get((j, x))
-        if not zj.is_zero:
-            coeffs[names[i]] = zj
-        zi = z.get((i, x))
-        if not zi.is_zero:
-            coeffs[names[j]] = coeffs.get(names[j], ZERO) - zi
-        coeffs = {u: c for u, c in coeffs.items() if not c.is_zero}
-        if not coeffs and lhs.is_zero:
-            continue
-        label = "".join(str(i + 1) for i in idx)
-        equations.append(LinearEquation(coeffs, lhs, label))
-        by_label[label] = idx
-    return _solve_covector(equations, by_label, names, n)
+        return ([(names[i], z.get((j, x))), (names[j], -z.get((i, x)))],
+                nz.get((j, x, i)) - nz.get((i, x, j)))
+
+    # the equation at (i, j, x) is minus the one at (j, i, x)
+    return _solve_covector(
+        solve_at(Descriptor((("anti", 0, 1),)).reps(n, 3), names, equation),
+        names)
 
 
 def recurrent_tensor(bundle: CurvatureBundle, name: str) -> RecurrenceResult:
@@ -337,20 +334,16 @@ def recurrent_tensor(bundle: CurvatureBundle, name: str) -> RecurrenceResult:
     t = bundle.tensor(name)
     nt = bundle.nabla(name)
     n = bundle.dim
+    k = t.valence
     names = [f"P{i + 1}" for i in range(n)]
-    equations = []
-    by_label = {}
-    for idx in t.descriptor.reps(n, t.valence):
-        tv = t.get(idx)
-        for x in range(n):
-            lhs = nt.get(idx + (x,))
-            if tv.is_zero and lhs.is_zero:
-                continue
-            coeffs = {names[x]: tv} if not tv.is_zero else {}
-            label = "".join(str(i + 1) for i in idx + (x,))
-            equations.append(LinearEquation(coeffs, lhs, label))
-            by_label[label] = idx + (x,)
-    return _solve_covector(equations, by_label, names, n)
+
+    def equation(idx):
+        return [(names[idx[k]], t.get(idx[:k]))], nt.get(idx)
+
+    # t's ops touch only the first k slots, so these are t's
+    # representatives, each followed by every derivative index
+    return _solve_covector(
+        solve_at(t.descriptor.reps(n, k + 1), names, equation), names)
 
 
 # ---------------------------------------------------------------------------
@@ -612,13 +605,14 @@ def compatibility_check(d: Tensor, e: Tensor, g: Metric) -> CompatibilityResult:
                 v = v + w * dv
         return v
 
-    for idx in Descriptor(_cyclic_ops(d)).reps(n, 4):
+    def residual(idx):
         i1, i2, i3, x = idx
-        total = (term(i1, i2, x, i3) + term(i2, i3, x, i1)
-                 + term(i3, i1, x, i2))
-        if not total.is_zero:
-            return CompatibilityResult(False, idx, total)
-    return CompatibilityResult(True)
+        return term(i1, i2, x, i3) + term(i2, i3, x, i1) + term(i3, i1, x, i2)
+
+    hit = first_residual(Descriptor(_cyclic_ops(d)).reps(n, 4), residual)
+    if hit is None:
+        return CompatibilityResult(True)
+    return CompatibilityResult(False, *hit)
 
 
 @dataclass(frozen=True)
@@ -627,34 +621,25 @@ class CompatibleFamily:
     tensor: entries are Expressions in opaque free parameters."""
     matrix: tuple                 # n x n of Expressions
     params: tuple                 # free parameter names, display order
-    symmetric: bool
+    # always False (the unknown is a general matrix); kept only because the
+    # solve-stress outputs recorded in bench/expected list every field
+    symmetric: bool = False
 
     @property
     def param_count(self) -> int:
         return len(self.params)
 
 
-def compatible_space(d: Tensor, g: Metric, symmetric: bool = False,
-                     verify: bool = True) -> CompatibleFamily:
+def compatible_space(d: Tensor, g: Metric) -> CompatibleFamily:
     """Solve for every (0,2) tensor compatible with a curvature-type d.
 
-    By default the unknown tensor is a general n x n matrix; with
-    symmetric=True the unknown is constrained symmetric up front.
+    The unknown tensor is a general n x n matrix.  The family found is
+    certified by substituting it back into every equation.
     """
     chart = d.chart
     n = chart.dim
-
-    def base_name(m, a):
-        if symmetric and m > a:
-            m, a = a, m
-        return f"a{m + 1}{a + 1}"
-
-    unknowns = []
-    for a in range(n):
-        for m in range(n):
-            u = base_name(m, a)
-            if u not in unknowns:
-                unknowns.append(u)
+    name = [[f"a{i + 1}{j + 1}" for j in range(n)] for i in range(n)]
+    unknowns = [name[m][a] for a in range(n) for m in range(n)]
 
     dd_cache = {}
 
@@ -671,25 +656,16 @@ def compatible_space(d: Tensor, g: Metric, symmetric: bool = False,
             dd_cache[key] = v
         return v
 
-    walk = Descriptor(_cyclic_ops(d)).reps(n, 4)
-    equations = []
-    for idx in walk:
+    def terms(idx):
+        """(row, column, coefficient) of each unknown entry at idx."""
         i1, i2, i3, x = idx
-        coeffs = {}
-        for a, b, c in ((i1, i2, i3), (i2, i3, i1), (i3, i1, i2)):
-            for m in range(n):
-                cv = dd(m, a, b, x)
-                if cv.is_zero:
-                    continue
-                u = base_name(c, m)
-                coeffs[u] = coeffs.get(u, ZERO) + cv
-        coeffs = {u: c for u, c in coeffs.items() if not c.is_zero}
-        if not coeffs:
-            continue
-        label = "".join(str(i + 1) for i in idx)
-        equations.append(LinearEquation(coeffs, ZERO, label))
+        return [(c, m, dd(m, a, b, x))
+                for a, b, c in ((i1, i2, i3), (i2, i3, i1), (i3, i1, i2))
+                for m in range(n)]
 
-    result = solve_linear(equations, unknowns)
+    walk = Descriptor(_cyclic_ops(d)).reps(n, 4)
+    result = solve_at(walk, unknowns, lambda idx: (
+        [(name[c][m], cv) for c, m, cv in terms(idx)], ZERO))
     if not result.consistent:
         raise TensorError("homogeneous compatibility system reported "
                           "inconsistent")
@@ -706,24 +682,21 @@ def compatible_space(d: Tensor, g: Metric, symmetric: bool = False,
             v = v + c * Expression.from_atom(atom_of[u])
         return v
 
-    matrix = tuple(tuple(as_expression(result.solution[base_name(i, j)])
+    matrix = tuple(tuple(as_expression(result.solution[name[i][j]])
                          for j in range(n)) for i in range(n))
     params = tuple(prefix + u[1:] for u in unknowns if u in result.free)
 
-    if verify:
-        for idx in walk:
-            i1, i2, i3, x = idx
-            total = ZERO
-            for a, b, c in ((i1, i2, i3), (i2, i3, i1), (i3, i1, i2)):
-                for m in range(n):
-                    cv = dd(m, a, b, x)
-                    if not cv.is_zero:
-                        total = total + cv * matrix[c][m]
-            if not total.is_zero:
-                raise TensorError("compatible family fails substitution "
-                                  f"at {idx}")
+    def residual(idx):
+        total = ZERO
+        for c, m, cv in terms(idx):
+            if not cv.is_zero:
+                total = total + cv * matrix[c][m]
+        return total
 
-    return CompatibleFamily(matrix, params, symmetric)
+    hit = first_residual(walk, residual)
+    if hit is not None:
+        raise TensorError(f"compatible family fails substitution at {hit[0]}")
+    return CompatibleFamily(matrix, params)
 
 
 # ---------------------------------------------------------------------------
@@ -750,27 +723,16 @@ def weakly_ricci_symmetric(bundle: CurvatureBundle) -> WeakRicciResult:
     b_names = [f"B{i + 1}" for i in range(n)]
     d_names = [f"D{i + 1}" for i in range(n)]
     names = a_names + b_names + d_names
-    equations = []
-    by_label = {}
-    for idx in itertools.product(range(n), repeat=3):
+
+    def equation(idx):
         x, y, z = idx
-        lhs = ns.get((y, z, x))
-        coeffs = {}
-        for u, sv in ((a_names[x], s.get((y, z))),
-                      (b_names[y], s.get((x, z))),
-                      (d_names[z], s.get((y, x)))):
-            if not sv.is_zero:
-                coeffs[u] = coeffs.get(u, ZERO) + sv
-        coeffs = {u: c for u, c in coeffs.items() if not c.is_zero}
-        if not coeffs and lhs.is_zero:
-            continue
-        label = "".join(str(i + 1) for i in idx)
-        equations.append(LinearEquation(coeffs, lhs, label))
-        by_label[label] = idx
-    result = solve_linear(equations, names)
+        return ([(a_names[x], s.get((y, z))), (b_names[y], s.get((x, z))),
+                 (d_names[z], s.get((y, x)))], ns.get((y, z, x)))
+
+    # the equation has no index symmetry: every tuple is its own orbit
+    result = solve_at(Descriptor(()).reps(n, 3), names, equation)
     if not result.consistent:
-        return WeakRicciResult(False,
-                               witness_component=by_label[result.witness_label],
+        return WeakRicciResult(False, witness_component=result.witness_label,
                                witness_residual=result.witness_residual)
     p = result.particular()
     return WeakRicciResult(True,
