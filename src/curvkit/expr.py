@@ -2,11 +2,14 @@
 
 A value is a fraction of multivariate polynomials with rational coefficients
 whose indeterminates are Atom objects.  Every Expression is normalized on
-construction: numerator and denominator are reduced by their polynomial gcd,
+construction: numerator and denominator are divided by their polynomial gcd,
 the denominator is scaled to a primitive integer polynomial with positive
 leading coefficient, and cos(x)^2 is rewritten to 1 - sin(x)^2 so each cosine
-appears at most linearly.  Equality of canonical forms is therefore structural
-equality, and is_zero is decidable.
+appears at most linearly.  The gcd runs on a work budget; past it only the
+common monomial factor is divided out, so a fraction may keep a common factor
+(this happens on trig-free input too) and the form is not canonical.
+Equality is decided exactly by cross-multiplication, and is_zero (a zero
+numerator) is exact.
 """
 
 from __future__ import annotations
@@ -410,6 +413,19 @@ class Poly:
             total += v
         return total
 
+    def at_point(self) -> int | None:
+        """Value at the fixed point modulo PRIME; None when a coefficient's
+        denominator is a multiple of PRIME."""
+        total = 0
+        for mono, coeff in self.terms.items():
+            v = _residue(coeff)
+            if v is None:
+                return None
+            for a, e in mono:
+                v = v * pow(_atom_at_point(a), e, PRIME) % PRIME
+            total += v
+        return total % PRIME
+
     def __repr__(self):
         return f"Poly({format_poly(self)})"
 
@@ -434,6 +450,139 @@ def _atom_derivative(atom: Atom, coord: str):
             return (atom.bump(coord), 1)
         return None
     return None
+
+
+# ---------------------------------------------------------------------------
+# values at a fixed point modulo a prime
+#
+# Setting every atom to its value at one point of Z/PRIME is a ring
+# homomorphism on polynomials, and on fractions whose denominator does not
+# vanish there.  So a nonzero value proves an expression nonzero, a matrix
+# of values of full rank proves the exact matrix full rank, and coprime
+# one-variable images prove two polynomials coprime (Schwartz 1980; Zippel
+# 1979).  A zero value proves nothing: callers then run the exact code.
+
+PRIME = 2**61 - 1
+_point: dict = {}   # atom key -> value at the point
+
+
+def _atom_at_point(a: Atom) -> int:
+    v = _point.get(a.key)
+    if v is None:
+        # the key read as digits; sin and cos of one coordinate share it
+        h = a.kind
+        for d in (*map(ord, a.name), -1, *a.orders):
+            h = (h * 1_000_003 + d + 2) % PRIME
+        # x -> x^65537 permutes Z/PRIME and scatters neighbouring seeds
+        v = pow(h, 65537, PRIME)
+        if a.kind == _KIND_TRIG:
+            # put (cos, sin) on the unit circle so cos^2 = 1 - sin^2 holds;
+            # 1 + t^2 is never zero because PRIME = 3 mod 4
+            inv = pow(1 + v * v, -1, PRIME)
+            v = (2 * v if a.sub == "sin" else 1 - v * v) * inv % PRIME
+        _point[a.key] = v
+    return v
+
+
+def _residue(c: Fraction) -> int | None:
+    if c.denominator == 1:
+        return c.numerator % PRIME
+    if c.denominator % PRIME == 0:
+        return None
+    return c.numerator * pow(c.denominator, -1, PRIME) % PRIME
+
+
+def _image_in(p: Poly, x: Atom) -> list[int] | None:
+    """p with every atom but x set to the point: coefficients modulo PRIME
+    in ascending powers of x, up to p's degree in x."""
+    coeffs = [0] * (p.degree_in(x) + 1)
+    for mono, c in p.terms.items():
+        v = _residue(c)
+        if v is None:
+            return None
+        e = 0
+        for a, k in mono:
+            if a.key == x.key:
+                e = k
+            else:
+                v = v * pow(_atom_at_point(a), k, PRIME) % PRIME
+        coeffs[e] = (coeffs[e] + v) % PRIME
+    return coeffs
+
+
+def _trim(f: list[int]) -> list[int]:
+    f = list(f)
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def gcd_mod_p(f: list[int], g: list[int]) -> list[int]:
+    """A gcd of two polynomials over Z/PRIME given by ascending coefficient
+    lists; [] when both are zero, so its length is the degree plus one."""
+    f, g = _trim(f), _trim(g)
+    while g:
+        inv = pow(g[-1], -1, PRIME)
+        while len(f) >= len(g):
+            q = f[-1] * inv % PRIME
+            shift = len(f) - len(g)
+            for i, gc in enumerate(g):
+                f[shift + i] = (f[shift + i] - q * gc) % PRIME
+            f = _trim(f)
+        f, g = g, f
+    return f
+
+
+def matrix_at_point(rows) -> list[list[int]] | None:
+    """The values of a matrix of Expressions at the point, or None when an
+    entry is undefined there."""
+    out = []
+    for row in rows:
+        vals = [e.at_point() for e in row]
+        if None in vals:
+            return None
+        out.append(vals)
+    return out
+
+
+def full_rank_at_point(rows) -> bool:
+    """True only if the exact matrix of Expressions has full rank: its
+    values at the point have full rank modulo PRIME.  Any minor nonzero
+    there is exactly nonzero."""
+    m = matrix_at_point(rows)
+    if m is None:
+        return False
+    ncols = len(m[0]) if m else 0
+    rank = 0
+    for c in range(ncols):
+        pivot = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][c], -1, PRIME)
+        for r in range(rank + 1, len(m)):
+            if m[r][c]:
+                f = m[r][c] * inv % PRIME
+                m[r] = [(x - f * y) % PRIME for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank == min(len(m), ncols)
+
+
+def _coprime_at_point(a: Poly, b: Poly) -> bool:
+    """True only if a and b, free of cos, have no common factor of positive
+    degree.  Such a factor has positive degree in some atom x they share;
+    when both images in x keep their degree in x, the factor's image keeps
+    its degree too and divides both, so coprime images rule it out."""
+    atoms_a, atoms_b = a.atoms(), b.atoms()
+    if any(atom.is_cos for atom in atoms_a | atoms_b):
+        return False
+    for x in atoms_a & atoms_b:
+        fa, fb = _image_in(a, x), _image_in(b, x)
+        if fa is None or fb is None or not (fa[-1] and fb[-1]):
+            return False
+        if len(gcd_mod_p(fa, fb)) != 1:
+            return False
+    return True
 
 
 class NotDivisible(ExprError):
@@ -619,9 +768,14 @@ def _gcd_core(a: Poly, b: Poly) -> Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Canonical gcd: integer-primitive with positive leading coefficient.
-    Falls back to the common monomial factor if the recursive routine fails
-    to produce a verified divisor (possible only through the trig rewrite)."""
+    """A common divisor, integer-primitive with positive leading coefficient.
+
+    The monomial content is split off first.  A top-level call on cos-free
+    input whose remaining parts are proved coprime by values at the point
+    returns that monomial at once.  Otherwise the budgeted recursive gcd
+    runs; when it exceeds its budget, or its result fails the division
+    check, the common monomial factor is returned, which can leave a
+    common factor of positive degree in the caller's fraction."""
     if a.is_zero:
         return _canon_sign(b)
     if b.is_zero:
@@ -633,6 +787,10 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     a1 = _poly_divexact(a, mono_poly) if mono else a
     b1 = _poly_divexact(b, mono_poly) if mono else b
     global _gcd_budget_left, _gcd_depth
+    # nested calls share the top-level call's budget: skipping one would
+    # leave more budget for later steps and could change which fall back
+    if _gcd_depth == 0 and _coprime_at_point(a1, b1):
+        return mono_poly
     if _gcd_depth == 0:
         _gcd_budget_left = _GCD_BUDGET
     _gcd_depth += 1
@@ -648,8 +806,9 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 class Expression:
-    """Canonical fraction of two Polys.  Immutable; all arithmetic returns
-    new normalized values."""
+    """Normalized fraction of two Polys (see the module docstring for what
+    normalized guarantees).  Immutable; all arithmetic returns new
+    normalized values."""
 
     __slots__ = ("num", "den")
 
@@ -783,9 +942,8 @@ class Expression:
             return NotImplemented
         if self.num == other.num and self.den == other.den:
             return True
-        # canonical forms are unique for polynomial fractions; the trig
-        # rewrite can in principle leave distinct reduced pairs, so decide
-        # by cross-multiplication
+        # a gcd past its budget, or the trig rewrite, can leave distinct
+        # pairs for one value, so decide by cross-multiplication
         return (self.num * other.den - other.num * self.den).is_zero
 
     def __hash__(self):
@@ -804,6 +962,14 @@ class Expression:
         if d == 0:
             raise PoleError("denominator evaluates to zero")
         return self.num.eval(assignment) / d
+
+    def at_point(self) -> int | None:
+        """Value at the fixed point modulo PRIME; None when it is undefined
+        there."""
+        n, d = self.num.at_point(), self.den.at_point()
+        if n is None or not d:
+            return None
+        return n * pow(d, -1, PRIME) % PRIME
 
     def subst(self, mapping: Mapping[Atom, "Expression"]) -> "Expression":
         if not mapping:

@@ -14,7 +14,9 @@ import itertools
 from dataclasses import dataclass
 
 from .curvature import CurvatureBundle
-from .expr import (Atom, Expression, ONE, ZERO, _KIND_COORD, _KIND_TRIG)
+from .expr import (Atom, Expression, ONE, PRIME, ZERO, _KIND_COORD,
+                   _KIND_TRIG, full_rank_at_point, gcd_mod_p,
+                   matrix_at_point)
 from .linsolve import LinearEquation, solve_linear
 from .parsing import (IdentityAst, TDot, TName, TNabla, TQ, TWedge)
 from .tensor import (Descriptor, Metric, Tensor, TensorError,
@@ -351,11 +353,14 @@ def recurrent_tensor(bundle: CurvatureBundle, name: str) -> RecurrenceResult:
 
 
 def matrix_rank(rows) -> int:
-    """Rank of a matrix of Expressions by Gaussian elimination."""
+    """Rank of a matrix of Expressions: full when its values at the point
+    have full rank, else by exact Gaussian elimination."""
     rows = [list(r) for r in rows]
     if not rows:
         return 0
     ncols = len(rows[0])
+    if full_rank_at_point(rows):
+        return min(len(rows), ncols)
     pr = 0
     for c in range(ncols):
         pivot = next((r for r in range(pr, len(rows))
@@ -498,7 +503,8 @@ def ricci_decompose(bundle: CurvatureBundle) -> RicciDecomposition:
     rank_e = matrix_rank(e_rows)
     if rank_e == 0:
         return RicciDecomposition("einstein", alpha_e, None, None, None, 0, n)
-    if matrix_rank(s_rows) <= 1:
+    rank_s = matrix_rank(s_rows)
+    if rank_s <= 1:
         got = build("ricci-simple", ZERO, s_rows)
         if got is not None:
             return got
@@ -509,29 +515,52 @@ def ricci_decompose(bundle: CurvatureBundle) -> RicciDecomposition:
 
     # Last resort: an alpha making S - alpha*g rank <= 1 must be a common
     # root of every 2x2 minor, each a quadratic in alpha.
-    minors = []
-    for i, j in itertools.combinations(range(n), 2):
-        for k, l in itertools.combinations(range(n), 2):
-            c0 = s_rows[i][k] * s_rows[j][l] - s_rows[i][l] * s_rows[j][k]
-            c1 = -(s_rows[i][k] * g_rows[j][l] + g_rows[i][k] * s_rows[j][l]
-                   - s_rows[i][l] * g_rows[j][k] - g_rows[i][l] * s_rows[j][k])
-            c2 = g_rows[i][k] * g_rows[j][l] - g_rows[i][l] * g_rows[j][k]
-            poly = [c0, c1, c2]
+    pairs = list(itertools.combinations(range(n), 2))
+    blocks = [(i, j, k, l) for i, j in pairs for k, l in pairs]
+    if not _no_common_root_at_point(s_rows, g_rows, blocks):
+        minors = []
+        for block in blocks:
+            poly = _minor_quadratic(s_rows, g_rows, *block)
             while poly and poly[-1].is_zero:
                 poly.pop()
             if poly:
                 minors.append(poly)
-    common = _poly1_gcd(minors)
-    if len(common) == 2:
-        alpha = -common[0] / common[1]
-        rows = shifted(alpha)
-        if matrix_rank(rows) <= 1:
-            got = build("quasi-einstein", alpha, rows)
-            if got is not None:
-                return got
-    rank_s = matrix_rank(s_rows)
+        common = _poly1_gcd(minors)
+        if len(common) == 2:
+            alpha = -common[0] / common[1]
+            rows = shifted(alpha)
+            if matrix_rank(rows) <= 1:
+                got = build("quasi-einstein", alpha, rows)
+                if got is not None:
+                    return got
     return RicciDecomposition("none", ZERO, None, None, None, rank_s,
                               n - rank_s)
+
+
+def _minor_quadratic(s, g, i, j, k, l) -> list:
+    """The minor of s - alpha*g on rows (i, j) and columns (k, l), as its
+    coefficients in ascending powers of alpha."""
+    return [s[i][k] * s[j][l] - s[i][l] * s[j][k],
+            -(s[i][k] * g[j][l] + g[i][k] * s[j][l]
+              - s[i][l] * g[j][k] - g[i][l] * s[j][k]),
+            g[i][k] * g[j][l] - g[i][l] * g[j][k]]
+
+
+def _no_common_root_at_point(s_rows, g_rows, blocks) -> bool:
+    """True only if the exact minors have a gcd of degree 0 in alpha.
+
+    A common factor of positive degree, made monic by a minor whose alpha^2
+    coefficient is nonzero at the point, maps to a common factor of the
+    same degree of the minors' values at the point."""
+    s_at, g_at = matrix_at_point(s_rows), matrix_at_point(g_rows)
+    if s_at is None or g_at is None:
+        return False
+    common, keeps_degree = [], False
+    for block in blocks:
+        poly = [c % PRIME for c in _minor_quadratic(s_at, g_at, *block)]
+        keeps_degree = keeps_degree or poly[2] != 0
+        common = gcd_mod_p(common, poly)
+    return keeps_degree and len(common) == 1
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chart import BUILTIN_CONSTANTS, Chart
-from .expr import Atom, Expression, ExprError, ONE, ZERO
+from .expr import (Atom, Expression, ExprError, ONE, ZERO,
+                   full_rank_at_point)
 from .tensor import determinant
 
 
@@ -409,7 +410,9 @@ def parse_metric_file(text: str) -> MetricSpec:
 
     matrix = tuple(tuple(entries[a][b] if entries[a][b] is not None else ZERO
                          for b in range(n)) for a in range(n))
-    if determinant(matrix).is_zero:
+    # the exact determinant is needed only when the values at the point
+    # leave the rank open
+    if not full_rank_at_point(matrix) and determinant(matrix).is_zero:
         raise DegenerateMetricError(
             f"metric {name or '<unnamed>'} has zero determinant")
     return MetricSpec(name, chart, matrix)

@@ -1,4 +1,5 @@
-"""Expression kernel: canonical forms, ring laws, calculus, round-trips."""
+"""Expression kernel: canonical forms, ring laws, calculus, round-trips,
+values at the fixed point."""
 import random
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvkit import Atom, Expression, ZERO, ONE, format_expression
-from curvkit.expr import DivisionByZeroExpression, Poly
+from curvkit import expr as expr_mod
+from curvkit.expr import DivisionByZeroExpression, PRIME, Poly, poly_gcd
 from curvkit.chart import Chart
 from curvkit.parsing import parse_expression
 
@@ -213,3 +215,88 @@ def test_seeded_generator_bulk():
         assert (e1 - e1).is_zero
         assert (e1 * e2).derivative("y") == \
             e1.derivative("y") * e2 + e1 * e2.derivative("y")
+
+
+class TestValuesAtPoint:
+    """A value modulo PRIME at the fixed point may only ever prove a fact
+    the exact code would also find; where it decides nothing, the exact
+    code runs."""
+
+    @BULK
+    @given(exprs, exprs)
+    def test_value_is_a_ring_homomorphism(self, e1, e2):
+        v1, v2 = e1.at_point(), e2.at_point()
+        if v1 is None or v2 is None:
+            return
+        for e, want in ((e1 + e2, v1 + v2), (e1 * e2, v1 * v2)):
+            got = e.at_point()
+            assert got is None or got == want % PRIME
+
+    def test_trig_pair_on_unit_circle(self):
+        assert (SIN_X * SIN_X + COS_X * COS_X).at_point() == 1
+        assert COS_X.at_point() != SIN_X.at_point()
+
+    # cos-free polynomials in four atoms (listed in atom order, so each
+    # monomial comes out sorted), a few small terms each
+    GCD_ATOMS = (Atom.constant("a"), Atom.coordinate("x"),
+                 Atom.coordinate("y"), Atom.func("f", ("x",)))
+    term = st.tuples(st.integers(-3, 3).filter(bool),
+                     st.tuples(*[st.integers(0, 2)] * 4))
+    polys = st.lists(term, min_size=1, max_size=4).map(
+        lambda ts: Poly.make(
+            (tuple((a, e) for a, e in zip(TestValuesAtPoint.GCD_ATOMS, exps)
+                   if e), Fraction(c)) for c, exps in ts))
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(polys, polys, polys, st.booleans())
+    def test_gcd_same_with_and_without_shortcut(self, p, q, common, plant):
+        if plant:
+            p, q = p * common, q * common
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(expr_mod, "_coprime_at_point", lambda a, b: False)
+            exact = poly_gcd(p, q)
+        assert poly_gcd(p, q) == exact
+
+    def test_coprime_pair_skips_exact_gcd(self, monkeypatch):
+        x, y = (Poly.atom(Atom.coordinate(c)) for c in "xy")
+        p = x * x * y + Poly.const(3)
+        q = x * y + x + Poly.const(1)
+        monkeypatch.setattr(expr_mod, "_gcd_core", refuse)
+        assert poly_gcd(p * x, q * x) == x
+
+    def test_cos_inputs_take_exact_gcd(self, monkeypatch):
+        x, c = Poly.atom(Atom.coordinate("x")), Poly.atom(Atom.cos("x"))
+        p, q = c * x + Poly.const(1), c + Poly.const(2)
+        calls = spy_gcd_core(monkeypatch)
+        assert not expr_mod._coprime_at_point(p, q)
+        assert poly_gcd(p, q) == Poly.const(1)
+        assert calls
+
+    def test_vanishing_leading_coefficient_refuses(self, monkeypatch):
+        x = Atom.coordinate("x")
+        r = expr_mod._atom_at_point(x)
+        y = Poly.atom(Atom.coordinate("y"))
+        # coprime, but the leading coefficient in y, x - r, is zero at the
+        # point, so the image in y drops a degree and proves nothing
+        p = (Poly.atom(x) - Poly.const(r)) * y + Poly.const(1)
+        q = y + Poly.const(2)
+        calls = spy_gcd_core(monkeypatch)
+        assert not expr_mod._coprime_at_point(p, q)
+        assert poly_gcd(p, q) == Poly.const(1)
+        assert calls
+
+
+def refuse(a, b):
+    raise AssertionError("exact gcd ran")
+
+
+def spy_gcd_core(monkeypatch):
+    calls = []
+    core = expr_mod._gcd_core
+
+    def spy(a, b):
+        calls.append((a, b))
+        return core(a, b)
+
+    monkeypatch.setattr(expr_mod, "_gcd_core", spy)
+    return calls

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from curvkit import TensorError, operators
+from curvkit import (CurvatureBundle, TensorError, operators,
+                     parse_metric_file)
 from curvkit.classify import classify
 from curvkit.expr import Atom, Expression
 from curvkit.operators import (
@@ -382,3 +383,59 @@ class TestCanonicalWalk:
         sizes.clear()
         assert classify(load_bundle(name)).render() == report
         assert sum(sizes) > walked
+
+
+class TestValuesAtPoint:
+    """Full rank and coprime minors are proved by values at the point;
+    the exact elimination and minor Euclid run only when those decide
+    nothing, and give the same answers."""
+
+    @staticmethod
+    def matrices():
+        x, y = (Expression.from_atom(Atom.coordinate(c)) for c in "xy")
+        a, one = param("a"), Expression.from_int(1)
+        r1, r2 = [x, y + one, x * y], [a, x + a, y * y - one]
+        return [
+            ([r1, r2, [x + one, a * x, y]], 3),
+            ([r1, r2, [p + q for p, q in zip(r1, r2)]], 2),
+            ([[p * q for q in r1] for p in (x, a, y * x)], 1),
+            ([r1, r2], 2),
+            ([[x, a], [y, x * y], [a + one, y]], 2),
+        ]
+
+    def test_rank_equals_elimination_rank(self, monkeypatch):
+        got = [operators.matrix_rank(rows) for rows, _ in self.matrices()]
+        monkeypatch.setattr(operators, "matrix_at_point", lambda rows: None)
+        assert got == [operators.matrix_rank(rows)
+                       for rows, _ in self.matrices()]
+        assert got == [rank for _, rank in self.matrices()]
+
+    def test_full_rank_needs_no_elimination(self, monkeypatch):
+        full = [(rows, rank) for rows, rank in self.matrices()
+                if rank == min(len(rows), len(rows[0]))]
+        monkeypatch.setattr(Expression, "__truediv__", refuse)
+        for rows, rank in full:
+            assert operators.matrix_rank(rows) == rank
+
+    def test_warped_product_skips_minor_euclid(self, monkeypatch):
+        bundle = CurvatureBundle(parse_metric_file(WARPED5))
+        monkeypatch.setattr(operators, "_poly1_gcd", refuse)
+        got = ricci_decompose(bundle)
+        assert (got.kind, got.rank, got.nullity) == ("none", 5, 0)
+
+
+WARPED5 = """\
+dim 5
+coords t x y z w
+function f(t,x)
+function h(t)
+g[1][1] = -f(t,x)
+g[2][2] = h(t)
+g[3][3] = h(t)
+g[4][4] = h(t)
+g[5][5] = x^2
+"""
+
+
+def refuse(*args):
+    raise AssertionError("exact path ran")

@@ -85,6 +85,30 @@ class TestMetricFiles:
         with pytest.raises(DegenerateMetricError):
             parse_metric_file(text)
 
+    def test_exact_determinant_only_when_values_decide_nothing(
+            self, monkeypatch):
+        from curvkit import parsing
+        from curvkit.expr import Atom, _atom_at_point
+        calls = []
+        exact = parsing.determinant
+
+        def spy(matrix):
+            calls.append(matrix)
+            return exact(matrix)
+
+        monkeypatch.setattr(parsing, "determinant", spy)
+        for path in sorted(CATALOG.glob("*.metric")):
+            parse_metric_file(path.read_text())
+        assert not calls
+        # 1/(x - r) has no value at the point, so the exact check runs
+        r = _atom_at_point(Atom.coordinate("x"))
+        parse_metric_file(f"coords x y\ng[1][1] = 1/(x - {r})\n"
+                          "g[2][2] = 1\n")
+        assert len(calls) == 1
+        with pytest.raises(DegenerateMetricError):
+            parse_metric_file("coords x y\ng[1][1] = 1\n")
+        assert len(calls) == 2
+
     def test_function_declared_twice(self):
         with pytest.raises(ParseError, match="twice"):
             parse_metric_file(
