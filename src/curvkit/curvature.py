@@ -79,7 +79,7 @@ def riemann(conn: Connection, g: Metric) -> Tensor:
             total = total + gim * term
         return total
 
-    return Tensor.from_dense(g.chart, 4, D_RIEMANN, entry, verify=True)
+    return Tensor.compute(g.chart, 4, D_RIEMANN, entry)
 
 
 def ricci(r: Tensor, g: Metric) -> Tensor:
@@ -98,7 +98,7 @@ def ricci(r: Tensor, g: Metric) -> Tensor:
                     s = s + gil * v
         return s
 
-    return Tensor.from_dense(g.chart, 2, D_SYM2, entry, verify=True)
+    return Tensor.compute(g.chart, 2, D_SYM2, entry)
 
 
 def energy_momentum(s: Tensor, kappa: Expression, g: Metric) -> Tensor:

@@ -545,27 +545,46 @@ def matrix_at_point(rows) -> list[list[int]] | None:
     return out
 
 
-def full_rank_at_point(rows) -> bool:
-    """True only if the exact matrix of Expressions has full rank: its
-    values at the point have full rank modulo PRIME.  Any minor nonzero
-    there is exactly nonzero."""
+def pivots_at_point(rows) -> dict[int, int] | None:
+    """Eliminate the values of a matrix of Expressions at the point modulo
+    PRIME row by row, as linsolve eliminates exactly: each row is reduced
+    by the earlier pivot rows and takes its first nonzero column as pivot.
+    Returns {column: row that took it}, or None when an entry is undefined
+    at the point.  The pivot rows' values are independent, so the exact
+    pivot rows are too: a minor nonzero at the point is exactly nonzero."""
     m = matrix_at_point(rows)
     if m is None:
-        return False
+        return None
     ncols = len(m[0]) if m else 0
-    rank = 0
-    for c in range(ncols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][c]), None)
-        if pivot is None:
+    basis = {}   # pivot column -> reduced row, 1 there, 0 at other pivots
+    pivots = {}
+    for r, row in enumerate(m):
+        if len(pivots) == ncols:
+            break
+        for c, prow in basis.items():
+            f = row[c]
+            if f:
+                row = [(x - f * y) % PRIME for x, y in zip(row, prow)]
+        c = next((c for c, x in enumerate(row) if x), None)
+        if c is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][c], -1, PRIME)
-        for r in range(rank + 1, len(m)):
-            if m[r][c]:
-                f = m[r][c] * inv % PRIME
-                m[r] = [(x - f * y) % PRIME for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return rank == min(len(m), ncols)
+        inv = pow(row[c], -1, PRIME)
+        row = [x * inv % PRIME for x in row]
+        for k, prow in basis.items():
+            f = prow[c]
+            if f:
+                basis[k] = [(x - f * y) % PRIME for x, y in zip(prow, row)]
+        basis[c] = row
+        pivots[c] = r
+    return pivots
+
+
+def full_rank_at_point(rows) -> bool:
+    """True only if the exact matrix of Expressions has full rank: its
+    values at the point have full rank modulo PRIME."""
+    pivots = pivots_at_point(rows)
+    return pivots is not None and len(pivots) == min(
+        len(rows), len(rows[0]) if rows else 0)
 
 
 def _coprime_at_point(a: Poly, b: Poly) -> bool:

@@ -2,18 +2,32 @@
 
 Systems arrive as labelled equations  sum_u coeff_u * u = rhs.  A label is
 the caller's index tuple of the component the equation was taken at, so
-witness and pivot labels name components directly.  Elimination keeps a
-reduced basis (each pivot appears in exactly one row, with coefficient 1);
-pivots are chosen deterministically as the earliest unknown in the caller's
-ordering whose coefficient is provably nonzero, so solution displays are
-stable across runs.
+witness and pivot labels name components directly.
+
+Equations fall into connected components: two equations are in one
+component when a chain of shared unknowns links them.  Elimination never
+mixes components, so each can be decided on its own.  A component whose
+rhs are all zero and whose coefficients' values at the point have full
+column rank has only the zero solution (a minor nonzero at the point is
+exactly nonzero), so its unknowns are settled at 0 with no exact
+arithmetic.  Each is labelled by the equation that took it as pivot in the
+elimination of those values, which follows the exact elimination's rule.
+
+Every other equation goes, in the caller's order, through one Gauss-Jordan
+loop that keeps a reduced basis (each pivot appears in exactly one row,
+with coefficient 1).  Pivots are chosen deterministically as the earliest
+unknown in the caller's ordering whose coefficient is provably nonzero, so
+solution displays are stable across runs.  Settling a component removes
+only equations the loop would have kept apart, so every other step, solved
+form and witness is the one the loop gives on the whole system, and a
+settled unknown is the 0 it would give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .expr import Expression, ONE, ZERO
+from .expr import Expression, ONE, ZERO, pivots_at_point
 
 
 @dataclass(frozen=True)
@@ -71,10 +85,58 @@ class _Row:
         self.label = label
 
 
+def _settled(rows, order) -> dict:
+    """{unknown: position of its value-pivot equation} for the unknowns of
+    every homogeneous component whose values at the point have full column
+    rank.  rows are (coeffs without zeros, equation) pairs."""
+    parent = {}
+
+    def find(u):
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    for coeffs, _ in rows:
+        first = None
+        for u in coeffs:
+            parent.setdefault(u, u)
+            if first is None:
+                first = find(u)
+            else:
+                parent[find(u)] = first
+    components = {}
+    for k, (coeffs, _) in enumerate(rows):
+        if coeffs:
+            components.setdefault(find(next(iter(coeffs))), []).append(k)
+
+    settled = {}
+    for positions in components.values():
+        if any(not rows[k][1].rhs.is_zero for k in positions):
+            continue
+        cols = sorted({u for k in positions for u in rows[k][0]},
+                      key=order.get)
+        pivots = pivots_at_point([[rows[k][0].get(u, ZERO) for u in cols]
+                                  for k in positions])
+        if pivots is not None and len(pivots) == len(cols):
+            settled.update((cols[c], positions[r])
+                           for c, r in pivots.items())
+    return settled
+
+
 def solve_linear(equations, unknowns) -> SolveResult:
     unknowns = tuple(unknowns)
     order = {u: k for k, u in enumerate(unknowns)}
+    rows = [({u: c for u, c in eq.coeffs.items() if not c.is_zero}, eq)
+            for eq in equations]
+    settled = _settled(rows, order)
     basis: dict[str, _Row] = {}
+
+    def labels_before(position) -> dict:
+        out = {u: rows[k][1].label
+               for u, k in settled.items() if k < position}
+        out.update((p, r.label) for p, r in basis.items())
+        return out
 
     def fixed_so_far() -> dict:
         out = {u: ZERO for u in unknowns}
@@ -82,8 +144,9 @@ def solve_linear(equations, unknowns) -> SolveResult:
             out[p] = row.rhs
         return out
 
-    for eq in equations:
-        coeffs = {u: c for u, c in eq.coeffs.items() if not c.is_zero}
+    for position, (coeffs, eq) in enumerate(rows):
+        if coeffs and next(iter(coeffs)) in settled:
+            continue
         rhs = eq.rhs
         for p in [p for p in basis if p in coeffs]:
             c = coeffs.pop(p)
@@ -99,7 +162,7 @@ def solve_linear(equations, unknowns) -> SolveResult:
             if rhs.is_zero:
                 continue
             return SolveResult("inconsistent", unknowns, None, (),
-                               {p: r.label for p, r in basis.items()},
+                               labels_before(position),
                                witness_label=eq.label, witness_residual=rhs,
                                partial=fixed_so_far())
         pivot = min(coeffs, key=order.get)
@@ -119,15 +182,18 @@ def solve_linear(equations, unknowns) -> SolveResult:
             row.rhs = row.rhs - c2 * nrhs
         basis[pivot] = _Row(ncoeffs, nrhs, eq.label)
 
-    free = tuple(u for u in unknowns if u not in basis)
+    free = tuple(u for u in unknowns
+                 if u not in basis and u not in settled)
     solution = {}
     for u in unknowns:
         if u in basis:
             row = basis[u]
             solution[u] = AffineForm(row.rhs,
                                      {f: -c for f, c in row.coeffs.items()})
+        elif u in settled:
+            solution[u] = AffineForm(ZERO)
         else:
             solution[u] = AffineForm(ZERO, {u: ONE})
     status = "unique" if not free else "underdetermined"
     return SolveResult(status, unknowns, solution, free,
-                       {p: r.label for p, r in basis.items()})
+                       labels_before(len(rows)))

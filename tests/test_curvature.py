@@ -3,13 +3,15 @@ import itertools
 
 import pytest
 
-from curvkit import CurvatureBundle, TensorError
+from curvkit import CurvatureBundle, TensorError, parse_metric_file
 from curvkit.curvature import christoffel
 from curvkit.expr import ZERO
 from curvkit.tensor import D_RIEMANN, D_SYM2
 
 import vaidya_reference as ref
-from conftest import expect_components, expr
+from conftest import CATALOG, expect_components, expr
+
+BENCH_METRICS = CATALOG.parent / "bench" / "metrics"
 
 
 class TestVaidya:
@@ -140,3 +142,50 @@ class TestBundleApi:
             for i in range(n):
                 for j in range(i + 1, n):
                     assert conn[(l, i, j)] == conn[(l, j, i)]
+
+
+def dense_reference(bundle):
+    """R and S at every index tuple from the module docstring's formulas,
+    with no symmetry assumed."""
+    g, gam, n = bundle.metric, bundle.connection.gamma, bundle.dim
+    coords = bundle.chart.coords
+    dgam = {}
+
+    def d(m, l, j, k):
+        key = (m, l, j, k)
+        if key not in dgam:
+            dgam[key] = gam[m][l][j].derivative(coords[k])
+        return dgam[key]
+
+    riemann = {}
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        total = ZERO
+        for m in range(n):
+            term = d(m, l, j, k) - d(m, k, j, l)
+            for p in range(n):
+                term = (term + gam[m][k][p] * gam[p][l][j]
+                        - gam[m][l][p] * gam[p][k][j])
+            total = total + g.lower(i, m) * term
+        riemann[i, j, k, l] = total
+    ricci = {}
+    for j, k in itertools.product(range(n), repeat=2):
+        s = ZERO
+        for i, l in itertools.product(range(n), repeat=2):
+            s = s + g.upper(i, l) * riemann[i, j, k, l]
+        ricci[j, k] = s
+    return riemann, ricci
+
+
+@pytest.mark.parametrize("path", sorted(CATALOG.glob("*.metric"))
+                         + sorted(BENCH_METRICS.glob("*.metric")),
+                         ids=lambda p: p.stem)
+def test_representatives_carry_every_tuple(path):
+    """R and S are built from canonical representatives only; every index
+    tuple of a dense reference agrees with get, so the declared symmetries
+    hold and every tuple they force to zero is zero."""
+    bundle = CurvatureBundle(parse_metric_file(path.read_text()))
+    riemann, ricci = dense_reference(bundle)
+    for idx, want in riemann.items():
+        assert bundle.riemann.get(idx) == want, idx
+    for idx, want in ricci.items():
+        assert bundle.ricci.get(idx) == want, idx

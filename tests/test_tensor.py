@@ -151,18 +151,6 @@ class TestTensor:
         with pytest.raises(TensorError, match="canonical"):
             Tensor.from_reps(CHART, 2, D_SYM2, {(1, 0): X})
 
-    def test_from_dense_verifies_symmetry(self):
-        def bad(idx):
-            return X if idx == (0, 1) else ZERO
-        with pytest.raises(TensorError, match="symmetry"):
-            Tensor.from_dense(CHART, 2, D_SYM2, bad)
-
-    def test_from_dense_rejects_nonzero_forced_component(self):
-        def bad(idx):
-            return X if idx[0] == idx[1] else ZERO
-        with pytest.raises(TensorError, match="vanish"):
-            Tensor.from_dense(CHART, 2, D_ANTI2, bad)
-
     def test_iter_nonzero_sorted(self):
         t = _tensor({(1, 1): Y, (0, 0): X})
         assert [idx for idx, _ in t.iter_nonzero()] == [(0, 0), (1, 1)]
