@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .expr import Atom, ExprError
+from .expr import ExprError
 
 # symbols every chart knows without declaration
 BUILTIN_CONSTANTS = ("c", "G", "pi")
@@ -50,25 +50,3 @@ class Chart:
     @property
     def dim(self) -> int:
         return len(self.coords)
-
-    def coordinate_atom(self, name: str) -> Atom:
-        if name not in self.coords:
-            raise ChartError(f"{name!r} is not a coordinate")
-        return Atom.coordinate(name)
-
-    def constant_atom(self, name: str) -> Atom:
-        if name not in self.constants and name not in BUILTIN_CONSTANTS:
-            raise ChartError(f"{name!r} is not a declared constant")
-        return Atom.constant(name)
-
-    def function_atom(self, name: str, orders: tuple[int, ...] | None = None) -> Atom:
-        args = self.functions.get(name)
-        if args is None:
-            raise ChartError(f"{name!r} is not a declared function")
-        return Atom.func(name, args, orders)
-
-    def index_of(self, coord: str) -> int:
-        try:
-            return self.coords.index(coord)
-        except ValueError:
-            raise ChartError(f"{coord!r} is not a coordinate") from None

@@ -241,10 +241,14 @@ class _Evaluator:
         return FAILS, wit
 
 
+def _identity_row(name: str, formula: str):
+    """A catalog row decided by check_identity on the formula it shows."""
+    return name, formula, lambda ev: ev.identity(formula)
+
+
 # catalog rows: (name, formula shown for reference, evaluator factory)
 _CATALOG = (
-    ("ricci-flat", "S = 0",
-     lambda ev: ev.identity("S = 0")),
+    _identity_row("ricci-flat", "S = 0"),
     ("scalar-flat", "kappa = 0",
      lambda ev: ev.scalar_flat()),
     ("einstein", "S = alpha*g",
@@ -253,12 +257,10 @@ _CATALOG = (
      lambda ev: ev.quasi_einstein()),
     ("ricci-simple", "S = beta*(eta x eta)",
      lambda ev: ev.ricci_simple()),
-    ("s-wedge-s-zero", "wedge(S,S) = 0",
-     lambda ev: ev.identity("wedge(S,S) = 0")),
+    _identity_row("s-wedge-s-zero", "wedge(S,S) = 0"),
     ("s-squared-zero", "S^2 = 0 as an endomorphism",
      lambda ev: ev.endo_square_zero()),
-    ("ricci-symmetric", "nabla S = 0",
-     lambda ev: ev.identity("nabla S = 0")),
+    _identity_row("ricci-symmetric", "nabla S = 0"),
     ("codazzi-ricci", "(nabla S)(y,z;x) = (nabla S)(x,z;y)",
      lambda ev: ev.codazzi()),
     ("cyclic-parallel-ricci", "cyclic sum of nabla S = 0",
@@ -267,32 +269,19 @@ _CATALOG = (
      lambda ev: ev.divergence_free("R")),
     ("conformal-harmonic", "div C = 0",
      lambda ev: ev.divergence_free("C")),
-    ("riemann-equals-projective", "R = P",
-     lambda ev: ev.identity("R = P")),
-    ("riemann-equals-concircular", "R = W",
-     lambda ev: ev.identity("R = W")),
-    ("riemann-equals-weyl", "R = C",
-     lambda ev: ev.identity("R = C")),
-    ("weyl-equals-conharmonic", "C = K",
-     lambda ev: ev.identity("C = K")),
-    ("semisymmetric", "R.R = 0",
-     lambda ev: ev.identity("R.R = 0")),
-    ("conformally-semisymmetric", "R.C = 0",
-     lambda ev: ev.identity("R.C = 0")),
-    ("pseudosymmetric", "R.R = L*Q(g,R)",
-     lambda ev: ev.identity("R.R = L*Q(g,R)")),
-    ("conformally-pseudosymmetric", "R.C = L*Q(g,C)",
-     lambda ev: ev.identity("R.C = L*Q(g,C)")),
-    ("ricci-pseudosymmetric", "R.S = L*Q(g,S)",
-     lambda ev: ev.identity("R.S = L*Q(g,S)")),
-    ("pseudosymmetric-weyl", "C.C = L*Q(g,C)",
-     lambda ev: ev.identity("C.C = L*Q(g,C)")),
-    ("ricci-generalized-pseudosymmetric", "R.R = L*Q(S,R)",
-     lambda ev: ev.identity("R.R = L*Q(S,R)")),
-    ("rr-qsr-pseudosymmetric", "R.R - Q(S,R) = L*Q(g,C)",
-     lambda ev: ev.identity("R.R - Q(S,R) = L*Q(g,C)")),
-    ("rc-cr-pseudosymmetric", "R.C + C.R = L*Q(g,C) + Q(S,C)",
-     lambda ev: ev.identity("R.C + C.R = L*Q(g,C) + Q(S,C)")),
+    _identity_row("riemann-equals-projective", "R = P"),
+    _identity_row("riemann-equals-concircular", "R = W"),
+    _identity_row("riemann-equals-weyl", "R = C"),
+    _identity_row("weyl-equals-conharmonic", "C = K"),
+    _identity_row("semisymmetric", "R.R = 0"),
+    _identity_row("conformally-semisymmetric", "R.C = 0"),
+    _identity_row("pseudosymmetric", "R.R = L*Q(g,R)"),
+    _identity_row("conformally-pseudosymmetric", "R.C = L*Q(g,C)"),
+    _identity_row("ricci-pseudosymmetric", "R.S = L*Q(g,S)"),
+    _identity_row("pseudosymmetric-weyl", "C.C = L*Q(g,C)"),
+    _identity_row("ricci-generalized-pseudosymmetric", "R.R = L*Q(S,R)"),
+    _identity_row("rr-qsr-pseudosymmetric", "R.R - Q(S,R) = L*Q(g,C)"),
+    _identity_row("rc-cr-pseudosymmetric", "R.C + C.R = L*Q(g,C) + Q(S,C)"),
     ("riemann-2-forms-recurrent", "cyclic nabla R = pi-weighted cyclic R",
      lambda ev: ev.two_form("R")),
     ("conformal-2-forms-recurrent", "cyclic nabla C = pi-weighted cyclic C",
@@ -316,8 +305,7 @@ _CATALOG = (
     ("weakly-ricci-symmetric",
      "(nabla S)(y,z;x) = a(x)S(y,z) + b(y)S(x,z) + d(z)S(y,x)",
      lambda ev: ev.weakly_ricci()),
-    ("parallel-energy-momentum", "nabla T = 0",
-     lambda ev: ev.identity("nabla T = 0")),
+    _identity_row("parallel-energy-momentum", "nabla T = 0"),
     ("pure-radiation", "T = beta*(eta x eta) with null eta",
      lambda ev: ev.pure_radiation_form()),
     ("super-generalized-recurrent", "", None),
@@ -332,7 +320,6 @@ _CATALOG = (
 )
 
 CONDITION_NAMES = tuple(name for name, _, _ in _CATALOG)
-CONDITION_FORMULAS = {name: formula for name, formula, _ in _CATALOG}
 
 
 def classify(bundle: CurvatureBundle) -> StructureReport:

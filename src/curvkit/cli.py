@@ -17,7 +17,7 @@ from .expr import ExprError, format_expression
 from .parsing import (
     parse_metric_file, parse_identity, DegenerateMetricError,
     TENSOR_VALENCE, TName, TDot, TQ, TNabla)
-from .tensor import Tensor, D_SYM2, format_dump
+from .tensor import Descriptor, Tensor, D_SYM2, format_dump
 from .curvature import CurvatureBundle
 from .operators import check_identity, evaluate_tensor_ast
 from .classify import classify, compare_reports
@@ -72,39 +72,6 @@ def _brackets(component) -> str:
 
 # -- compute ----------------------------------------------------------------
 
-def _inverse_metric_tensor(bundle: CurvatureBundle) -> Tensor:
-    n = bundle.dim
-    comps = {}
-    for i in range(n):
-        for j in range(i, n):
-            v = bundle.metric.upper(i, j)
-            if not v.is_zero:
-                comps[(i, j)] = v
-    return Tensor(bundle.chart, 2, D_SYM2, comps)
-
-
-def _gamma_lines(bundle: CurvatureBundle, fmt: str) -> str:
-    import json
-    conn = bundle.connection
-    n = bundle.dim
-    rows = []
-    for l in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                v = conn.gamma[l][i][j]
-                if v.is_zero:
-                    continue
-                if fmt == "text":
-                    rows.append(f"gamma[{l + 1}][{i + 1}][{j + 1}] = "
-                                f"{format_expression(v)}")
-                else:
-                    rows.append(json.dumps(
-                        {"tensor": "gamma", "index": [l + 1, i + 1, j + 1],
-                         "value": format_expression(v)},
-                        separators=(",", ":")))
-    return "\n".join(rows)
-
-
 def _parse_compute_name(name: str):
     """Map a compute argument to a display name and a tensor AST node."""
     if name.startswith("nabla:"):
@@ -139,9 +106,14 @@ def cmd_compute(args) -> int:
                               "value": format_expression(bundle.kappa)},
                              separators=(",", ":"))
     elif args.name == "ginv":
-        out = format_dump("ginv", _inverse_metric_tensor(bundle), fmt)
+        ginv = Tensor.compute(bundle.chart, 2, D_SYM2,
+                              lambda ij: bundle.metric.upper(*ij))
+        out = format_dump("ginv", ginv, fmt)
     elif args.name == "gamma":
-        out = _gamma_lines(bundle, fmt)
+        conn = bundle.connection
+        gamma = Tensor.compute(bundle.chart, 3, Descriptor((("sym", 1, 2),)),
+                               lambda lij: conn[lij])
+        out = format_dump("gamma", gamma, fmt)
     else:
         display, node = _parse_compute_name(args.name)
         try:

@@ -39,13 +39,8 @@ def christoffel(g: Metric) -> Connection:
     for l in range(n):
         for i in range(n):
             for j in range(i, n):
-                s = ZERO
-                for m in range(n):
-                    glm = g.upper(l, m)
-                    if glm.is_zero:
-                        continue
-                    s = s + glm * (dg[m][j][i] + dg[m][i][j] - dg[i][j][m])
-                v = half * s
+                v = half * g.raise_index(l, lambda m: (
+                    dg[m][j][i] + dg[m][i][j] - dg[i][j][m]))
                 gamma[l][i][j] = v
                 gamma[l][j][i] = v
     return Connection(g.chart, tuple(tuple(tuple(row) for row in plane)
@@ -83,20 +78,9 @@ def riemann(conn: Connection, g: Metric) -> Tensor:
 
 
 def ricci(r: Tensor, g: Metric) -> Tensor:
-    n = g.dim
-
     def entry(idx):
         j, k = idx
-        s = ZERO
-        for i in range(n):
-            for l in range(n):
-                gil = g.upper(i, l)
-                if gil.is_zero:
-                    continue
-                v = r.get((i, j, k, l))
-                if not v.is_zero:
-                    s = s + gil * v
-        return s
+        return g.contract(lambda i, l: r.get((i, j, k, l)))
 
     return Tensor.compute(g.chart, 2, D_SYM2, entry)
 

@@ -21,13 +21,17 @@ solution displays are stable across runs.  Settling a component removes
 only equations the loop would have kept apart, so every other step, solved
 form and witness is the one the loop gives on the whole system, and a
 settled unknown is the 0 it would give.
+
+The metric inverse (tensor.Metric) and matrix_rank are solves of this one
+loop too; there is no second exact elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .expr import Expression, ONE, ZERO, pivots_at_point
+from .expr import (Expression, ONE, ZERO, full_rank_at_point,
+                   pivots_at_point)
 
 
 @dataclass(frozen=True)
@@ -42,16 +46,6 @@ class AffineForm:
     """const + sum over free unknowns of coeff * unknown."""
     const: Expression
     coeffs: dict = field(default_factory=dict)
-
-    @property
-    def is_constant(self) -> bool:
-        return not self.coeffs
-
-    def substitute(self, values: dict) -> Expression:
-        v = self.const
-        for u, c in self.coeffs.items():
-            v = v + c * values[u]
-        return v
 
 
 @dataclass(frozen=True)
@@ -197,3 +191,17 @@ def solve_linear(equations, unknowns) -> SolveResult:
     status = "unique" if not free else "underdetermined"
     return SolveResult(status, unknowns, solution, free,
                        labels_before(len(rows)))
+
+
+def matrix_rank(rows) -> int:
+    """Rank of a matrix of Expressions: full when its values at the point
+    have full rank, else the pivot count of the rows solved as homogeneous
+    equations in one unknown per column."""
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    if full_rank_at_point(rows):
+        return min(len(rows), ncols)
+    equations = [LinearEquation(dict(enumerate(row)), ZERO, (r,))
+                 for r, row in enumerate(rows)]
+    return len(solve_linear(equations, range(ncols)).pivot_labels)

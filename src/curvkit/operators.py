@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 from .curvature import CurvatureBundle
 from .expr import (Atom, Expression, ONE, PRIME, ZERO, _KIND_COORD,
-                   _KIND_TRIG, full_rank_at_point, gcd_mod_p,
-                   matrix_at_point)
-from .linsolve import LinearEquation, solve_linear
+                   _KIND_TRIG, gcd_mod_p, matrix_at_point)
+from .linsolve import LinearEquation, matrix_rank, solve_linear
 from .parsing import (IdentityAst, TDot, TName, TNabla, TQ, TWedge)
 from .tensor import (Descriptor, Metric, Tensor, TensorError,
-                     common_descriptor, covariant_derivative, kulkarni_nomizu)
+                     common_descriptor, covariant_derivative, kulkarni_nomizu,
+                     raised_last)
 
 
 def dot_action(d: Tensor, h: Tensor, g: Metric) -> Tensor:
@@ -36,25 +36,8 @@ def dot_action(d: Tensor, h: Tensor, g: Metric) -> Tensor:
         raise TensorError("operator tensor must be antisymmetric in its "
                           "first index pair")
     chart = h.chart
-    n = chart.dim
     k = h.valence
-
-    raised = {}
-    for x in range(n):
-        for y in range(n):
-            for a in range(n):
-                row = []
-                for l in range(n):
-                    w = ZERO
-                    for m in range(n):
-                        gim = g.upper(l, m)
-                        if gim.is_zero:
-                            continue
-                        w = w + gim * d.get((x, y, a, m))
-                    if not w.is_zero:
-                        row.append((l, w))
-                raised[(x, y, a)] = tuple(row)
-
+    raised = raised_last(d, g)
     desc = h.descriptor.with_extra(("anti", k, k + 1))
 
     def entry(idx):
@@ -352,34 +335,6 @@ def recurrent_tensor(bundle: CurvatureBundle, name: str) -> RecurrenceResult:
 # Ricci decomposition
 
 
-def matrix_rank(rows) -> int:
-    """Rank of a matrix of Expressions: full when its values at the point
-    have full rank, else by exact Gaussian elimination."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    if full_rank_at_point(rows):
-        return min(len(rows), ncols)
-    pr = 0
-    for c in range(ncols):
-        pivot = next((r for r in range(pr, len(rows))
-                      if not rows[r][c].is_zero), None)
-        if pivot is None:
-            continue
-        rows[pr], rows[pivot] = rows[pivot], rows[pr]
-        pv = rows[pr][c]
-        for r in range(len(rows)):
-            if r == pr or rows[r][c].is_zero:
-                continue
-            f = rows[r][c] / pv
-            rows[r] = [a - f * b for a, b in zip(rows[r], rows[pr])]
-        pr += 1
-        if pr == len(rows):
-            break
-    return pr
-
-
 def _monomial_scale(beta0: Expression) -> Expression:
     """Square scale factor pulled out of a monomial-ratio coefficient.
 
@@ -422,13 +377,7 @@ def rank_one_factor(rows, g: Metric):
     s = _monomial_scale(beta0)
     beta = beta0 / (s * s)
     eta = tuple(e * s for e in eta0)
-    norm2 = ZERO
-    for j in range(n):
-        for k in range(n):
-            guu = g.upper(j, k)
-            if not guu.is_zero:
-                norm2 = norm2 + guu * eta[j] * eta[k]
-    return beta, eta, norm2
+    return beta, eta, g.contract(lambda j, k: eta[j] * eta[k])
 
 
 @dataclass(frozen=True)
@@ -610,25 +559,12 @@ def compatibility_check(d: Tensor, e: Tensor, g: Metric) -> CompatibilityResult:
     as putting E on the first slot, but it also extends correctly to
     operators without the pair symmetry (the projective-type tensor).
     """
-    chart = d.chart
-    n = chart.dim
-    raised = []
-    for c in range(n):
-        row = []
-        for l in range(n):
-            w = ZERO
-            for m in range(n):
-                gv = g.upper(l, m)
-                if gv.is_zero:
-                    continue
-                w = w + gv * e.get((c, m))
-            if not w.is_zero:
-                row.append((l, w))
-        raised.append(tuple(row))
+    n = d.chart.dim
+    raised = raised_last(e, g)
 
     def term(a, b, x, c):
         v = ZERO
-        for l, w in raised[c]:
+        for l, w in raised[(c,)]:
             dv = d.get((a, b, x, l))
             if not dv.is_zero:
                 v = v + w * dv
@@ -669,28 +605,14 @@ def compatible_space(d: Tensor, g: Metric) -> CompatibleFamily:
     n = chart.dim
     name = [[f"a{i + 1}{j + 1}" for j in range(n)] for i in range(n)]
     unknowns = [name[m][a] for a in range(n) for m in range(n)]
-
-    dd_cache = {}
-
-    def dd(m, a, b, x):
-        key = (m, a, b, x)
-        v = dd_cache.get(key)
-        if v is None:
-            v = ZERO
-            for l in range(n):
-                gv = g.upper(m, l)
-                if gv.is_zero:
-                    continue
-                v = v + gv * d.get((a, b, x, l))
-            dd_cache[key] = v
-        return v
+    raised = raised_last(d, g)
 
     def terms(idx):
         """(row, column, coefficient) of each unknown entry at idx."""
         i1, i2, i3, x = idx
-        return [(c, m, dd(m, a, b, x))
+        return [(c, m, dm)
                 for a, b, c in ((i1, i2, i3), (i2, i3, i1), (i3, i1, i2))
-                for m in range(n)]
+                for m, dm in raised[(a, b, x)]]
 
     walk = Descriptor(_cyclic_ops(d)).reps(n, 4)
     result = solve_at(walk, unknowns, lambda idx: (
@@ -718,8 +640,7 @@ def compatible_space(d: Tensor, g: Metric) -> CompatibleFamily:
     def residual(idx):
         total = ZERO
         for c, m, cv in terms(idx):
-            if not cv.is_zero:
-                total = total + cv * matrix[c][m]
+            total = total + cv * matrix[c][m]
         return total
 
     hit = first_residual(walk, residual)

@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chart import BUILTIN_CONSTANTS, Chart
-from .expr import (Atom, Expression, ExprError, ONE, ZERO,
-                   full_rank_at_point)
-from .tensor import determinant
+from .expr import Atom, Expression, ExprError, ONE, ZERO
+from .linsolve import matrix_rank
 
 
 class ParseError(ExprError):
@@ -126,6 +125,12 @@ class _Cursor:
             return t
         raise ParseError(f"expected {text!r}, found {t.text or 'end of input'!r}",
                          t.line, t.col)
+
+    def expect_end(self):
+        t = self.peek()
+        if t.kind != "END":
+            raise ParseError(f"unexpected trailing input {t.text!r}",
+                             t.line, t.col)
 
     def fail(self, message: str):
         t = self.peek()
@@ -286,9 +291,7 @@ def parse_expression(text: str, chart: Chart, line0: int = 1) -> Expression:
     cur = _Cursor(_tokenize(text, line0))
     p = _ExprParser(cur, chart)
     e = p.expr()
-    t = cur.peek()
-    if t.kind != "END":
-        raise ParseError(f"unexpected trailing input {t.text!r}", t.line, t.col)
+    cur.expect_end()
     return e
 
 
@@ -396,9 +399,7 @@ def parse_metric_file(text: str) -> MetricSpec:
             raise ParseError(f"index g[{i}][{j}] outside 1..{n}", ln, 1)
         p = _ExprParser(cur, chart)
         e = p.expr()
-        t = cur.peek()
-        if t.kind != "END":
-            raise ParseError(f"unexpected trailing input {t.text!r}", t.line, t.col)
+        cur.expect_end()
         a, b = i - 1, j - 1
         prev = entries[a][b] if entries[a][b] is not None else entries[b][a]
         if prev is not None:
@@ -410,9 +411,7 @@ def parse_metric_file(text: str) -> MetricSpec:
 
     matrix = tuple(tuple(entries[a][b] if entries[a][b] is not None else ZERO
                          for b in range(n)) for a in range(n))
-    # the exact determinant is needed only when the values at the point
-    # leave the rank open
-    if not full_rank_at_point(matrix) and determinant(matrix).is_zero:
+    if matrix_rank(matrix) < n:
         raise DegenerateMetricError(
             f"metric {name or '<unnamed>'} has zero determinant")
     return MetricSpec(name, chart, matrix)
@@ -674,14 +673,10 @@ def parse_identity(text: str, chart: Chart) -> IdentityAst:
     left_text, right_text = text.split("=")
     lcur = _Cursor(_tokenize(left_text))
     left = _IdentityParser(lcur, chart).side()
-    if lcur.peek().kind != "END":
-        t = lcur.peek()
-        raise ParseError(f"unexpected trailing input {t.text!r}", t.line, t.col)
+    lcur.expect_end()
     rcur = _Cursor(_tokenize(right_text))
     right = _IdentityParser(rcur, chart).side()
-    if rcur.peek().kind != "END":
-        t = rcur.peek()
-        raise ParseError(f"unexpected trailing input {t.text!r}", t.line, t.col)
+    rcur.expect_end()
     if not left and not right:
         raise ParseError("identity 0 = 0 has no content", 1, 1)
     valences = {tensor_ast_valence(t.tensor) for t in left + right}

@@ -1,5 +1,6 @@
-"""Valence-(0,k) component tables with symmetry-aware sparse storage,
-metric inversion, covariant differentiation, and Kulkarni-Nomizu products.
+"""Valence-(0,k) component tables with symmetry-aware sparse storage, the
+metric with every contraction by its inverse, covariant differentiation,
+and Kulkarni-Nomizu products.
 
 Indices are 0-based internally; every public text format is 1-based.
 """
@@ -12,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .chart import Chart
 from .expr import Expression, ExprError, ONE, ZERO
+from .linsolve import LinearEquation, solve_linear
 
 
 class TensorError(ExprError):
@@ -236,10 +238,16 @@ class Metric:
             for j in range(i + 1, n):
                 if not (self.matrix[i][j] == self.matrix[j][i]):
                     raise TensorError(f"metric is not symmetric at ({i},{j})")
-        self.det = determinant(self.matrix)
-        if self.det.is_zero:
+        # g X = I, one unknown (k, j) per entry of X
+        eqs = [LinearEquation({(k, j): self.matrix[i][k] for k in range(n)},
+                              ONE if i == j else ZERO, (i, j))
+               for j in range(n) for i in range(n)]
+        solved = solve_linear(eqs, [(k, j) for j in range(n)
+                                    for k in range(n)])
+        if solved.status != "unique":
             raise TensorError("metric is degenerate")
-        self.inverse = _adjugate_inverse(self.matrix, self.det)
+        self.inverse = tuple(tuple(solved.solution[(k, j)].const
+                                   for j in range(n)) for k in range(n))
         for i in range(n):
             for j in range(n):
                 s = ZERO
@@ -259,42 +267,46 @@ class Metric:
     def upper(self, i: int, j: int) -> Expression:
         return self.inverse[i][j]
 
+    def raise_index(self, l: int, f) -> Expression:
+        """sum_m g^{lm} f(m)."""
+        s = ZERO
+        for m in range(self.dim):
+            glm = self.inverse[l][m]
+            if glm.is_zero:
+                continue
+            v = f(m)
+            if not v.is_zero:
+                s = s + glm * v
+        return s
+
+    def contract(self, f) -> Expression:
+        """sum_{a,b} g^{ab} f(a, b), summed in (a, b) order."""
+        s = ZERO
+        for a in range(self.dim):
+            for b in range(self.dim):
+                gab = self.inverse[a][b]
+                if gab.is_zero:
+                    continue
+                v = f(a, b)
+                if not v.is_zero:
+                    s = s + gab * v
+        return s
+
     def as_tensor(self) -> Tensor:
-        n = self.dim
-        comps = {}
-        for i in range(n):
-            for j in range(i, n):
-                if not self.matrix[i][j].is_zero:
-                    comps[(i, j)] = self.matrix[i][j]
-        return Tensor(self.chart, 2, D_SYM2, comps)
+        return Tensor.compute(self.chart, 2, D_SYM2,
+                              lambda ij: self.lower(*ij))
 
 
-def determinant(m) -> Expression:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = ZERO
-    for j in range(n):
-        if m[0][j].is_zero:
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in m[1:]]
-        cof = m[0][j] * determinant(minor)
-        total = total + (cof if j % 2 == 0 else -cof)
-    return total
-
-
-def _adjugate_inverse(m, det: Expression):
-    n = len(m)
-    inv = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[m[a][b] for b in range(n) if b != j]
-                     for a in range(n) if a != i]
-            cof = determinant(minor) if n > 1 else ONE
-            if (i + j) % 2:
-                cof = -cof
-            inv[j][i] = cof / det
-    return tuple(tuple(row) for row in inv)
+def raised_last(t: Tensor, g: Metric) -> dict:
+    """{head: ((l, value), ...)} with t's last index raised by g: value is
+    sum_m g^{lm} t[head + (m,)], listed for nonzero values in l order."""
+    n = g.dim
+    table = {}
+    for head in itertools.product(range(n), repeat=t.valence - 1):
+        row = ((l, g.raise_index(l, lambda m: t.get(head + (m,))))
+               for l in range(n))
+        table[head] = tuple((l, v) for l, v in row if not v.is_zero)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -358,39 +370,15 @@ def trace2(t: Tensor, g: Metric) -> Expression:
     """Full metric trace of a (0,2) tensor."""
     if t.valence != 2:
         raise TensorError("trace2 needs a (0,2) tensor")
-    n = g.dim
-    s = ZERO
-    for i in range(n):
-        for j in range(n):
-            gij = g.upper(i, j)
-            if gij.is_zero:
-                continue
-            v = t.get((i, j))
-            if not v.is_zero:
-                s = s + gij * v
-    return s
+    return g.contract(lambda i, j: t.get((i, j)))
 
 
 def endo_square(e: Tensor, g: Metric) -> Tensor:
     """(0,2) tensor of the squared endomorphism: (E^2)(X,Y) = g(EEX, Y),
     componentwise sum_{k,l} E_ik g^kl E_lj."""
-    n = g.dim
-
     def entry(idx):
         i, j = idx
-        s = ZERO
-        for k in range(n):
-            for l in range(n):
-                gkl = g.upper(k, l)
-                if gkl.is_zero:
-                    continue
-                a = e.get((i, k))
-                if a.is_zero:
-                    continue
-                b = e.get((l, j))
-                if not b.is_zero:
-                    s = s + a * gkl * b
-        return s
+        return g.contract(lambda k, l: e.get((i, k)) * e.get((l, j)))
 
     return Tensor.compute(e.chart, 2, D_SYM2, entry)
 
@@ -399,23 +387,13 @@ def divergence_first(nt: Tensor, g: Metric) -> Tensor:
     """g^{im} (nabla T)[i, rest..., m]: contract the first slot of a
     covariant derivative nabla T with its derivative slot, the last.  The
     result keeps the symmetries of T among the slots after the first."""
-    n = g.dim
     k = nt.valence - 1
     desc = Descriptor(op[:1] + tuple(a - 1 for a in op[1:])
                       for op in nt.descriptor.ops
                       if 0 not in op[1:] and k not in op[1:])
 
     def entry(rest):
-        s = ZERO
-        for i in range(n):
-            for m in range(n):
-                gim = g.upper(i, m)
-                if gim.is_zero:
-                    continue
-                v = nt.get((i,) + rest + (m,))
-                if not v.is_zero:
-                    s = s + gim * v
-        return s
+        return g.contract(lambda i, m: nt.get((i,) + rest + (m,)))
 
     return Tensor.compute(nt.chart, k - 1, desc, entry)
 

@@ -85,18 +85,17 @@ class TestMetricFiles:
         with pytest.raises(DegenerateMetricError):
             parse_metric_file(text)
 
-    def test_exact_determinant_only_when_values_decide_nothing(
-            self, monkeypatch):
-        from curvkit import parsing
+    def test_exact_rank_only_when_values_decide_nothing(self, monkeypatch):
+        from curvkit import linsolve
         from curvkit.expr import Atom, _atom_at_point
         calls = []
-        exact = parsing.determinant
+        exact = linsolve.solve_linear
 
-        def spy(matrix):
-            calls.append(matrix)
-            return exact(matrix)
+        def spy(equations, unknowns):
+            calls.append(equations)
+            return exact(equations, unknowns)
 
-        monkeypatch.setattr(parsing, "determinant", spy)
+        monkeypatch.setattr(linsolve, "solve_linear", spy)
         for path in sorted(CATALOG.glob("*.metric")):
             parse_metric_file(path.read_text())
         assert not calls

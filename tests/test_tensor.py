@@ -8,17 +8,21 @@ import pytest
 from curvkit import Tensor, Metric, TensorError, covariant_derivative, \
     kulkarni_nomizu, endo_square, format_dump
 from curvkit.chart import Chart
-from curvkit.expr import Expression, ZERO, ONE
-from curvkit.parsing import parse_expression
+from curvkit.expr import Expression, ZERO, ONE, format_expression
+from curvkit.parsing import parse_expression, parse_metric_file
 from curvkit.tensor import (
     Descriptor, D_SYM2, D_RIEMANN, D_ANTI2, D_NONE2, RIEMANN, SYM2,
     trace2, divergence_first, format_component_lines,
 )
 
+from conftest import CATALOG
+
 CHART = Chart(coords=("x", "y"), constants=("a",))
 X = parse_expression("x", CHART)
 Y = parse_expression("y", CHART)
 A = parse_expression("a", CHART)
+METRIC_FILES = [path for d in (CATALOG, CATALOG.parent / "bench" / "metrics")
+                for path in sorted(d.glob("*.metric"))]
 
 
 class TestDescriptor:
@@ -131,6 +135,37 @@ def raise_first(t: Tensor, g: Metric):
     return {k: v for k, v in out.items() if not v.is_zero}
 
 
+def _determinant(m) -> Expression:
+    """Laplace expansion along the first row: the reference determinant."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    total = ZERO
+    for j in range(n):
+        if m[0][j].is_zero:
+            continue
+        minor = [[row[k] for k in range(n) if k != j] for row in m[1:]]
+        cof = m[0][j] * _determinant(minor)
+        total = total + (cof if j % 2 == 0 else -cof)
+    return total
+
+
+def _adjugate_inverse(m):
+    """The reference inverse: transposed cofactors over the determinant."""
+    n = len(m)
+    det = _determinant(m)
+    inv = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [[m[a][b] for b in range(n) if b != j]
+                     for a in range(n) if a != i]
+            cof = _determinant(minor) if n > 1 else ONE
+            if (i + j) % 2:
+                cof = -cof
+            inv[j][i] = cof / det
+    return inv
+
+
 def _tensor(comps, valence=2, desc=D_SYM2, chart=CHART):
     return Tensor.from_reps(chart, valence, desc, comps)
 
@@ -188,10 +223,21 @@ class TestMetric:
     def test_lower_upper_inverse(self):
         m = Metric(CHART, ((X, ONE), (ONE, Y)))
         det = X * Y - ONE
-        assert m.det == det
         assert m.upper(0, 0) == Y / det
         assert m.upper(0, 1) == -ONE / det
+        assert m.upper(1, 0) == -ONE / det
+        assert m.upper(1, 1) == X / det
         assert m.lower(0, 1) == ONE
+
+    @pytest.mark.parametrize("path", METRIC_FILES, ids=lambda p: p.stem)
+    def test_inverse_prints_as_adjugate_reference(self, path):
+        spec = parse_metric_file(path.read_text())
+        m = Metric(spec.chart, spec.matrix)
+        want = _adjugate_inverse(spec.matrix)
+        n = m.dim
+        assert [[format_expression(m.upper(i, j)) for j in range(n)]
+                for i in range(n)] == [[format_expression(want[i][j])
+                                        for j in range(n)] for i in range(n)]
 
     def test_rejects_asymmetric(self):
         with pytest.raises(TensorError, match="not symmetric"):
