@@ -1,7 +1,8 @@
 """Exact symbolic scalar arithmetic.
 
 A value is a fraction of multivariate polynomials with rational coefficients
-whose indeterminates are Atom objects.  Every Expression is normalized on
+(each an int when integral, else a Fraction) whose indeterminates are interned
+Atom objects, compared by identity.  Every Expression is normalized on
 construction: numerator and denominator are divided by their polynomial gcd,
 the denominator is scaled to a primitive integer polynomial with positive
 leading coefficient, and cos(x)^2 is rewritten to 1 - sin(x)^2 so each cosine
@@ -14,6 +15,7 @@ numerator) is exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -46,26 +48,47 @@ class Atom:
     coordinate, or a partial derivative of a declared function.
 
     The base value of a function is the derivative with the all-zero
-    multi-index.  Atoms are immutable and totally ordered: constants <
-    coordinates < trig < function-derivatives, lexicographic within a kind.
+    multi-index.  Atoms are interned: Atom(...) returns one shared object
+    per key, so equality and hashing are identity, and a copy or an
+    unpickled atom is the original.  The key totally orders atoms:
+    constants < coordinates < trig < function-derivatives, lexicographic
+    within a kind.
     """
 
-    __slots__ = ("kind", "name", "sub", "orders", "args", "key", "_hash")
+    __slots__ = ("kind", "name", "sub", "orders", "args", "key", "is_cos")
+    _interned: dict = {}
 
-    def __init__(self, kind: int, name: str, sub: str = "",
-                 orders: tuple[int, ...] = (), args: tuple[str, ...] = ()):
-        self.kind = kind
-        self.name = name
-        self.sub = sub
-        self.orders = orders
-        self.args = args
+    def __new__(cls, kind: int, name: str, sub: str = "",
+                orders: tuple[int, ...] = (), args: tuple[str, ...] = ()):
         if kind == _KIND_TRIG:
-            self.key = (kind, name, sub)
+            key = (kind, name, sub)
         elif kind == _KIND_FDER:
-            self.key = (kind, name, orders)
+            # with the argument names: a function declared on other
+            # arguments in another chart is another atom
+            key = (kind, name, orders, args)
         else:
-            self.key = (kind, name)
-        self._hash = hash(self.key)
+            key = (kind, name)
+        self = cls._interned.get(key)
+        if self is None:
+            self = super().__new__(cls)
+            self.kind = kind
+            self.name = name
+            self.sub = sub
+            self.orders = orders
+            self.args = args
+            self.key = key
+            self.is_cos = kind == _KIND_TRIG and sub == "cos"
+            cls._interned[key] = self
+        return self
+
+    def __reduce__(self):
+        return Atom, (self.kind, self.name, self.sub, self.orders, self.args)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     @staticmethod
     def constant(name: str) -> "Atom":
@@ -92,21 +115,11 @@ class Atom:
             raise ExprError(f"derivative multi-index length mismatch for {name}")
         return Atom(_KIND_FDER, name, orders=orders, args=args)
 
-    @property
-    def is_cos(self) -> bool:
-        return self.kind == _KIND_TRIG and self.sub == "cos"
-
     def bump(self, arg: str) -> "Atom":
         """Derivative multi-index raised by one in the given argument."""
         i = self.args.index(arg)
         orders = self.orders[:i] + (self.orders[i] + 1,) + self.orders[i + 1:]
         return Atom(_KIND_FDER, self.name, orders=orders, args=self.args)
-
-    def __eq__(self, other):
-        return isinstance(other, Atom) and self.key == other.key
-
-    def __hash__(self):
-        return self._hash
 
     def __lt__(self, other):
         return self.key < other.key
@@ -153,7 +166,7 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     while i < len(m1) and j < len(m2):
         a1, e1 = m1[i]
         a2, e2 = m2[j]
-        if a1.key == a2.key:
+        if a1 is a2:
             out.append((a1, e1 + e2))
             i += 1
             j += 1
@@ -172,33 +185,31 @@ def _mono_div(m1: Monomial, m2: Monomial) -> Monomial | None:
     """m1 / m2, or None when an exponent would go negative."""
     if not m2:
         return m1
-    rest = dict((a.key, (a, e)) for a, e in m1)
+    rest = dict(m2)
     out = []
-    for a, e in m2:
-        got = rest.pop(a.key, None)
-        if got is None or got[1] < e:
+    for a, e in m1:
+        e2 = rest.pop(a, 0)
+        if e > e2:
+            out.append((a, e - e2))
+        elif e < e2:
             return None
-        if got[1] > e:
-            out.append((a, got[1] - e))
-    out.extend(v for _, v in rest.items())
-    out.sort(key=lambda p: p[0].key)
-    return tuple(out)
+    return None if rest else tuple(out)
 
 
 def _mono_gcd(m1: Monomial, m2: Monomial) -> Monomial:
     if not m1 or not m2:
         return _ONE_MONO
-    d2 = {a.key: e for a, e in m2}
+    d2 = dict(m2)
     out = []
     for a, e in m1:
-        e2 = d2.get(a.key)
+        e2 = d2.get(a)
         if e2:
             out.append((a, min(e, e2)))
     return tuple(out)
 
 
 def _mono_deg(m: Monomial) -> int:
-    return sum(e for _, e in m)
+    return sum([e for _, e in m])
 
 
 def _mono_cmp(m1: Monomial, m2: Monomial) -> int:
@@ -206,11 +217,16 @@ def _mono_cmp(m1: Monomial, m2: Monomial) -> int:
     d1, d2 = _mono_deg(m1), _mono_deg(m2)
     if d1 != d2:
         return -1 if d1 < d2 else 1
+    return _lex_cmp(m1, m2)
+
+
+def _lex_cmp(m1: Monomial, m2: Monomial) -> int:
+    """_mono_cmp of two monomials of one total degree."""
     i = j = 0
     while i < len(m1) and j < len(m2):
         a1, e1 = m1[i]
         a2, e2 = m2[j]
-        if a1.key == a2.key:
+        if a1 is a2:
             if e1 != e2:
                 return 1 if e1 > e2 else -1
             i += 1
@@ -226,10 +242,28 @@ def _mono_cmp(m1: Monomial, m2: Monomial) -> int:
     return 0
 
 
+_lex_key = functools.cmp_to_key(_lex_cmp)
+
+
+# A coefficient is an int when integral and a Fraction otherwise.
+
+def _exact(c):
+    """The coefficient c, as an int when it is integral."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def _qdiv(a, b):
+    """The exact quotient of two coefficients, as an int when integral."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _exact(a / b)
+
+
 def _reduced_terms(raw: Iterable[tuple[Monomial, Fraction]]) -> dict:
     """Merge terms, applying cos(x)^2 -> 1 - sin(x)^2 until every cosine
     exponent is at most 1."""
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, int | Fraction] = {}
     stack = list(raw)
     while stack:
         mono, coeff = stack.pop()
@@ -244,7 +278,7 @@ def _reduced_terms(raw: Iterable[tuple[Monomial, Fraction]]) -> dict:
             c = out.get(mono)
             c = coeff if c is None else c + coeff
             if c:
-                out[mono] = c
+                out[mono] = _exact(c)
             elif mono in out:
                 del out[mono]
             continue
@@ -260,7 +294,9 @@ def _reduced_terms(raw: Iterable[tuple[Monomial, Fraction]]) -> dict:
 
 
 class Poly:
-    """Multivariate polynomial over Q in Atom indeterminates, trig-reduced."""
+    """Multivariate polynomial over Q in Atom indeterminates, trig-reduced:
+    {monomial: coefficient}, each coefficient a nonzero int or a
+    non-integral Fraction."""
 
     __slots__ = ("terms",)
 
@@ -273,12 +309,12 @@ class Poly:
 
     @staticmethod
     def const(c) -> "Poly":
-        c = Fraction(c)
+        c = _exact(Fraction(c))
         return Poly({_ONE_MONO: c} if c else {})
 
     @staticmethod
     def atom(a: Atom) -> "Poly":
-        return Poly({((a, 1),): Fraction(1)})
+        return Poly({((a, 1),): 1})
 
     @property
     def is_zero(self) -> bool:
@@ -300,7 +336,7 @@ class Poly:
             c2 = out.get(m)
             c2 = c if c2 is None else c2 + c
             if c2:
-                out[m] = c2
+                out[m] = _exact(c2)
             elif m in out:
                 del out[m]
         return Poly(out)
@@ -314,16 +350,35 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero or other.is_zero:
             return _P_ZERO
-        raw = []
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                raw.append((_mono_mul(m1, m2), c1 * c2))
-        return Poly.make(raw)
+        if self.has_cos() and other.has_cos():
+            return Poly.make([(_mono_mul(m1, m2), c1 * c2)
+                              for m1, c1 in self.terms.items()
+                              for m2, c2 in other.terms.items()])
+        # no product can hold cos^2: merge in the order _reduced_terms
+        # would, which pops the products last first
+        out = {}
+        pairs = tuple(reversed(other.terms.items()))
+        for m1, c1 in reversed(self.terms.items()):
+            for m2, c2 in pairs:
+                m = _mono_mul(m1, m2)
+                c = out.get(m, 0) + c1 * c2
+                if c:
+                    out[m] = c
+                else:
+                    del out[m]
+        if any(type(c) is not int
+               for p in (self, other) for c in p.terms.values()):
+            for m, c in out.items():
+                out[m] = _exact(c)
+        return Poly(out)
 
-    def scale(self, c: Fraction) -> "Poly":
+    def has_cos(self) -> bool:
+        return any(a.is_cos for m in self.terms for a, _ in m)
+
+    def scale(self, c) -> "Poly":
         if not c:
             return _P_ZERO
-        return Poly({m: k * c for m, k in self.terms.items()})
+        return Poly({m: _exact(k * c) for m, k in self.terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -337,13 +392,13 @@ class Poly:
             n >>= 1
         return result
 
-    def leading(self) -> tuple[Monomial, Fraction]:
-        it = iter(self.terms.items())
-        best = next(it)
-        for mc in it:
-            if _mono_cmp(mc[0], best[0]) > 0:
-                best = mc
-        return best
+    def leading(self) -> tuple[Monomial, int | Fraction]:
+        """The largest term: _lex_cmp runs only among the monomials of top
+        total degree."""
+        degs = {m: _mono_deg(m) for m in self.terms}
+        top = max(degs.values())
+        m = max((m for m, d in degs.items() if d == top), key=_lex_key)
+        return m, self.terms[m]
 
     def atoms(self) -> set[Atom]:
         out = set()
@@ -356,22 +411,22 @@ class Poly:
         best = 0
         for m in self.terms:
             for a, e in m:
-                if a == atom and e > best:
+                if a is atom and e > best:
                     best = e
         return best
 
-    def rational_content(self) -> Fraction:
+    def rational_content(self) -> int | Fraction:
         """Positive rational c with self/c integer-primitive; sign chosen so
         self/|content| keeps its leading sign (content is always > 0 here,
         sign normalization is done by callers)."""
         num_gcd = 0
         den_lcm = 1
         for c in self.terms.values():
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
+            num_gcd = math.gcd(num_gcd, c.numerator)
             den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
         if num_gcd == 0:
-            return Fraction(1)
-        return Fraction(num_gcd, den_lcm)
+            return 1
+        return _qdiv(num_gcd, den_lcm)
 
     def monomial_content(self) -> Monomial:
         it = iter(self.terms)
@@ -395,9 +450,10 @@ class Poly:
                 rest = mono[:idx] + ((atom, e - 1),) * (1 if e > 1 else 0) + mono[idx + 1:]
                 datom, dsign = dp
                 if datom is None:  # d(coord)/d(coord) = 1
-                    raw.append((rest, coeff * e * dsign))
+                    raw.append((rest, coeff * (e * dsign)))
                 else:
-                    raw.append((_mono_mul(rest, ((datom, 1),)), coeff * e * dsign))
+                    raw.append((_mono_mul(rest, ((datom, 1),)),
+                                coeff * (e * dsign)))
         return Poly.make(raw)
 
     def eval(self, assignment: Mapping[Atom, Fraction]) -> Fraction:
@@ -431,7 +487,7 @@ class Poly:
 
 
 _P_ZERO = Poly({})
-_P_ONE = Poly({_ONE_MONO: Fraction(1)})
+_P_ONE = Poly({_ONE_MONO: 1})
 
 
 def _atom_derivative(atom: Atom, coord: str):
@@ -463,11 +519,11 @@ def _atom_derivative(atom: Atom, coord: str):
 # 1979).  A zero value proves nothing: callers then run the exact code.
 
 PRIME = 2**61 - 1
-_point: dict = {}   # atom key -> value at the point
+_point: dict = {}   # atom -> value at the point
 
 
 def _atom_at_point(a: Atom) -> int:
-    v = _point.get(a.key)
+    v = _point.get(a)
     if v is None:
         # the key read as digits; sin and cos of one coordinate share it
         h = a.kind
@@ -480,7 +536,7 @@ def _atom_at_point(a: Atom) -> int:
             # 1 + t^2 is never zero because PRIME = 3 mod 4
             inv = pow(1 + v * v, -1, PRIME)
             v = (2 * v if a.sub == "sin" else 1 - v * v) * inv % PRIME
-        _point[a.key] = v
+        _point[a] = v
     return v
 
 
@@ -502,7 +558,7 @@ def _image_in(p: Poly, x: Atom) -> list[int] | None:
             return None
         e = 0
         for a, k in mono:
-            if a.key == x.key:
+            if a is x:
                 e = k
             else:
                 v = v * pow(_atom_at_point(a), k, PRIME) % PRIME
@@ -650,23 +706,43 @@ def _poly_divexact(a: Poly, b: Poly) -> Poly:
             mq = _mono_div(m, mb)
             if mq is None:
                 raise NotDivisible
-            out[mq] = c / cb
+            out[mq] = _qdiv(c, cb)
         return Poly(out)
     mb, cb = b.leading()
-    r = a
-    q: dict[Monomial, Fraction] = {}
-    while not r.is_zero:
-        mr, cr = r.leading()
+    db = _mono_deg(mb)
+    # b's other terms, each with its degree less mb's
+    tail = [(m, c, _mono_deg(m) - db) for m, c in b.terms.items() if m != mb]
+    b_cos = b.has_cos()
+    # the remainder, reduced in place: total degree -> {monomial: coeff}
+    layers: dict[int, dict] = {}
+    for m, c in a.terms.items():
+        layers.setdefault(_mono_deg(m), {})[m] = c
+    q: dict[Monomial, int | Fraction] = {}
+    while any(layers.values()):
+        top = max(d for d, layer in layers.items() if layer)
+        mr = max(layers[top], key=_lex_key)
+        cr = layers[top].pop(mr)
         _charge_gcd(len(b.terms) *
                     (1 + (cr.numerator.bit_length() +
                           cr.denominator.bit_length()) // 256))
         mq = _mono_div(mr, mb)
         if mq is None:
             raise NotDivisible
-        cq = cr / cb
-        q[mq] = q.get(mq, Fraction(0)) + cq
-        r = r - Poly({mq: cq}) * b
-    return Poly({m: c for m, c in q.items() if c})
+        q[mq] = cq = _qdiv(cr, cb)
+        # r -= cq*mq*(b - cb*mb); cos^2 can only arise when both hold cos
+        if b_cos and any(x.is_cos for x, _ in mq):
+            step = [(m, c, _mono_deg(m)) for m, c in _reduced_terms(
+                (_mono_mul(mq, m), -cq * c) for m, c, _ in tail).items()]
+        else:
+            step = [(_mono_mul(mq, m), -cq * c, top + d) for m, c, d in tail]
+        for m, c, d in step:
+            layer = layers.setdefault(d, {})
+            c2 = layer.get(m, 0) + c
+            if c2:
+                layer[m] = c2
+            else:
+                del layer[m]
+    return Poly(q)
 
 
 def _canon_sign(p: Poly) -> Poly:
@@ -677,7 +753,7 @@ def _canon_sign(p: Poly) -> Poly:
     _, lead = p.leading()
     if lead < 0:
         c = -c
-    return p.scale(1 / c)
+    return p.scale(_qdiv(1, c))
 
 
 def _pick_var(a: Poly, b: Poly) -> Atom | None:
@@ -698,7 +774,7 @@ def _as_univar(p: Poly, x: Atom) -> dict[int, Poly]:
         e = 0
         rest = []
         for a, k in mono:
-            if a == x:
+            if a is x:
                 e = k
             else:
                 rest.append((a, k))
@@ -800,7 +876,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if b.is_zero:
         return _canon_sign(a)
     mono = _mono_gcd(a.monomial_content(), b.monomial_content())
-    mono_poly = Poly({mono: Fraction(1)})
+    mono_poly = Poly({mono: 1})
     if len(a.terms) == 1 or len(b.terms) == 1:
         return mono_poly
     a1 = _poly_divexact(a, mono_poly) if mono else a
@@ -852,8 +928,8 @@ class Expression:
         if lead < 0:
             c = -c
         if c != 1:
-            den = den.scale(1 / c)
-            num = num.scale(1 / c)
+            den = den.scale(_qdiv(1, c))
+            num = num.scale(_qdiv(1, c))
         self.num = num
         self.den = den
 
@@ -885,7 +961,7 @@ class Expression:
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ExprError("not a rational constant")
-        return self.num.terms.get(_ONE_MONO, Fraction(0))
+        return Fraction(self.num.terms.get(_ONE_MONO, 0))
 
     # -- arithmetic ----------------------------------------------------
     @staticmethod
@@ -1046,7 +1122,6 @@ def format_poly(p: Poly) -> str:
     monomial first."""
     if p.is_zero:
         return "0"
-    import functools
     items = sorted(p.terms.items(),
                    key=functools.cmp_to_key(lambda x, y: _mono_cmp(x[0], y[0])),
                    reverse=True)

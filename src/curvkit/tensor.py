@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 
 from .chart import Chart
@@ -40,9 +41,12 @@ class Descriptor:
     """A finite set of index symmetries generating a signed orbit structure.
 
     Descriptors are interned per ops: Descriptor(ops) returns one shared
-    instance, so its orbit caches live for the whole process."""
+    instance, so its tables live for the whole process.  For each valence
+    k the ops are closed once into the group of signed position
+    permutations they generate, each stored as an itemgetter; canon and
+    reps map indices through that group instead of searching orbits."""
 
-    __slots__ = ("ops", "_cache", "_reps")
+    __slots__ = ("ops", "_cache", "_reps", "_groups")
     _interned: dict = {}
 
     def __new__(cls, ops):
@@ -53,6 +57,7 @@ class Descriptor:
             self.ops = ops
             self._cache: dict[tuple, tuple[tuple, int]] = {}
             self._reps: dict[tuple, tuple] = {}
+            self._groups: dict[int, tuple] = {}
             cls._interned[ops] = self
         return self
 
@@ -62,44 +67,57 @@ class Descriptor:
     def __repr__(self):
         return f"Descriptor{self.ops!r}"
 
+    def _group(self, k: int) -> tuple:
+        """((getter, sign), ...) over the signed permutations of k-tuples
+        the ops generate: value(getter(idx)) = sign * value(idx).  A
+        permutation reached with both signs is listed with both."""
+        got = self._groups.get(k)
+        if got is None:
+            # an op applied to a permutation p composes it after p
+            seen, new = set(), {(tuple(range(k)), 1)}
+            while new:
+                seen |= new
+                new = {(q, s * t) for p, s in new for op in self.ops
+                       for q, t in [_apply_op(op, p)]} - seen
+            # itemgetter of one position returns the entry, not a 1-tuple;
+            # below two positions every permutation is the identity
+            got = self._groups[k] = tuple(
+                (operator.itemgetter(*p) if k > 1 else tuple, s)
+                for p, s in sorted(seen))
+        return got
+
     def canon(self, idx: tuple) -> tuple[tuple, int]:
         """Canonical representative and relative sign: value(idx) equals
         sign * value(rep).  Sign 0 means the orbit forces the value to 0."""
         got = self._cache.get(idx)
         if got is not None:
             return got
-        phase = {idx: 1}
-        frontier = [idx]
-        zero = False
-        while frontier:
-            nxt = []
-            for t in frontier:
-                pt = phase[t]
-                for op in self.ops:
-                    t2, s = _apply_op(op, t)
-                    p2 = pt * s
-                    old = phase.get(t2)
-                    if old is None:
-                        phase[t2] = p2
-                        nxt.append(t2)
-                    elif old != p2:
-                        zero = True
-            frontier = nxt
-        rep = min(phase)
-        for t, pt in phase.items():
-            # value(t) = phase-relative sign * value(rep)
-            self._cache[t] = (rep, 0 if zero else pt * phase[rep])
+        images = [(g(idx), s) for g, s in self._group(len(idx))]
+        rep, s_rep = min(images)
+        zero = any(t == idx and s < 0 for t, s in images)
+        for t, s in images:
+            # value(t) = s * value(idx) = s * s_rep * value(rep)
+            self._cache[t] = (rep, 0 if zero else s * s_rep)
         return self._cache[idx]
 
     def reps(self, n: int, k: int) -> tuple:
         """Lex-ordered k-tuples over range(n) that represent an orbit not
-        forced to zero.  A representative is its orbit's minimum, so a walk
-        over reps meets each such orbit where the n^k walk first would."""
+        forced to zero: no group element maps one lower, and none that
+        fixes it flips its sign.  A representative is its orbit's minimum,
+        so a walk over reps meets each such orbit where the n^k walk first
+        would."""
         got = self._reps.get((n, k))
         if got is None:
-            got = self._reps[n, k] = tuple(
-                idx for idx in itertools.product(range(n), repeat=k)
-                if self.canon(idx) == (idx, 1))
+            group = self._group(k)
+            out = []
+            for idx in itertools.product(range(n), repeat=k):
+                for g, s in group:
+                    t = g(idx)
+                    if t < idx or (s < 0 and t == idx):
+                        break
+                else:
+                    out.append(idx)
+            got = self._reps[n, k] = tuple(out)
         return got
 
     def with_extra(self, *ops) -> "Descriptor":

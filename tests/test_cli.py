@@ -1,6 +1,9 @@
 """End-to-end command-line tests: byte-stable dumps, verdicts, exit codes,
 catalog resolution."""
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -246,3 +249,28 @@ class TestErrors:
         assert code == 3
         assert err.startswith("error:")
         assert "degenerate" in err
+
+
+def test_benchmark_tracer_still_wraps_every_name(tmp_path):
+    """bench/tracing.py wraps curvkit functions by name for the per-layer
+    benchmark; a renamed or deleted one makes install raise.  It rebinds
+    module globals, so it runs in its own process."""
+    root = CATALOG.parent
+    trace = tmp_path / "trace.jsonl"
+    code = (
+        "import sys\n"
+        f"sys.path[:0] = [{str(root / 'bench')!r}, {str(root / 'src')!r}]\n"
+        "import tracing\n"
+        "from curvkit import cli\n"
+        f"tr = tracing.Tracer({str(trace)!r})\n"
+        "tracing.install(tr)\n"
+        "code = cli.main(['compute', 'vaidya', 'R'])\n"
+        "tr.flush()\n"
+        "sys.exit(code)\n")
+    env = dict(os.environ, CURVKIT_CATALOG_DIR=str(CATALOG))
+    p = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=env, cwd=tmp_path, timeout=120)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.startswith("R[1][2][1][2] = ")
+    counts = json.loads(trace.read_text().splitlines()[-1])["counts"]
+    assert counts["compute_calls"] > 0 and counts["entries_evaluated"] > 0

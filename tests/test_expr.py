@@ -1,16 +1,22 @@
 """Expression kernel: canonical forms, ring laws, calculus, round-trips,
 values at the fixed point."""
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curvkit import Atom, Expression, ZERO, ONE, format_expression
+from curvkit import (Atom, CurvatureBundle, Expression, ZERO, ONE,
+                     format_expression, parse_metric_file,
+                     weakly_ricci_symmetric)
 from curvkit import expr as expr_mod
 from curvkit.expr import DivisionByZeroExpression, PRIME, Poly, poly_gcd
 from curvkit.chart import Chart
 from curvkit.parsing import parse_expression
+
+from conftest import CATALOG as CATALOG_DIR
 
 CHART = Chart(coords=("x", "y"), functions={"f": ("x",), "w": ("x", "y")},
               constants=("a", "b"))
@@ -203,6 +209,97 @@ class TestRandomizedRingLaws:
     def test_format_parse_roundtrip(self, e):
         again = parse_expression(format_expression(e), CHART)
         assert again == e
+
+
+def _coefficients(e: Expression):
+    for poly in (e.num, e.den):
+        yield from poly.terms.values()
+
+
+def _assert_exact_coefficients(*exprs_or_polys):
+    for x in exprs_or_polys:
+        cs = (x.terms.values() if isinstance(x, Poly)
+              else _coefficients(x))
+        for c in cs:
+            assert type(c) is int or (type(c) is Fraction
+                                      and c.denominator != 1), repr(c)
+
+
+class TestCoefficients:
+    """A coefficient is an int when integral and a Fraction otherwise."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(exprs, exprs)
+    def test_int_or_non_integral_fraction(self, e1, e2):
+        results = [e1 + e2, e1 * e2, e1.derivative("x"),
+                   e1.subst({Atom.coordinate("y"): e2})]
+        if not e2.is_zero:
+            results.append(e1 / e2)
+        _assert_exact_coefficients(poly_gcd(e1.num, e2.num), *results)
+        for e in results:
+            assert parse_expression(format_expression(e), CHART) == e
+
+    def test_halves_sum_to_int(self):
+        half = Expression.from_fraction(Fraction(1, 2))
+        e = half * X + half * X
+        assert e.num.terms == {((Atom.coordinate("x"), 1),): 1}
+        assert type((half * 2).as_rational()) is Fraction
+        _assert_exact_coefficients(e, (half * X * X).derivative("x"))
+
+
+class TestAtomIdentity:
+    """Atoms are interned, so equality is identity; nothing may copy one."""
+
+    ATOMS = (Atom.constant("a"), Atom.coordinate("x"), Atom.sin("x"),
+             Atom.cos("x"), Atom.func("w", ("x", "y"), (0, 2)))
+
+    @pytest.mark.parametrize("atom", ATOMS, ids=str)
+    def test_pickle_and_copy_return_the_atom(self, atom):
+        assert pickle.loads(pickle.dumps(atom)) is atom
+        assert copy.copy(atom) is atom
+        assert copy.deepcopy(atom) is atom
+
+    def test_deepcopy_shares_atoms(self):
+        e = (W * SIN_X + A) / (X + F)
+        e2 = copy.deepcopy(e)
+        assert e2 == e
+        assert e2.atoms() == e.atoms()
+        assert all(any(a is b for b in e.atoms()) for a in e2.atoms())
+
+    def test_bump_returns_the_interned_atom(self):
+        assert Atom.func("f", ("t", "x")).bump("x") is \
+            Atom.func("f", ("t", "x"), (0, 1))
+
+
+def test_gcd_work_meter_is_pinned(monkeypatch):
+    """The gcd budget decisions of warped-5-D weakly_ricci_symmetric: units
+    charged inside poly_gcd, budget overruns and top-level calls.  Any
+    change to term order, coefficient sizes or the gcd itself moves them."""
+    path = CATALOG_DIR.parent / "bench" / "metrics" / "warped5.metric"
+    b = CurvatureBundle(parse_metric_file(path.read_text()))
+    b.tensor("C")
+    b.nabla("S")
+    meter = {"units": 0, "raises": 0, "calls": 0}
+    charge, gcd = expr_mod._charge_gcd, expr_mod.poly_gcd
+
+    def counted_charge(units):
+        if expr_mod._gcd_depth:
+            meter["units"] += units
+        try:
+            charge(units)
+        except expr_mod._GcdBudgetExceeded:
+            meter["raises"] += 1
+            raise
+
+    def counted_gcd(a, b):
+        if not expr_mod._gcd_depth:
+            meter["calls"] += 1
+        return gcd(a, b)
+
+    monkeypatch.setattr(expr_mod, "_charge_gcd", counted_charge)
+    monkeypatch.setattr(expr_mod, "poly_gcd", counted_gcd)
+    weakly_ricci_symmetric(b)
+    assert meter == {"units": 175_682, "raises": 232, "calls": 47}
 
 
 def test_seeded_generator_bulk():

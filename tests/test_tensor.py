@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from curvkit import Tensor, Metric, TensorError, covariant_derivative, \
-    kulkarni_nomizu, endo_square, format_dump
+    kulkarni_nomizu, endo_square, format_dump, classify, CurvatureBundle
 from curvkit.chart import Chart
 from curvkit.expr import Expression, ZERO, ONE, format_expression
 from curvkit.parsing import parse_expression, parse_metric_file
@@ -81,38 +81,80 @@ class TestDescriptor:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("ops,k", WALKS)
     def test_reps_are_orbit_minima(self, ops, k, n):
-        want = []
-        for idx in itertools.product(range(n), repeat=k):
-            rep, zero = _orbit(ops, idx)
-            if rep == idx and not zero:
-                want.append(idx)
-        assert Descriptor(ops).reps(n, k) == tuple(want)
+        want = tuple(idx for idx in itertools.product(range(n), repeat=k)
+                     if _bfs_canon(ops, idx) == (idx, 1))
+        assert Descriptor(ops).reps(n, k) == want
+
+    # every op pair sets a sign both ways: each orbit is forced to zero
+    CONFLICT = (("sym", 0, 1), ("anti", 0, 1))
+
+    @pytest.fixture(scope="class")
+    def classified(self):
+        """The descriptors interned once classify has run on every catalog
+        metric, with the conflicting one added."""
+        for path in sorted(CATALOG.glob("*.metric")):
+            classify(CurvatureBundle(parse_metric_file(path.read_text())))
+        return [*Descriptor._interned.values(), Descriptor(self.CONFLICT)]
+
+    def test_group_tables_match_orbit_search(self, classified):
+        checked = 0
+        for d in classified:
+            # the valences classify walked, and the least the ops allow
+            # (valence 1 for Descriptor(()))
+            low = 1 + max((p for op in d.ops for p in op[1:]), default=0)
+            for k in sorted({k for _, k in d._reps} | {low}):
+                for n in range(1, 5):
+                    walk = list(itertools.product(range(n), repeat=k))
+                    want = {idx: _bfs_canon(d.ops, idx) for idx in walk}
+                    assert d.reps(n, k) == tuple(
+                        idx for idx in walk if want[idx] == (idx, 1))
+                    for idx in walk:
+                        assert d.canon(idx) == want[idx], (d, idx)
+                    checked += 1
+        assert checked > len(classified)
+
+    def test_conflicting_ops_force_every_orbit_to_zero(self):
+        d = Descriptor(self.CONFLICT)
+        for k in (2, 3, 4):
+            assert d.reps(4, k) == ()
+            assert all(d.canon(idx)[1] == 0
+                       for idx in itertools.product(range(4), repeat=k))
 
 
-def _orbit(ops, idx):
-    """Minimum of the orbit of idx under the slot ops, and whether the
-    orbit forces the value to zero, found by closing the orbit directly."""
-    sign = {idx: 1}
-    todo = [idx]
+def _apply_op(op, idx: tuple) -> tuple[tuple, int]:
+    t = list(idx)
+    if op[0] == "block":
+        _, a, b, c, d = op
+        t[a], t[b], t[c], t[d] = t[c], t[d], t[a], t[b]
+        return tuple(t), 1
+    _, a, b = op
+    t[a], t[b] = t[b], t[a]
+    return tuple(t), -1 if op[0] == "anti" else 1
+
+
+def _bfs_canon(ops, idx):
+    """Descriptor.canon by a search of idx's orbit, one op at a time: the
+    orbit's minimum and value(idx) / value(minimum), 0 when two paths
+    reach one tuple with opposite signs."""
+    phase = {idx: 1}
+    frontier = [idx]
     zero = False
-    while todo:
-        t = todo.pop()
-        for kind, *slots in ops:
-            u = list(t)
-            if kind == "block":
-                a, b, c, d = slots
-                u[a], u[b], u[c], u[d] = t[c], t[d], t[a], t[b]
-            else:
-                a, b = slots
-                u[a], u[b] = t[b], t[a]
-            u = tuple(u)
-            s = -sign[t] if kind == "anti" else sign[t]
-            if u not in sign:
-                sign[u] = s
-                todo.append(u)
-            elif sign[u] != s:
-                zero = True
-    return min(sign), zero
+    while frontier:
+        nxt = []
+        for t in frontier:
+            pt = phase[t]
+            for op in ops:
+                t2, s = _apply_op(op, t)
+                p2 = pt * s
+                old = phase.get(t2)
+                if old is None:
+                    phase[t2] = p2
+                    nxt.append(t2)
+                elif old != p2:
+                    zero = True
+        frontier = nxt
+    rep = min(phase)
+    return rep, 0 if zero else phase[rep]
 
 
 def raise_first(t: Tensor, g: Metric):
