@@ -643,19 +643,69 @@ def full_rank_at_point(rows) -> bool:
         len(rows), len(rows[0]) if rows else 0)
 
 
+def _term_values(p: Poly) -> list[int] | None:
+    """The value at the point of each term of p, in term order; None when
+    a coefficient has no residue."""
+    out = []
+    for mono, c in p.terms.items():
+        v = _residue(c)
+        if v is None:
+            return None
+        for a, k in mono:
+            v = v * pow(_atom_at_point(a), k, PRIME) % PRIME
+        out.append(v)
+    return out
+
+
+def _image_from(p: Poly, values: list[int], x: Atom) -> list[int]:
+    """p's image in x with x scaled by its own value v: the coefficient of
+    x^e sums the values of the terms of degree e in x, and is v^e times
+    _image_in's.  For v != 0, x -> v*x is a change of variable that keeps
+    each image's degree and the degree of their gcd, so coprimality is
+    decided alike; for v = 0 this rescans p with _image_in."""
+    if not _atom_at_point(x):
+        return _image_in(p, x)
+    coeffs = [0] * (p.degree_in(x) + 1)
+    for mono, v in zip(p.terms, values):
+        e = next((k for a, k in mono if a is x), 0)
+        coeffs[e] = (coeffs[e] + v) % PRIME
+    return coeffs
+
+
+def _eval_mod_p(f: list[int], t: int) -> int:
+    v = 0
+    for c in reversed(f):
+        v = (v * t + c) % PRIME
+    return v
+
+
 def _coprime_at_point(a: Poly, b: Poly) -> bool:
     """True only if a and b, free of cos, have no common factor of positive
     degree.  Such a factor has positive degree in some atom x they share;
     when both images in x keep their degree in x, the factor's image keeps
-    its degree too and divides both, so coprime images rule it out."""
+    its degree too and divides both, so coprime images rule it out.  An
+    image of degree 1 shares a factor with the other exactly when the other
+    vanishes at its root."""
     atoms_a, atoms_b = a.atoms(), b.atoms()
     if any(atom.is_cos for atom in atoms_a | atoms_b):
         return False
-    for x in atoms_a & atoms_b:
-        fa, fb = _image_in(a, x), _image_in(b, x)
-        if fa is None or fb is None or not (fa[-1] and fb[-1]):
+    shared = atoms_a & atoms_b
+    if not shared:
+        return True
+    values_a, values_b = _term_values(a), _term_values(b)
+    if values_a is None or values_b is None:
+        return False
+    for x in shared:
+        fa, fb = _image_from(a, values_a, x), _image_from(b, values_b, x)
+        if not (fa[-1] and fb[-1]):
             return False
-        if len(gcd_mod_p(fa, fb)) != 1:
+        if len(fb) == 2:
+            fa, fb = fb, fa
+        if len(fa) == 2:
+            root = -fa[0] * pow(fa[1], -1, PRIME) % PRIME
+            if not _eval_mod_p(fb, root):
+                return False
+        elif len(gcd_mod_p(fa, fb)) != 1:
             return False
     return True
 

@@ -43,8 +43,11 @@ class Descriptor:
     Descriptors are interned per ops: Descriptor(ops) returns one shared
     instance, so its tables live for the whole process.  For each valence
     k the ops are closed once into the group of signed position
-    permutations they generate, each stored as an itemgetter; canon and
-    reps map indices through that group instead of searching orbits."""
+    permutations they generate, each stored as an itemgetter; canon maps
+    an index through that group instead of searching its orbit.  reps
+    builds its table in the time the orbits take where the positions
+    split into blocks no op spans (the (0,6) operator products), and
+    scans the n^k tuples only within one block."""
 
     __slots__ = ("ops", "_cache", "_reps", "_groups")
     _interned: dict = {}
@@ -105,20 +108,56 @@ class Descriptor:
         forced to zero: no group element maps one lower, and none that
         fixes it flips its sign.  A representative is its orbit's minimum,
         so a walk over reps meets each such orbit where the n^k walk first
-        would."""
+        would.
+
+        The positions split into blocks at every cut no op spans (an op
+        spans its least to its greatest position).  The group is then the
+        product of the blocks' groups: a tuple is its orbit's minimum when
+        each block is, and a stabilizer flips its sign when some block's
+        does.  So over several blocks the table is the lex-ordered product
+        of the blocks' tables, and only a single block is scanned.  Each
+        listed tuple is seeded into canon's cache as its own form."""
         got = self._reps.get((n, k))
         if got is None:
-            group = self._group(k)
-            out = []
-            for idx in itertools.product(range(n), repeat=k):
-                for g, s in group:
-                    t = g(idx)
-                    if t < idx or (s < 0 and t == idx):
-                        break
-                else:
-                    out.append(idx)
-            got = self._reps[n, k] = tuple(out)
+            blocks = self._blocks(k)
+            if len(blocks) > 1:
+                got = tuple(
+                    sum(parts, ()) for parts in itertools.product(
+                        *(Descriptor(op[:1] + tuple(p - a for p in op[1:])
+                                     for op in self.ops if a <= op[1] < b)
+                          .reps(n, b - a) for a, b in blocks)))
+            else:
+                group = self._group(k)
+                out = []
+                for idx in itertools.product(range(n), repeat=k):
+                    for g, s in group:
+                        t = g(idx)
+                        if t < idx or (s < 0 and t == idx):
+                            break
+                    else:
+                        out.append(idx)
+                got = tuple(out)
+            self._reps[n, k] = got
+            for idx in got:
+                self._cache.setdefault(idx, (idx, 1))
         return got
+
+    def _blocks(self, k: int) -> list[tuple[int, int]]:
+        """[(start, stop), ...]: the positions 0..k-1 cut wherever no op
+        spans the cut."""
+        # reach[a]: the greatest position spanned by an op that starts at a
+        reach = [0] * k
+        for op in self.ops:
+            a = min(op[1:])
+            reach[a] = max(reach[a], *op[1:])
+        blocks, start, end = [], 0, 0
+        for a in range(k):
+            if a > end:
+                blocks.append((start, a))
+                start = a
+            end = max(end, reach[a])
+        blocks.append((start, k))
+        return blocks
 
     def with_extra(self, *ops) -> "Descriptor":
         return Descriptor(self.ops + tuple(ops))
@@ -249,6 +288,8 @@ class Metric:
     def __init__(self, chart: Chart, matrix, name: str = ""):
         self.chart = chart
         self.name = name
+        # id(tensor) -> (tensor, its raised_last table)
+        self._raised: dict[int, tuple[Tensor, dict]] = {}
         n = chart.dim
         self.matrix = tuple(tuple(matrix[i][j] for j in range(n))
                             for i in range(n))
@@ -317,7 +358,18 @@ class Metric:
 
 def raised_last(t: Tensor, g: Metric) -> dict:
     """{head: ((l, value), ...)} with t's last index raised by g: value is
-    sum_m g^{lm} t[head + (m,)], listed for nonzero values in l order."""
+    sum_m g^{lm} t[head + (m,)], listed for nonzero values in l order.
+
+    Built once per tensor and metric: g keeps each table by the tensor's
+    identity, together with the tensor, so that its id is not reused while
+    the entry lives.  Tensors are immutable, so the table stays valid."""
+    got = g._raised.get(id(t))
+    if got is None:
+        got = g._raised[id(t)] = (t, _raise_last(t, g))
+    return got[1]
+
+
+def _raise_last(t: Tensor, g: Metric) -> dict:
     n = g.dim
     table = {}
     for head in itertools.product(range(n), repeat=t.valence - 1):

@@ -12,7 +12,8 @@ from curvkit import (Atom, CurvatureBundle, Expression, ZERO, ONE,
                      format_expression, parse_metric_file,
                      weakly_ricci_symmetric)
 from curvkit import expr as expr_mod
-from curvkit.expr import DivisionByZeroExpression, PRIME, Poly, poly_gcd
+from curvkit.expr import (DivisionByZeroExpression, PRIME, Poly, gcd_mod_p,
+                          poly_gcd)
 from curvkit.chart import Chart
 from curvkit.parsing import parse_expression
 
@@ -354,6 +355,45 @@ class TestValuesAtPoint:
             exact = poly_gcd(p, q)
         assert poly_gcd(p, q) == exact
 
+    # images of degree 1: every atom to the power 0 or 1
+    lin_term = st.tuples(st.integers(-3, 3).filter(bool),
+                         st.tuples(*[st.integers(0, 1)] * 4))
+    lin_polys = st.lists(lin_term, min_size=1, max_size=3).map(
+        lambda ts: Poly.make(
+            (tuple((a, e) for a, e in zip(TestValuesAtPoint.GCD_ATOMS, exps)
+                   if e), Fraction(c)) for c, exps in ts))
+    some_polys = st.one_of(polys, lin_polys)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(some_polys, some_polys, some_polys, st.booleans())
+    def test_coprime_at_point_matches_reference(self, p, q, common, plant):
+        if plant:
+            p, q = p * common, q * common
+        assert (expr_mod._coprime_at_point(p, q)
+                == _coprime_at_point_reference(p, q))
+
+    def test_degree_one_images_decide_by_root(self, monkeypatch):
+        x, y = (Poly.atom(Atom.coordinate(c)) for c in "xy")
+        one = Poly.const(1)
+        monkeypatch.setattr(expr_mod, "gcd_mod_p", refuse)
+        cases = [(x + one, (x + one) * y), (x + one, x * y + Poly.const(2)),
+                 (x * y + one, y + Poly.const(5)), (x * x + y, x - y)]
+        for p, q in cases:
+            assert (expr_mod._coprime_at_point(p, q)
+                    == _coprime_at_point_reference(p, q))
+        assert not expr_mod._coprime_at_point(*cases[0])
+        assert expr_mod._coprime_at_point(*cases[1])
+
+    def test_atom_valued_zero_falls_back_to_rescan(self, monkeypatch):
+        xa = Atom.coordinate("x")
+        x, y = Poly.atom(xa), Poly.atom(Atom.coordinate("y"))
+        monkeypatch.setitem(expr_mod._point, xa, 0)
+        one = Poly.const(1)
+        for p, q in [(x * y + one, x * x + y), ((x + y) * x, (x + y) * y),
+                     (x * x * y + x + one, x * y - Poly.const(3))]:
+            assert (expr_mod._coprime_at_point(p, q)
+                    == _coprime_at_point_reference(p, q))
+
     def test_coprime_pair_skips_exact_gcd(self, monkeypatch):
         x, y = (Poly.atom(Atom.coordinate(c)) for c in "xy")
         p = x * x * y + Poly.const(3)
@@ -381,6 +421,21 @@ class TestValuesAtPoint:
         assert not expr_mod._coprime_at_point(p, q)
         assert poly_gcd(p, q) == Poly.const(1)
         assert calls
+
+
+def _coprime_at_point_reference(a: Poly, b: Poly) -> bool:
+    """expr._coprime_at_point as first written: one image per shared atom,
+    each by a rescan of every term, compared by a gcd modulo PRIME."""
+    atoms_a, atoms_b = a.atoms(), b.atoms()
+    if any(atom.is_cos for atom in atoms_a | atoms_b):
+        return False
+    for x in atoms_a & atoms_b:
+        fa, fb = expr_mod._image_in(a, x), expr_mod._image_in(b, x)
+        if fa is None or fb is None or not (fa[-1] and fb[-1]):
+            return False
+        if len(gcd_mod_p(fa, fb)) != 1:
+            return False
+    return True
 
 
 def refuse(a, b):

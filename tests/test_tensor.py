@@ -12,10 +12,11 @@ from curvkit.expr import Expression, ZERO, ONE, format_expression
 from curvkit.parsing import parse_expression, parse_metric_file
 from curvkit.tensor import (
     Descriptor, D_SYM2, D_RIEMANN, D_ANTI2, D_NONE2, RIEMANN, SYM2,
-    trace2, divergence_first, format_component_lines,
+    trace2, divergence_first, format_component_lines, raised_last,
 )
 
-from conftest import CATALOG
+from curvkit import operators, tensor as tensor_mod
+from conftest import CATALOG, load_bundle
 
 CHART = Chart(coords=("x", "y"), constants=("a",))
 X = parse_expression("x", CHART)
@@ -76,14 +77,50 @@ class TestDescriptor:
         ((("anti", 0, 1), ("anti", 1, 2)), 4),
         ((("sym", 0, 1), ("sym", 1, 2)), 3),
         ((("anti", 1, 2),), 3),
+        # block-product tables: an op spanning a free position, and the
+        # conflicting ops (every orbit forced to zero) beside a free one
+        ((("sym", 0, 2),), 4),
+        ((("sym", 0, 1), ("anti", 0, 1)), 3),
     ]
+    # three blocks at valence 8: the orbit search over n^8 tuples is too
+    # slow beyond n = 3
+    WALKS_SMALL_N = [(RIEMANN + (("anti", 4, 5), ("sym", 6, 7)), 8)]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("ops,k", WALKS)
     def test_reps_are_orbit_minima(self, ops, k, n):
-        want = tuple(idx for idx in itertools.product(range(n), repeat=k)
-                     if _bfs_canon(ops, idx) == (idx, 1))
-        assert Descriptor(ops).reps(n, k) == want
+        assert Descriptor(ops).reps(n, k) == _orbit_minima(ops, k, n)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("ops,k", WALKS_SMALL_N)
+    def test_three_block_reps_are_orbit_minima(self, ops, k, n):
+        assert Descriptor(ops).reps(n, k) == _orbit_minima(ops, k, n)
+
+    FACTORIZABLE = [(ops, k) for ops, k in WALKS + WALKS_SMALL_N
+                    if len(Descriptor(ops)._blocks(k)) > 1]
+
+    @pytest.mark.parametrize("ops,k", FACTORIZABLE)
+    def test_factorizable_reps_skip_the_full_group(self, ops, k):
+        d = _fresh(ops)
+        d.reps(3, k)
+        # the group of valence k is what the n^k scan closes
+        assert k not in d._groups
+
+    def test_blocks(self):
+        assert _fresh((("sym", 0, 2),))._blocks(4) == [(0, 3), (3, 4)]
+        assert D_RIEMANN.with_extra(("anti", 4, 5))._blocks(6) == [
+            (0, 4), (4, 6)]
+        assert D_RIEMANN._blocks(4) == [(0, 4)]
+        assert Descriptor(())._blocks(3) == [(0, 1), (1, 2), (2, 3)]
+
+    @pytest.mark.parametrize("ops,k", WALKS + WALKS_SMALL_N)
+    def test_canon_after_reps_matches_orbit_search(self, ops, k):
+        # reps seeds canon's cache with its representatives; every index,
+        # seeded or not, must still get the orbit search's answer
+        d = _fresh(ops)
+        d.reps(3, k)
+        for idx in itertools.product(range(3), repeat=k):
+            assert d.canon(idx) == _bfs_canon(ops, idx), idx
 
     # every op pair sets a sign both ways: each orbit is forced to zero
     CONFLICT = (("sym", 0, 1), ("anti", 0, 1))
@@ -130,6 +167,20 @@ def _apply_op(op, idx: tuple) -> tuple[tuple, int]:
     _, a, b = op
     t[a], t[b] = t[b], t[a]
     return tuple(t), -1 if op[0] == "anti" else 1
+
+
+def _fresh(ops) -> Descriptor:
+    """A descriptor on ops with empty tables, outside the interning, so no
+    other test has built or reads its tables."""
+    d = object.__new__(Descriptor)
+    d.ops = tuple(tuple(op) for op in ops)
+    d._cache, d._reps, d._groups = {}, {}, {}
+    return d
+
+
+def _orbit_minima(ops, k, n):
+    return tuple(idx for idx in itertools.product(range(n), repeat=k)
+                 if _bfs_canon(ops, idx) == (idx, 1))
 
 
 def _bfs_canon(ops, idx):
@@ -304,6 +355,62 @@ class TestMetric:
     def test_trace2(self):
         m = Metric(CHART, ((X, ZERO), (ZERO, Y)))
         assert trace2(m.as_tensor(), m) == Expression.from_int(2)
+
+
+CATALOG_NAMES = sorted(p.stem for p in CATALOG.glob("*.metric"))
+
+
+class TestRaisedLast:
+    @pytest.mark.parametrize("name", [n for n in CATALOG_NAMES
+                                      if load_bundle(n).dim == 4])
+    def test_classify_builds_each_table_once(self, name, monkeypatch):
+        b = load_bundle(name)
+        calls, builds = [], []
+        build, lookup = tensor_mod._raise_last, operators.raised_last
+
+        def counted_build(t, g):
+            builds.append(t)
+            return build(t, g)
+
+        def counted_lookup(t, g):
+            calls.append(t)
+            return lookup(t, g)
+
+        monkeypatch.setattr(tensor_mod, "_raise_last", counted_build)
+        monkeypatch.setattr(operators, "raised_last", counted_lookup)
+        classify(b)
+        assert len(builds) == len({id(t) for t in builds})
+        assert {id(t) for t in builds} == {id(t) for t in calls}
+        # classify raises some operand more than once
+        assert len(calls) > len(builds)
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_dot_action_same_without_memo(self, name):
+        b = load_bundle(name)
+        g, r = b.metric, b.riemann
+        operands = (r, b.ricci, b.g_tensor)
+        # R's table is built by the first action and reused by the others
+        memo = [operators.dot_action(r, h, g) for h in operands]
+        for h, want in zip(operands, memo):
+            g._raised.clear()
+            got = operators.dot_action(r, h, g)
+            assert got.comps.keys() == want.comps.keys()
+            for idx, v in got.comps.items():
+                assert want.comps[idx] == v, idx
+
+    def test_equal_tensor_of_another_identity_gets_its_own_entry(self,
+                                                                 vaidya):
+        g, r = vaidya.metric, vaidya.riemann
+        twin = Tensor(r.chart, r.valence, r.descriptor, dict(r.comps))
+        first = raised_last(r, g)
+        assert raised_last(r, g) is first
+        second = raised_last(twin, g)
+        assert second is not first
+        assert g._raised[id(twin)][0] is twin
+        assert second.keys() == first.keys()
+        for head, row in first.items():
+            assert [l for l, _ in row] == [l for l, _ in second[head]]
+            assert all(v == w for (_, v), (_, w) in zip(row, second[head]))
 
 
 class TestCovariantDerivative:
