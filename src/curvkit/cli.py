@@ -16,7 +16,7 @@ from pathlib import Path
 from .expr import ExprError, format_expression
 from .parsing import (
     parse_metric_file, parse_identity, DegenerateMetricError,
-    TENSOR_VALENCE, TName, TDot, TQ, TNabla)
+    TENSOR_VALENCE, TName, TDot, TQ, TNabla, tensor_ast_str)
 from .tensor import Descriptor, Tensor, D_SYM2, format_dump
 from .curvature import CurvatureBundle
 from .operators import check_identity, evaluate_tensor_ast
@@ -58,7 +58,11 @@ def resolve_metric_path(arg: str) -> Path:
 def load_bundle(arg: str) -> CurvatureBundle:
     path = resolve_metric_path(arg)
     try:
-        spec = parse_metric_file(path.read_text())
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise CliError(f"cannot read {path}: {e}")
+    try:
+        spec = parse_metric_file(text)
     except DegenerateMetricError as e:
         raise CliError(str(e), EXIT_DEGENERATE)
     except ExprError as e:
@@ -75,23 +79,20 @@ def _brackets(component) -> str:
 def _parse_compute_name(name: str):
     """Map a compute argument to a display name and a tensor AST node."""
     if name.startswith("nabla:"):
-        base = name[6:]
-        if base not in TENSOR_VALENCE:
+        if name[6:] not in TENSOR_VALENCE:
             raise CliError(f"unknown tensor in {name!r}")
-        return f"nabla {base}", TNabla(TName(base))
-    if name.startswith("dot:"):
-        parts = name[4:].split(".")
+        node = TNabla(TName(name[6:]))
+    elif name.startswith(("dot:", "Q:")):
+        op, _, operands = name.partition(":")
+        parts = operands.split(".")
         if len(parts) != 2 or not all(p in TENSOR_VALENCE for p in parts):
-            raise CliError(f"malformed dot operand {name!r}")
-        return f"{parts[0]}.{parts[1]}", TDot(TName(parts[0]), TName(parts[1]))
-    if name.startswith("Q:"):
-        parts = name[2:].split(".")
-        if len(parts) != 2 or not all(p in TENSOR_VALENCE for p in parts):
-            raise CliError(f"malformed Q operand {name!r}")
-        return f"Q({parts[0]},{parts[1]})", TQ(TName(parts[0]), TName(parts[1]))
-    if name in TENSOR_VALENCE:
-        return name, TName(name)
-    raise CliError(f"unknown tensor name {name!r}")
+            raise CliError(f"malformed {op} operand {name!r}")
+        node = (TDot if op == "dot" else TQ)(TName(parts[0]), TName(parts[1]))
+    elif name in TENSOR_VALENCE:
+        node = TName(name)
+    else:
+        raise CliError(f"unknown tensor name {name!r}")
+    return tensor_ast_str(node), node
 
 
 def cmd_compute(args) -> int:
@@ -122,7 +123,10 @@ def cmd_compute(args) -> int:
             raise CliError(str(e))
         out = format_dump(display, tensor, fmt)
     if args.output:
-        Path(args.output).write_text(out + ("\n" if out else ""))
+        try:
+            Path(args.output).write_text(out + ("\n" if out else ""))
+        except OSError as e:
+            raise CliError(f"cannot write {args.output}: {e.strerror}")
     elif out:
         print(out)
     return EXIT_HOLDS

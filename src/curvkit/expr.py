@@ -806,16 +806,21 @@ def _canon_sign(p: Poly) -> Poly:
     return p.scale(_qdiv(1, c))
 
 
+def _degrees(p: Poly) -> dict[Atom, int]:
+    """Each atom of p with its highest exponent, in one pass over the terms."""
+    out: dict[Atom, int] = {}
+    for m in p.terms:
+        for a, e in m:
+            if e > out.get(a, -1):
+                out[a] = e
+    return out
+
+
 def _pick_var(a: Poly, b: Poly) -> Atom | None:
     """A variable with positive degree in both, preferring low total degree."""
-    common = a.atoms() & b.atoms()
-    best = None
-    best_score = None
-    for atom in common:
-        score = (a.degree_in(atom) + b.degree_in(atom), atom.key)
-        if best_score is None or score < best_score:
-            best, best_score = atom, score
-    return best
+    da, db = _degrees(a), _degrees(b)
+    return min(da.keys() & db.keys(), key=lambda x: (da[x] + db[x], x.key),
+               default=None)
 
 
 def _as_univar(p: Poly, x: Atom) -> dict[int, Poly]:

@@ -12,10 +12,24 @@ Expression grammar (precedence low to high):
 Calls are sin/cos of a coordinate, a declared function applied to exactly its
 declared arguments, the prime shorthand m'(u) / m''(u) for single-argument
 functions, or diff(f(args), coord, order, ...).
+
+Identity grammar, one side of the '=':
+
+    side    := ['-'] summand (('+' | '-') summand)*
+    summand := [coefficient '*'] tensor | zero
+    coefficient := unknown | term           # unknown: L, L1, L2, ...
+    tensor  := basic ('.' basic)*
+    basic   := '(' tensor ')' | 'Q' '(' tensor ',' tensor ')'
+             | 'wedge' '(' tensor ',' tensor ')' | 'nabla' basic | NAME
+
+The tensor names and Q, wedge, nabla are reserved: past any '(' they start
+the tensor, and a coefficient's term ends before the '*' they follow. A
+summand without a tensor must be a zero scalar and contributes nothing.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .chart import BUILTIN_CONSTANTS, Chart
@@ -37,7 +51,10 @@ class DegenerateMetricError(ExprError):
 # ---------------------------------------------------------------------------
 # tokenizer
 
-_PUNCT = "+-*/^()[],.="
+# INT takes decimal digits only, so int() accepts every INT token; a digit
+# such as '²' that int() refuses is a word character and starts a NAME.
+_TOKEN = re.compile(r"(?P<NL>\n)|[ \t\r]+|(?P<INT>\d+)|(?P<NAME>[^\W\d]\w*)"
+                    r"|(?P<PRIME>')|(?P<PUNCT>[-+*/^()\[\],.=])|(?P<BAD>.)")
 
 
 @dataclass
@@ -50,50 +67,17 @@ class Token:
 
 def _tokenize(text: str, line0: int = 1) -> list[Token]:
     out = []
-    line = line0
-    col = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(Token("INT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(Token("NAME", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch == "'":
-            out.append(Token("PRIME", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch in _PUNCT:
-            out.append(Token("PUNCT", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    out.append(Token("END", "", line, col))
+    line, line_start = line0, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "NL":
+            line, line_start = line + 1, m.end()
+        elif kind == "BAD":
+            raise ParseError(f"unexpected character {m.group()!r}",
+                             line, m.start() - line_start + 1)
+        elif kind is not None:
+            out.append(Token(kind, m.group(), line, m.start() - line_start + 1))
+    out.append(Token("END", "", line, len(text) - line_start + 1))
     return out
 
 
@@ -112,29 +96,35 @@ class _Cursor:
         return t
 
     def accept(self, text: str) -> bool:
-        t = self.peek()
-        if t.kind == "PUNCT" and t.text == text:
+        if self.peek().text == text:
             self.pos += 1
             return True
         return False
 
-    def expect(self, text: str) -> Token:
-        t = self.peek()
-        if t.kind == "PUNCT" and t.text == text:
-            self.pos += 1
-            return t
-        raise ParseError(f"expected {text!r}, found {t.text or 'end of input'!r}",
-                         t.line, t.col)
+    def expect(self, text: str):
+        if not self.accept(text):
+            self.fail(f"expected {text!r}, found "
+                      f"{self.peek().text or 'end of input'!r}")
 
     def expect_end(self):
-        t = self.peek()
-        if t.kind != "END":
-            raise ParseError(f"unexpected trailing input {t.text!r}",
-                             t.line, t.col)
+        if self.peek().kind != "END":
+            self.fail(f"unexpected trailing input {self.peek().text!r}")
 
     def fail(self, message: str):
         t = self.peek()
         raise ParseError(message, t.line, t.col)
+
+    def names(self) -> list[Token]:
+        """Consume `a,b,c)`: one or more names separated by commas."""
+        out = []
+        while True:
+            t = self.next()
+            if t.kind != "NAME":
+                raise ParseError("expected an argument name", t.line, t.col)
+            out.append(t)
+            if not self.accept(","):
+                self.expect(")")
+                return out
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +148,9 @@ class _ExprParser:
     def term(self) -> Expression:
         e = self.unary()
         while True:
-            if self.cur.accept("*"):
+            if (self.cur.peek().text == "*"
+                    and not self._tensor_at(self.cur.pos + 1)):
+                self.cur.next()
                 e = e * self.unary()
             elif self.cur.accept("/"):
                 t = self.cur.peek()
@@ -168,6 +160,11 @@ class _ExprParser:
                 e = e / d
             else:
                 return e
+
+    def _tensor_at(self, k: int) -> bool:
+        """Whether a tensor starts at token k, which ends a product before
+        it. Chart expressions hold no tensors."""
+        return False
 
     def unary(self) -> Expression:
         if self.cur.accept("-"):
@@ -244,20 +241,11 @@ class _ExprParser:
 
     def call_args(self, fname: str, declared: tuple[str, ...]):
         """Consume `a,b,c)` and require it to equal the declared list."""
-        got = []
-        while True:
-            a = self.cur.next()
-            if a.kind != "NAME":
-                raise ParseError("expected an argument name", a.line, a.col)
-            got.append(a.text)
-            if self.cur.accept(","):
-                continue
-            self.cur.expect(")")
-            break
-        if tuple(got) != declared:
+        got = self.cur.names()
+        if tuple(a.text for a in got) != declared:
             raise ParseError(
                 f"{fname!r} must be written with arguments "
-                f"({','.join(declared)})", a.line, a.col)
+                f"({','.join(declared)})", got[-1].line, got[-1].col)
 
     def diff_call(self, t: Token) -> Expression:
         f = self.cur.next()
@@ -329,7 +317,7 @@ def parse_metric_file(text: str) -> MetricSpec:
                 raise ParseError("metric needs a name", ln, 1)
             name = rest
         elif head == "dim":
-            if not rest.isdigit():
+            if not rest.isdecimal():
                 raise ParseError("dim needs an integer", ln, 1)
             dim = int(rest)
         elif head == "coords":
@@ -339,27 +327,17 @@ def parse_metric_file(text: str) -> MetricSpec:
             if not coords:
                 raise ParseError("coords needs at least two names", ln, 1)
         elif head == "function":
-            toks = _tokenize(rest, ln)
-            cur = _Cursor(toks)
+            cur = _Cursor(_tokenize(rest, ln))
             f = cur.next()
             if f.kind != "NAME":
                 raise ParseError("function needs a name", f.line, f.col)
             cur.expect("(")
-            args = []
-            while True:
-                a = cur.next()
-                if a.kind != "NAME":
-                    raise ParseError("expected an argument name", a.line, a.col)
-                args.append(a.text)
-                if cur.accept(","):
-                    continue
-                cur.expect(")")
-                break
+            args = tuple(a.text for a in cur.names())
             if cur.peek().kind != "END":
                 raise ParseError("trailing input after function declaration", ln, 1)
             if f.text in functions:
                 raise ParseError(f"function {f.text!r} declared twice", f.line, f.col)
-            functions[f.text] = tuple(args)
+            functions[f.text] = args
         elif head == "constant":
             syms = rest.split()
             if not syms:
@@ -423,6 +401,8 @@ def parse_metric_file(text: str) -> MetricSpec:
 TENSOR_VALENCE = {"R": 4, "S": 2, "C": 4, "P": 4, "W": 4, "K": 4, "G": 4,
                   "g": 2, "T": 2}
 
+_RESERVED = frozenset(TENSOR_VALENCE) | {"Q", "wedge", "nabla"}
+
 
 @dataclass(frozen=True)
 class TName:
@@ -466,18 +446,6 @@ class IdentityAst:
     valence: int
     unknowns: tuple[str, ...]
 
-    def __str__(self):
-        return f"identity({_side_str(self.left)} = {_side_str(self.right)})"
-
-
-def _side_str(terms) -> str:
-    if not terms:
-        return "0"
-    return " + ".join(
-        (f"{t.unknown}*" if t.unknown else
-         ("" if t.coeff.is_one else f"({t.coeff})*")) + tensor_ast_str(t.tensor)
-        for t in terms)
-
 
 def tensor_ast_str(node) -> str:
     if isinstance(node, TName):
@@ -515,95 +483,73 @@ def tensor_ast_valence(node) -> int:
 
 
 def _is_unknown_name(name: str) -> bool:
-    return name.startswith("L") and name[1:].isdigit() or name == "L"
+    return name.startswith("L") and name[1:].isdecimal() or name == "L"
 
 
-class _IdentityParser:
-    """One side of an identity: sum of signed terms, each an optional scalar
-    coefficient times a tensor atom, or the literal 0."""
+class _IdentityParser(_ExprParser):
+    """One side of an identity (see the grammar at the top). Coefficients are
+    parsed as chart expressions whose products stop before a tensor."""
 
     def __init__(self, cur: _Cursor, chart: Chart):
-        self.cur = cur
-        self.chart = chart
+        super().__init__(cur, chart)
+        self.symbols = {*chart.coords, *chart.functions, *chart.constants,
+                        *BUILTIN_CONSTANTS}
 
     def side(self) -> list[Term]:
         terms: list[Term] = []
-        sign = 1
-        if self.cur.accept("-"):
-            sign = -1
+        sign = -1 if self.cur.accept("-") else 1
         while True:
-            self.one_term(terms, sign)
+            term = self.summand(sign)
+            if term is not None:
+                terms.append(term)
             if self.cur.accept("+"):
                 sign = 1
             elif self.cur.accept("-"):
                 sign = -1
             else:
+                self.cur.expect_end()
                 return terms
 
-    def one_term(self, terms: list[Term], sign: int):
-        t = self.cur.peek()
-        if t.kind == "INT" and t.text == "0" and not self._token_is_scalar_start():
-            self.cur.next()
-            return
+    def summand(self, sign: int) -> Term | None:
         coeff = ONE if sign > 0 else -ONE
         unknown = None
-        if self._at_scalar_factor():
-            unknown, scalar = self.scalar_factor()
-            if scalar is not None:
+        if not self._tensor_at(self.cur.pos):
+            t = self.cur.peek()
+            if t.kind == "NAME" and _is_unknown_name(t.text):
+                if t.text in self.symbols:
+                    self.cur.fail(f"unknown-scalar name {t.text!r} collides "
+                                  f"with a declared symbol")
+                if self.cur.tokens[self.cur.pos + 1].text == "*":
+                    unknown = self.cur.next().text
+            if unknown is None:
+                scalar = self.term()
+                if scalar.is_zero and self.cur.peek().text != "*":
+                    return None
                 coeff = coeff * scalar
             self.cur.expect("*")
-        node = self.tensor_atom()
-        terms.append(Term(coeff, unknown, node))
+        return Term(coeff, unknown, self.tensor_atom())
 
-    def _token_is_scalar_start(self) -> bool:
-        # a bare 0 followed by '*' would be a degenerate scalar factor
-        nxt = self.cur.tokens[self.cur.pos + 1]
-        return nxt.kind == "PUNCT" and nxt.text == "*"
-
-    def _at_scalar_factor(self) -> bool:
-        """Lookahead: does a scalar coefficient (ending in '*') start here?"""
-        t = self.cur.peek()
-        if t.kind == "INT":
-            return True
-        if t.kind == "PUNCT" and t.text == "(":
-            # find the matching ')' and check for a following '*'
-            depth = 0
-            for k in range(self.cur.pos, len(self.cur.tokens)):
-                tk = self.cur.tokens[k]
-                if tk.kind == "PUNCT" and tk.text == "(":
-                    depth += 1
-                elif tk.kind == "PUNCT" and tk.text == ")":
-                    depth -= 1
-                    if depth == 0:
-                        nxt = self.cur.tokens[k + 1]
-                        return nxt.kind == "PUNCT" and nxt.text == "*"
+    def _tensor_at(self, k: int) -> bool:
+        """A reserved name past any '(' starts a tensor. A chart symbol with
+        a tensor's name (the constant G) starts one only where a tensor
+        parses and ends the summand; elsewhere it is the scalar."""
+        start = k
+        while self.cur.tokens[k].text == "(":
+            k += 1
+        t = self.cur.tokens[k]
+        if t.kind != "NAME" or t.text not in _RESERVED:
             return False
-        if t.kind == "NAME":
-            if t.text in TENSOR_VALENCE or t.text in ("Q", "wedge", "nabla"):
-                return False
+        if t.text not in self.symbols:
             return True
-        return False
-
-    def scalar_factor(self) -> tuple[str | None, Expression | None]:
-        t = self.cur.peek()
-        if t.kind == "NAME" and _is_unknown_name(t.text):
-            if (t.text in self.chart.coords or t.text in self.chart.functions
-                    or t.text in self.chart.constants):
-                self.cur.fail(f"unknown-scalar name {t.text!r} collides with a "
-                              f"declared symbol")
-            nxt = self.cur.tokens[self.cur.pos + 1]
-            if nxt.kind == "PUNCT" and nxt.text == "*":
-                self.cur.next()
-                return t.text, None
-        if t.kind == "PUNCT" and t.text == "(":
-            self.cur.next()
-            p = _ExprParser(self.cur, self.chart)
-            e = p.expr()
-            self.cur.expect(")")
-            return None, e
-        # bare scalar chunk up to the '*': parse with the expression parser
-        p = _ExprParser(self.cur, self.chart)
-        return None, p.term_until_star()
+        pos = self.cur.pos
+        self.cur.pos = start
+        try:
+            self.tensor_atom()
+            return self.cur.peek().text in ("+", "-", "")
+        except ParseError:
+            return False
+        finally:
+            self.cur.pos = pos
 
     def tensor_atom(self):
         node = self.tensor_basic()
@@ -620,63 +566,25 @@ class _IdentityParser:
         if t.kind != "NAME":
             raise ParseError(f"expected a tensor, found {t.text or 'end of input'!r}",
                              t.line, t.col)
-        if t.text == "Q":
-            self.cur.expect("(")
-            a = self.tensor_atom()
-            self.cur.expect(",")
-            h = self.tensor_atom()
-            self.cur.expect(")")
-            return TQ(a, h)
-        if t.text == "wedge":
+        if t.text in ("Q", "wedge"):
             self.cur.expect("(")
             a = self.tensor_atom()
             self.cur.expect(",")
             b = self.tensor_atom()
             self.cur.expect(")")
-            return TWedge(a, b)
+            return TQ(a, b) if t.text == "Q" else TWedge(a, b)
         if t.text == "nabla":
-            if self.cur.accept("("):
-                node = self.tensor_atom()
-                self.cur.expect(")")
-                return TNabla(node)
             return TNabla(self.tensor_basic())
         if t.text in TENSOR_VALENCE:
             return TName(t.text)
         raise ParseError(f"unknown tensor name {t.text!r}", t.line, t.col)
 
 
-# scalar chunk inside an identity term: a product/quotient chain that stops
-# before the '*' separating it from the tensor atom
-def _term_until_star(self) -> Expression:
-    e = self.unary()
-    while True:
-        t = self.cur.peek()
-        if t.kind == "PUNCT" and t.text == "*":
-            nxt = self.cur.tokens[self.cur.pos + 1]
-            if nxt.kind == "NAME" and (nxt.text in TENSOR_VALENCE
-                                       or nxt.text in ("Q", "wedge", "nabla")):
-                return e
-            self.cur.next()
-            e = e * self.unary()
-        elif self.cur.accept("/"):
-            e = e / self.unary()
-        else:
-            return e
-
-
-_ExprParser.term_until_star = _term_until_star
-
-
 def parse_identity(text: str, chart: Chart) -> IdentityAst:
     if text.count("=") != 1:
         raise ParseError("an identity needs exactly one '='", 1, 1)
-    left_text, right_text = text.split("=")
-    lcur = _Cursor(_tokenize(left_text))
-    left = _IdentityParser(lcur, chart).side()
-    lcur.expect_end()
-    rcur = _Cursor(_tokenize(right_text))
-    right = _IdentityParser(rcur, chart).side()
-    rcur.expect_end()
+    left, right = (_IdentityParser(_Cursor(_tokenize(part)), chart).side()
+                   for part in text.split("="))
     if not left and not right:
         raise ParseError("identity 0 = 0 has no content", 1, 1)
     valences = {tensor_ast_valence(t.tensor) for t in left + right}

@@ -1,11 +1,18 @@
 """End-to-end command-line tests: byte-stable dumps, verdicts, exit codes,
 catalog resolution."""
+import contextlib
+import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvkit.cli import main
 
@@ -250,6 +257,35 @@ class TestErrors:
         assert err.startswith("error:")
         assert "degenerate" in err
 
+    def test_undecodable_metric_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.metric"
+        path.write_bytes(b"metric caf\xe9\ncoords x y\n")
+        code, out, err = run(capsys, "compute", str(path), "g")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read {path}: ")
+        assert err.count("\n") == 1
+
+    def test_unwritable_output(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "ricci.txt"
+        code, out, err = run(capsys, "compute", "vaidya", "S",
+                             "-o", str(target))
+        assert code == 2 and out == ""
+        assert err == (f"error: cannot write {target}: "
+                       "No such file or directory\n")
+
+    def test_non_decimal_digit_in_metric_file(self, capsys, tmp_path):
+        path = tmp_path / "sup.metric"
+        path.write_text("dim \u00b2\ncoords x y\ng[1][1] = 1\ng[2][2] = 1\n")
+        code, out, err = run(capsys, "compute", str(path), "g")
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: line 1, column 1: dim needs an integer\n"
+
+    def test_non_decimal_digit_in_identity(self, capsys):
+        code, out, err = run(capsys, "check", "vaidya", "R.R = \u00b2*Q(g,R)")
+        assert code == 2 and out == ""
+        assert err == ("error: line 1, column 2: unknown identifier "
+                       "'\u00b2'\n")
+
 
 def test_benchmark_tracer_still_wraps_every_name(tmp_path):
     """bench/tracing.py wraps curvkit functions by name for the per-layer
@@ -274,3 +310,88 @@ def test_benchmark_tracer_still_wraps_every_name(tmp_path):
     assert p.stdout.startswith("R[1][2][1][2] = ")
     counts = json.loads(trace.read_text().splitlines()[-1])["counts"]
     assert counts["compute_calls"] > 0 and counts["entries_evaluated"] > 0
+
+
+# -- no input ends in a traceback ---------------------------------------------
+
+def _main_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_one_error_line_or_success(code, out, err, ok_codes):
+    if code in ok_codes:
+        assert err == ""
+    else:
+        assert code in (2, 3), (code, err)
+        assert out == "" and re.fullmatch(r"error: [^\n]*\n", err), err
+
+
+# '^' is left out: an exponent tower such as 3^3^3^3 is exact arithmetic on
+# a number with about 10^12 digits, a hang rather than an error line
+METRIC_PIECES = ["g", "[", "]", "1", "2", "3", "0", "=", "x", "y", "a",
+                 "h(x)", "h", "(", ")", ",", "'", "*", "/", "+", "-", ".",
+                 "#", "dim", "coords", "function", "constant", "metric", "sin",
+                 "diff", " ", "\t", "\u00b2", "\u0662", "\u00e9", "$", "@", ";"]
+BASE_METRIC = ["metric demo", "dim 2", "coords x y", "constant a",
+               "function h(x)", "g[1][1] = h(x)^2", "g[2][2] = a^2"]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(pieces=st.lists(st.sampled_from(METRIC_PIECES), max_size=12),
+       where=st.integers(0, len(BASE_METRIC)),
+       encoding=st.sampled_from(["utf-8", "utf-16"]))
+def test_metric_file_lines_exit_0_or_one_error_line(pieces, where, encoding):
+    lines = list(BASE_METRIC)
+    lines.insert(where, "".join(pieces))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.metric"
+        path.write_bytes("\n".join(lines).encode(encoding))
+        code, out, err = _main_quietly(["compute", str(path), "g"])
+    _assert_one_error_line_or_success(code, out, err, (0,))
+
+
+IDENTITY_PIECES = [
+    "R", "S", "C", "P", "W", "K", "G", "g", "T", "Q", "wedge", "nabla",
+    "bogus", "(", ")", ",", ".", "=", "+", "-", "*", "/", "0", "2", "L", "L1",
+    "theta", "a", "sin(theta)", " ", "\u00b2", "$"]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(sides=st.lists(st.lists(st.sampled_from(IDENTITY_PIECES), max_size=6),
+                      min_size=2, max_size=2))
+def test_identity_token_strings_exit_0_1_or_one_error_line(sides):
+    identity = " = ".join(" ".join(side) for side in sides)
+    code, out, err = _main_quietly(["check", "sphere2", identity])
+    _assert_one_error_line_or_success(code, out, err, (0, 1))
+
+
+# -- README examples ----------------------------------------------------------
+
+def _quick_start_examples():
+    text = (CATALOG.parent / "README.md").read_text()
+    block = text.split("## Quick start", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("$ curvkit "):
+            examples.append((line[2:], []))
+        elif line:
+            examples[-1][1].append(line)
+    return examples
+
+
+@pytest.mark.parametrize("command,expected", _quick_start_examples(),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_readme_quick_start(capsys, monkeypatch, command, expected):
+    """Each `$ curvkit ...` line of README "Quick start" prints the lines
+    shown under it (the first N of them after `| head -N`)."""
+    monkeypatch.setenv("CURVKIT_CATALOG_DIR", str(CATALOG))
+    command, _, head = command.partition(" | head -")
+    argv = shlex.split(command)[1:]
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1) and err == ""
+    lines = out.splitlines()
+    assert (lines[:int(head)] if head else lines) == expected

@@ -2,14 +2,16 @@
 from textwrap import dedent
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvkit import parse_metric_file, parse_identity, ParseError, \
     DegenerateMetricError
 from curvkit.chart import Chart
-from curvkit.expr import ExprError
+from curvkit.expr import ExprError, ONE
 from curvkit.parsing import (
     parse_expression, TENSOR_VALENCE, TName, TDot, TQ, TWedge, TNabla,
-    tensor_ast_valence, tensor_ast_str,
+    tensor_ast_valence, tensor_ast_str, Term, IdentityAst,
+    _Cursor, _ExprParser, _tokenize,
 )
 from conftest import CATALOG
 
@@ -254,3 +256,310 @@ class TestIdentityLanguage:
         chart = Chart(coords=("x", "y"), constants=("L",))
         with pytest.raises(ParseError, match="collides"):
             parse_identity("L * S = 0", chart)
+
+
+@pytest.mark.parametrize("parse,text", [
+    (parse_metric_file, "dim \u00b2\ncoords x y\ng[1][1] = 1\ng[2][2] = 1\n"),
+    (parse_metric_file, "coords x y\ng[\u00b2][1] = 1\ng[2][2] = 1\n"),
+    (parse_metric_file, "coords x y\ng[1][1] = \u00b3\ng[2][2] = 1\n"),
+    (lambda text: parse_identity(text, CHART), "R.R = \u00b2*Q(g,R)"),
+    (lambda text: parse_identity(text, CHART), "L\u00b2*S = S"),
+    (lambda text: parse_expression(text, CHART), "x^\u00b2"),
+])
+def test_non_decimal_digits_are_parse_errors(parse, text):
+    """'\u00b2' passes str.isdigit but int() refuses it: it must give a
+    ParseError, not a ValueError, and L\u00b2 is not an unknown's name."""
+    with pytest.raises(ParseError):
+        parse(text)
+
+
+def test_decimal_digits_of_any_script_are_integers():
+    assert parse_expression("\u0662*x", CHART) == parse_expression("2*x", CHART)
+    spec = parse_metric_file("dim \u0662\ncoords x y\ng[1][1] = 1\n"
+                             "g[\u0662][\u0662] = 1\n")
+    assert spec.dim == 2 and spec.matrix[1][1] == ONE
+
+
+class TestIdentityGrammar:
+    """A term is [coefficient '*'] tensor; reserved names start the tensor."""
+
+    @pytest.mark.parametrize("text,same_as", [
+        ("R = 2*R + -2*R + 2*R", "R = 2*R - 2*R + 2*R"),
+        ("S = (1/2)*x*S", "S = (x/2)*S"),
+        ("nabla S = -(h'(x))/h'(x)*nabla g", "nabla S = -1*nabla g"),
+        ("S = 2*(S)", "S = 2*S"),
+        ("R = 2*((Q(g,S)).S)", "R = 2*Q(g,S).S"),
+    ])
+    def test_forms_the_reference_rejects(self, text, same_as):
+        with pytest.raises(ExprError):
+            reference_parse_identity(text, CHART)
+        assert parse_identity(text, CHART) == parse_identity(same_as, CHART)
+
+    @pytest.mark.parametrize("text,coeffs", [
+        # the built-in constant G is a scalar inside a parenthesised factor
+        # and the tensor where it ends the term
+        ("S = (G)*S", ["G"]),
+        ("S = 2*(G)*S", ["2*G"]),
+        ("R = (1/2)*(G) + (c^4/(8*pi*G))*R", ["1/2", "c^4/(8*pi*G)"]),
+        ("R = 2*G + (G.S) - G.S", ["2", "1", "-1"]),
+        ("R = 0*R + 0 - 0", ["0"]),
+    ])
+    def test_reserved_chart_symbol(self, text, coeffs):
+        ast = parse_identity(text, CHART)
+        assert ast == reference_parse_identity(text, CHART)
+        assert [t.coeff for t in ast.right] == [
+            parse_expression(c, CHART) for c in coeffs]
+
+    @pytest.mark.parametrize("text,msg", [
+        ("x = S", "expected '\\*'"),
+        ("R.x = 0", "unknown tensor name 'x'"),
+        ("2*S*R = 0", "trailing input"),
+        ("(2*S)*R = 0", "expected '\\)'"),
+        ("L*2*S = 0", "expected a tensor"),
+        ("S = $", "unexpected character"),
+    ])
+    def test_rejects(self, text, msg):
+        with pytest.raises(ParseError, match=msg):
+            parse_identity(text, CHART)
+
+
+# -- the identity parser before the shared product grammar, kept as the
+# reference that the differential test holds the grammar to ----------------
+
+def _reference_is_unknown_name(name: str) -> bool:
+    return name.startswith("L") and name[1:].isdigit() or name == "L"
+
+
+class _ReferenceIdentityParser:
+    def __init__(self, cur, chart):
+        self.cur = cur
+        self.chart = chart
+
+    def side(self):
+        terms = []
+        sign = 1
+        if self.cur.accept("-"):
+            sign = -1
+        while True:
+            self.one_term(terms, sign)
+            if self.cur.accept("+"):
+                sign = 1
+            elif self.cur.accept("-"):
+                sign = -1
+            else:
+                return terms
+
+    def one_term(self, terms, sign):
+        t = self.cur.peek()
+        if t.kind == "INT" and t.text == "0" and not self._token_is_scalar_start():
+            self.cur.next()
+            return
+        coeff = ONE if sign > 0 else -ONE
+        unknown = None
+        if self._at_scalar_factor():
+            unknown, scalar = self.scalar_factor()
+            if scalar is not None:
+                coeff = coeff * scalar
+            self.cur.expect("*")
+        node = self.tensor_atom()
+        terms.append(Term(coeff, unknown, node))
+
+    def _token_is_scalar_start(self):
+        nxt = self.cur.tokens[self.cur.pos + 1]
+        return nxt.kind == "PUNCT" and nxt.text == "*"
+
+    def _at_scalar_factor(self):
+        t = self.cur.peek()
+        if t.kind == "INT":
+            return True
+        if t.kind == "PUNCT" and t.text == "(":
+            depth = 0
+            for k in range(self.cur.pos, len(self.cur.tokens)):
+                tk = self.cur.tokens[k]
+                if tk.kind == "PUNCT" and tk.text == "(":
+                    depth += 1
+                elif tk.kind == "PUNCT" and tk.text == ")":
+                    depth -= 1
+                    if depth == 0:
+                        nxt = self.cur.tokens[k + 1]
+                        return nxt.kind == "PUNCT" and nxt.text == "*"
+            return False
+        if t.kind == "NAME":
+            if t.text in TENSOR_VALENCE or t.text in ("Q", "wedge", "nabla"):
+                return False
+            return True
+        return False
+
+    def scalar_factor(self):
+        t = self.cur.peek()
+        if t.kind == "NAME" and _reference_is_unknown_name(t.text):
+            if (t.text in self.chart.coords or t.text in self.chart.functions
+                    or t.text in self.chart.constants):
+                self.cur.fail(f"unknown-scalar name {t.text!r} collides with a "
+                              f"declared symbol")
+            nxt = self.cur.tokens[self.cur.pos + 1]
+            if nxt.kind == "PUNCT" and nxt.text == "*":
+                self.cur.next()
+                return t.text, None
+        if t.kind == "PUNCT" and t.text == "(":
+            self.cur.next()
+            e = _ExprParser(self.cur, self.chart).expr()
+            self.cur.expect(")")
+            return None, e
+        return None, self._term_until_star()
+
+    def _term_until_star(self):
+        p = _ExprParser(self.cur, self.chart)
+        e = p.unary()
+        while True:
+            t = self.cur.peek()
+            if t.kind == "PUNCT" and t.text == "*":
+                nxt = self.cur.tokens[self.cur.pos + 1]
+                if nxt.kind == "NAME" and (nxt.text in TENSOR_VALENCE
+                                           or nxt.text in ("Q", "wedge", "nabla")):
+                    return e
+                self.cur.next()
+                e = e * p.unary()
+            elif self.cur.accept("/"):
+                e = e / p.unary()
+            else:
+                return e
+
+    def tensor_atom(self):
+        node = self.tensor_basic()
+        while self.cur.accept("."):
+            node = TDot(node, self.tensor_basic())
+        return node
+
+    def tensor_basic(self):
+        t = self.cur.next()
+        if t.kind == "PUNCT" and t.text == "(":
+            node = self.tensor_atom()
+            self.cur.expect(")")
+            return node
+        if t.kind != "NAME":
+            raise ParseError(f"expected a tensor, found {t.text or 'end of input'!r}",
+                             t.line, t.col)
+        if t.text == "Q":
+            self.cur.expect("(")
+            a = self.tensor_atom()
+            self.cur.expect(",")
+            h = self.tensor_atom()
+            self.cur.expect(")")
+            return TQ(a, h)
+        if t.text == "wedge":
+            self.cur.expect("(")
+            a = self.tensor_atom()
+            self.cur.expect(",")
+            b = self.tensor_atom()
+            self.cur.expect(")")
+            return TWedge(a, b)
+        if t.text == "nabla":
+            if self.cur.accept("("):
+                node = self.tensor_atom()
+                self.cur.expect(")")
+                return TNabla(node)
+            return TNabla(self.tensor_basic())
+        if t.text in TENSOR_VALENCE:
+            return TName(t.text)
+        raise ParseError(f"unknown tensor name {t.text!r}", t.line, t.col)
+
+
+def reference_parse_identity(text, chart):
+    if text.count("=") != 1:
+        raise ParseError("an identity needs exactly one '='", 1, 1)
+    sides = []
+    for part in text.split("="):
+        cur = _Cursor(_tokenize(part))
+        sides.append(_ReferenceIdentityParser(cur, chart).side())
+        cur.expect_end()
+    left, right = sides
+    if not left and not right:
+        raise ParseError("identity 0 = 0 has no content", 1, 1)
+    valences = {tensor_ast_valence(t.tensor) for t in left + right}
+    if len(valences) > 1:
+        raise ParseError("valence mismatch", 1, 1)
+    unknowns = []
+    for t in left + right:
+        if t.unknown and t.unknown not in unknowns:
+            unknowns.append(t.unknown)
+    return IdentityAst(tuple(left), tuple(right), valences.pop(), tuple(unknowns))
+
+
+# -- identities drawn from the grammar ---------------------------------------
+
+def _pair_of(first, second, fmt):
+    return st.tuples(first, second).map(lambda p: fmt.format(*p))
+
+
+def _pair(children, fmt):
+    return _pair_of(children, children, fmt)
+
+
+TENSOR_TEXT = st.recursive(
+    st.sampled_from(sorted(TENSOR_VALENCE) + ["bogus"]),
+    lambda kids: st.one_of(
+        _pair(kids, "{}.{}"), _pair(kids, "Q({},{})"),
+        _pair(kids, "wedge({},{})"), kids.map("nabla {}".format),
+        kids.map("nabla({})".format), kids.map("({})".format)),
+    max_leaves=3)
+
+# ints, chart atoms (with the built-ins G, c, pi), unknowns and the
+# undeclared z; exponents are small literals, since a power tower such as
+# 3^3^3^3 is exact arithmetic on a number of 10^12 digits
+SCALAR_TEXT = st.recursive(
+    st.sampled_from(["0", "1", "2", "7", "x", "y", "a", "h(x)", "h'(x)",
+                     "sin(y)", "G", "c", "pi", "L", "L1", "z", "S"]),
+    lambda kids: st.one_of(
+        *(_pair(kids, "{}" + op + "{}") for op in "*/+-"),
+        _pair_of(kids, st.sampled_from(["2", "-1"]), "({})^{}"),
+        kids.map("({})".format), kids.map("-{}".format)),
+    max_leaves=4)
+
+SUMMAND_TEXT = st.one_of(
+    TENSOR_TEXT, st.just("0"),
+    _pair_of(SCALAR_TEXT, TENSOR_TEXT, "{}*{}"))
+
+
+@st.composite
+def identity_text(draw):
+    def side():
+        parts = draw(st.lists(SUMMAND_TEXT, min_size=1, max_size=3))
+        signs = draw(st.lists(st.sampled_from(["", "-"]), min_size=len(parts),
+                              max_size=len(parts)))
+        out = signs[0] + parts[0]
+        for sign, part in zip(signs[1:], parts[1:]):
+            out += (" - " if sign else " + ") + part
+        return out
+    return f"{side()} = {side()}"
+
+
+# CHART declares x y h a; CHART_S also declares a constant with a tensor's name
+CHART_S = Chart(coords=("x", "y"), functions={"h": ("x",)},
+                constants=("a", "S"))
+
+
+def _parse_or_none(parse, text, chart):
+    try:
+        return parse(text, chart)
+    except ExprError:
+        return None
+
+
+@pytest.mark.parametrize("chart", [CHART, CHART_S], ids=["chart", "chart_S"])
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(text=identity_text())
+def test_grammar_parses_every_reference_identity_alike(chart, text):
+    """Every identity the reference accepts parses to the same terms, valence
+    and unknowns; the grammar raises only ExprError on the rest."""
+    got = _parse_or_none(parse_identity, text, chart)
+    want = _parse_or_none(reference_parse_identity, text, chart)
+    if want is None:
+        return
+    assert got is not None, text
+    for a, b in ((got.left, want.left), (got.right, want.right)):
+        assert len(a) == len(b), text
+        for s, t in zip(a, b):
+            assert (s.coeff == t.coeff, s.unknown, s.tensor) == \
+                (True, t.unknown, t.tensor), text
+    assert (got.valence, got.unknowns) == (want.valence, want.unknowns), text
