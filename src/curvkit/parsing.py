@@ -23,8 +23,10 @@ Identity grammar, one side of the '=':
              | 'wedge' '(' tensor ',' tensor ')' | 'nabla' basic | NAME
 
 The tensor names and Q, wedge, nabla are reserved: past any '(' they start
-the tensor, and a coefficient's term ends before the '*' they follow. A
-summand without a tensor must be a zero scalar and contributes nothing.
+the tensor, and a coefficient's term ends before the '*' they follow. Inside
+a coefficient's parentheses nothing is reserved: a parenthesised factor is a
+chart expression. A summand without a tensor must be a zero scalar and
+contributes nothing.
 """
 
 from __future__ import annotations
@@ -255,7 +257,6 @@ class _ExprParser:
         self.cur.expect("(")
         self.call_args(f.text, declared)
         orders = [0] * len(declared)
-        saw = False
         while self.cur.accept(","):
             c = self.cur.next()
             if c.kind != "NAME" or c.text not in declared:
@@ -267,9 +268,8 @@ class _ExprParser:
                 raise ParseError("derivative order must be a positive integer",
                                  k.line, k.col)
             orders[declared.index(c.text)] += int(k.text)
-            saw = True
         self.cur.expect(")")
-        if not saw:
+        if not any(orders):
             raise ParseError("diff needs at least one variable,order pair",
                              t.line, t.col)
         return Expression.from_atom(Atom.func(f.text, declared, tuple(orders)))
@@ -277,8 +277,7 @@ class _ExprParser:
 
 def parse_expression(text: str, chart: Chart, line0: int = 1) -> Expression:
     cur = _Cursor(_tokenize(text, line0))
-    p = _ExprParser(cur, chart)
-    e = p.expr()
+    e = _ExprParser(cur, chart).expr()
     cur.expect_end()
     return e
 
@@ -358,8 +357,7 @@ def parse_metric_file(text: str) -> MetricSpec:
 
     entries: list[list[Expression | None]] = [[None] * n for _ in range(n)]
     for ln, line in assignments:
-        toks = _tokenize(line, ln)
-        cur = _Cursor(toks)
+        cur = _Cursor(_tokenize(line, ln))
         gtok = cur.next()
         if gtok.kind != "NAME" or gtok.text != "g":
             raise ParseError("assignment must start with g", gtok.line, gtok.col)
@@ -375,17 +373,14 @@ def parse_metric_file(text: str) -> MetricSpec:
         i, j = idx
         if not (1 <= i <= n and 1 <= j <= n):
             raise ParseError(f"index g[{i}][{j}] outside 1..{n}", ln, 1)
-        p = _ExprParser(cur, chart)
-        e = p.expr()
+        e = _ExprParser(cur, chart).expr()
         cur.expect_end()
         a, b = i - 1, j - 1
         prev = entries[a][b] if entries[a][b] is not None else entries[b][a]
-        if prev is not None:
-            if not (prev == e):
-                raise ParseError(
-                    f"g[{i}][{j}] conflicts with an earlier assignment", ln, 1)
-        entries[a][b] = e
-        entries[b][a] = e
+        if prev is not None and not prev == e:
+            raise ParseError(
+                f"g[{i}][{j}] conflicts with an earlier assignment", ln, 1)
+        entries[a][b] = entries[b][a] = e
 
     matrix = tuple(tuple(entries[a][b] if entries[a][b] is not None else ZERO
                          for b in range(n)) for a in range(n))
@@ -528,6 +523,12 @@ class _IdentityParser(_ExprParser):
                 coeff = coeff * scalar
             self.cur.expect("*")
         return Term(coeff, unknown, self.tensor_atom())
+
+    def primary(self) -> Expression:
+        """A coefficient's parenthesised factor is a plain chart expression."""
+        if self.cur.peek().text == "(":
+            return _ExprParser(self.cur, self.chart).primary()
+        return super().primary()
 
     def _tensor_at(self, k: int) -> bool:
         """A reserved name past any '(' starts a tensor. A chart symbol with

@@ -1,4 +1,5 @@
 """Metric file grammar, expression grammar errors, identity language."""
+import itertools
 from textwrap import dedent
 
 import pytest
@@ -303,6 +304,12 @@ class TestIdentityGrammar:
         ("R = (1/2)*(G) + (c^4/(8*pi*G))*R", ["1/2", "c^4/(8*pi*G)"]),
         ("R = 2*G + (G.S) - G.S", ["2", "1", "-1"]),
         ("R = 0*R + 0 - 0", ["0"]),
+        # inside a coefficient's parentheses G is the constant, even where
+        # a '+' or '-' follows it
+        ("S = (x*G + 1)*S", ["x*G + 1"]),
+        ("S = (2*G - 1)*S", ["2*G - 1"]),
+        ("S = (2*(G) + 1)*S", ["2*G + 1"]),
+        ("S = 2*(x*G - G)*S", ["2*x*G - 2*G"]),
     ])
     def test_reserved_chart_symbol(self, text, coeffs):
         ast = parse_identity(text, CHART)
@@ -314,7 +321,7 @@ class TestIdentityGrammar:
         ("x = S", "expected '\\*'"),
         ("R.x = 0", "unknown tensor name 'x'"),
         ("2*S*R = 0", "trailing input"),
-        ("(2*S)*R = 0", "expected '\\)'"),
+        ("(2*S)*R = 0", "unknown identifier 'S'"),
         ("L*2*S = 0", "expected a tensor"),
         ("S = $", "unexpected character"),
     ])
@@ -537,6 +544,30 @@ def identity_text(draw):
 # CHART declares x y h a; CHART_S also declares a constant with a tensor's name
 CHART_S = Chart(coords=("x", "y"), functions={"h": ("x",)},
                 constants=("a", "S"))
+
+
+def _small_coefficients():
+    """Every product or sum of three factors from 2, x, G, S and L, bare and
+    with each way of parenthesising it."""
+    for a, b, c in itertools.product(["2", "x", "G", "S", "L"], repeat=3):
+        for o, p in itertools.product("*/+-", repeat=2):
+            yield from (f"{a}{o}{b}{p}{c}", f"({a}{o}{b}){p}{c}",
+                        f"{a}{o}({b}{p}{c})", f"({a}{o}{b}{p}{c})")
+
+
+@pytest.mark.parametrize("chart", [CHART, CHART_S], ids=["chart", "chart_S"])
+def test_small_coefficients_parse_as_the_reference(chart):
+    """Exhaustive over the small shapes where a name shared by a tensor and
+    a chart symbol may be read either way: whatever the reference accepts
+    parses to the same identity."""
+    compared = 0
+    for coeff in _small_coefficients():
+        text = f"S = {coeff}*S"
+        want = _parse_or_none(reference_parse_identity, text, chart)
+        if want is not None:
+            assert parse_identity(text, chart) == want, text
+            compared += 1
+    assert compared > 700
 
 
 def _parse_or_none(parse, text, chart):
