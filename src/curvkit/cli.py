@@ -26,6 +26,9 @@ EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
+# stdout closed early (`| head`): the status a shell gives a program that
+# SIGPIPE ends, 128 + 13
+EXIT_BROKEN_PIPE = 141
 
 
 class CliError(Exception):
@@ -230,6 +233,11 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at
+        # exit does not raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

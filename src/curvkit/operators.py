@@ -23,12 +23,28 @@ from .tensor import (Descriptor, Metric, Tensor, TensorError,
                      raised_last)
 
 
+def _times(products: dict, a: Expression, b: Expression) -> Expression:
+    """a * b, formed once per pair of stored objects: products is keyed by
+    the operands' identities and lives for one call, whose tables keep
+    both operands alive."""
+    key = (id(a), id(b))
+    p = products.get(key)
+    if p is None:
+        p = products[key] = a * b
+    return p
+
+
 def dot_action(d: Tensor, h: Tensor, g: Metric) -> Tensor:
     """Act the operator attached to d on h, producing a (0,k+2) tensor.
 
     Component rule: (d.h)[i1..ik, x, y] = -sum over slots s and l of
     d^l[x, y, i_s] * h[.. l at s ..], where the l index is raised with g
     on d's fourth slot.
+
+    Each product of a raised entry and a stored component of h is formed
+    once per call and signed after the lookup: total - w*(-v) is written
+    total + w*v.  The bytes are those of multiplying each signed read,
+    since w*(-v) is -(w*v) term for term (see raised_last).
     """
     if d.valence != 4:
         raise TensorError("operator tensor must have valence 4")
@@ -39,13 +55,17 @@ def dot_action(d: Tensor, h: Tensor, g: Metric) -> Tensor:
     k = h.valence
     raised = raised_last(d, g)
     desc = h.descriptor.with_extra(("anti", k, k + 1))
+    products: dict = {}
 
     def entry(idx):
         head, x, y = idx[:k], idx[k], idx[k + 1]
         total = ZERO
         for s in range(k):
             for l, w in raised[(x, y, head[s])]:
-                total = total - w * h.get(head[:s] + (l,) + head[s + 1:])
+                v, sign = h.stored(head[:s] + (l,) + head[s + 1:])
+                if v is not None:
+                    p = _times(products, w, v)
+                    total = total - p if sign == 1 else total + p
         return total
 
     return Tensor.compute(chart, k + 2, desc, entry)
@@ -57,6 +77,9 @@ def tachibana(a: Tensor, h: Tensor) -> Tensor:
 
     Component rule: Q(a,h)[i1..ik, x, y] = sum over slots s of
     a[x, i_s] * h[.. y at s ..] - a[y, i_s] * h[.. x at s ..].
+
+    As in dot_action, each product of two stored components is formed
+    once per call and the sign of the read of h is applied after it.
     """
     if a.valence != 2:
         raise TensorError("endomorphism base must have valence 2")
@@ -65,18 +88,21 @@ def tachibana(a: Tensor, h: Tensor) -> Tensor:
     chart = h.chart
     k = h.valence
     desc = h.descriptor.with_extra(("anti", k, k + 1))
+    products: dict = {}
 
     def entry(idx):
         head, x, y = idx[:k], idx[k], idx[k + 1]
         total = ZERO
         for s in range(k):
-            i_s = head[s]
-            ax = a.get((x, i_s))
-            ay = a.get((y, i_s))
-            if not ax.is_zero:
-                total = total + ax * h.get(head[:s] + (y,) + head[s + 1:])
-            if not ay.is_zero:
-                total = total - ay * h.get(head[:s] + (x,) + head[s + 1:])
+            for c, e, sign in ((x, y, 1), (y, x, -1)):
+                # a is symmetric, so a stored read of it has sign 1
+                av, _ = a.stored((c, head[s]))
+                if av is None:
+                    continue
+                hv, h_sign = h.stored(head[:s] + (e,) + head[s + 1:])
+                if hv is not None:
+                    p = _times(products, av, hv)
+                    total = total + p if sign * h_sign == 1 else total - p
         return total
 
     return Tensor.compute(chart, k + 2, desc, entry)

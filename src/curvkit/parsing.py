@@ -7,6 +7,7 @@ Expression grammar (precedence low to high):
     term    := unary (('*' | '/') unary)*
     unary   := '-' unary | power
     power   := primary ('^' unary)?          # right-associative, integer result
+                                             # from -MAX_EXPONENT to MAX_EXPONENT
     primary := INT | '(' expr ')' | name | name'(arg)' | call
 
 Calls are sin/cos of a coordinate, a declared function applied to exactly its
@@ -57,6 +58,10 @@ class DegenerateMetricError(ExprError):
 # such as '²' that int() refuses is a word character and starts a NAME.
 _TOKEN = re.compile(r"(?P<NL>\n)|[ \t\r]+|(?P<INT>\d+)|(?P<NAME>[^\W\d]\w*)"
                     r"|(?P<PRIME>')|(?P<PUNCT>[-+*/^()\[\],.=])|(?P<BAD>.)")
+
+# '^' refuses larger exponents before computing the power: the time of
+# (x+y+1)^k grows like k^3, and a tower such as (x+1)^3^3^3 would not end
+MAX_EXPONENT = 64
 
 
 @dataclass
@@ -181,6 +186,9 @@ class _ExprParser:
             if not ex.is_rational() or ex.as_rational().denominator != 1:
                 raise ParseError("exponent must be an integer", t.line, t.col)
             k = int(ex.as_rational())
+            if abs(k) > MAX_EXPONENT:
+                raise ParseError(f"exponent must be from -{MAX_EXPONENT} to "
+                                 f"{MAX_EXPONENT}", t.line, t.col)
             if k < 0 and base.is_zero:
                 raise ParseError("zero to a negative power", t.line, t.col)
             return base ** k

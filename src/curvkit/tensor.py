@@ -211,11 +211,16 @@ class Tensor:
     # the next change to the benchmark
     from_dense = compute
 
-    def get(self, idx: tuple) -> Expression:
+    def stored(self, idx: tuple) -> tuple[Expression | None, int]:
+        """(v, sign) with value(idx) = sign * v, v the stored object of
+        idx's canonical representative; (None, 0) when the symmetries
+        force the component to zero or no value is stored."""
         rep, sign = self.descriptor.canon(tuple(idx))
-        if sign == 0:
-            return ZERO
-        v = self.comps.get(rep)
+        v = self.comps.get(rep) if sign else None
+        return (None, 0) if v is None else (v, sign)
+
+    def get(self, idx: tuple) -> Expression:
+        v, sign = self.stored(idx)
         if v is None:
             return ZERO
         return v if sign == 1 else -v
@@ -360,6 +365,15 @@ def raised_last(t: Tensor, g: Metric) -> dict:
     """{head: ((l, value), ...)} with t's last index raised by g: value is
     sum_m g^{lm} t[head + (m,)], listed for nonzero values in l order.
 
+    Sums are formed only for heads canonical under t's ops that leave the
+    last slot alone (Riemann's anti(0,1): 24 of 64 heads at n = 4); every
+    other head's row is its representative's, negated entry by entry when
+    the sign is -1, and a head those ops force to zero gets ().  The
+    bytes equal the full n^(k+1) evaluation: each term g^{lm} * (-v) is
+    -(g^{lm} * v) term for term (normalisation ignores the numerator's
+    sign and Poly negation keeps term order), so each sum is the negated
+    sum as well.
+
     Built once per tensor and metric: g keeps each table by the tensor's
     identity, together with the tensor, so that its id is not reused while
     the entry lives.  Tensors are immutable, so the table stays valid."""
@@ -370,12 +384,24 @@ def raised_last(t: Tensor, g: Metric) -> dict:
 
 
 def _raise_last(t: Tensor, g: Metric) -> dict:
-    n = g.dim
+    n, k = g.dim, t.valence
+    heads = Descriptor(op for op in t.descriptor.ops if max(op[1:]) < k - 1)
     table = {}
-    for head in itertools.product(range(n), repeat=t.valence - 1):
-        row = ((l, g.raise_index(l, lambda m: t.get(head + (m,))))
-               for l in range(n))
-        table[head] = tuple((l, v) for l, v in row if not v.is_zero)
+    # lex order meets each orbit's representative, its minimum, first
+    for head in itertools.product(range(n), repeat=k - 1):
+        rep, sign = heads.canon(head)
+        if sign == 0:
+            table[head] = ()
+        elif rep != head:
+            row = table[rep]
+            table[head] = row if sign == 1 else tuple((l, -v) for l, v in row)
+        else:
+            col = [t.get(head + (m,)) for m in range(n)]
+            if all(v.is_zero for v in col):
+                table[head] = ()
+                continue
+            row = ((l, g.raise_index(l, col.__getitem__)) for l in range(n))
+            table[head] = tuple((l, v) for l, v in row if not v.is_zero)
     return table
 
 

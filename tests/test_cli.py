@@ -286,6 +286,49 @@ class TestErrors:
         assert err == ("error: line 1, column 2: unknown identifier "
                        "'\u00b2'\n")
 
+    @pytest.mark.parametrize("text,column", [
+        ("(x+1)^3^3^3", 7), ("x^65", 3), ("x^-65", 3), ("2^2^2^2^2", 3)])
+    def test_exponent_out_of_range(self, capsys, tmp_path, text, column):
+        path = tmp_path / "tower.metric"
+        path.write_text(f"dim 2\ncoords x y\ng[1][1] = {text}\n"
+                        "g[2][2] = 1\n")
+        code, out, err = run(capsys, "compute", str(path), "g")
+        assert code == 2 and out == ""
+        assert err == (f"error: {path}: line 3, column {10 + column}: "
+                       "exponent must be from -64 to 64\n")
+
+    def test_exponent_in_range(self, capsys, tmp_path):
+        path = tmp_path / "power.metric"
+        path.write_text("dim 2\ncoords x y\ng[1][1] = x^64\n"
+                        "g[2][2] = x^-64*2^2^2^2\n")
+        code, out, err = run(capsys, "compute", str(path), "g")
+        assert code == 0 and err == ""
+        assert out == "g[1][1] = x^64\ng[2][2] = 65536/x^64\n"
+
+    def test_identity_exponent_out_of_range(self, capsys):
+        code, out, err = run(capsys, "check", "vaidya", "R.R = r^99*Q(g,R)")
+        assert code == 2 and out == ""
+        assert re.fullmatch(r"error: line 1, column \d+: exponent must be "
+                            r"from -64 to 64\n", err), err
+
+
+def test_closed_stdout_exits_quietly():
+    """A reader that stops early (`| head`) ends the run with status 141
+    and an empty stderr; the read end here is closed before any write."""
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, CURVKIT_CATALOG_DIR=str(CATALOG),
+               PYTHONPATH=str(CATALOG.parent / "src"))
+    try:
+        p = subprocess.run(
+            [sys.executable, "-m", "curvkit.cli", "compute", "vaidya",
+             "dot:R.S"], stdout=write, stderr=subprocess.PIPE, env=env,
+            timeout=120)
+    finally:
+        os.close(write)
+    assert p.returncode == 141
+    assert p.stderr == b""
+
 
 def test_benchmark_tracer_still_wraps_every_name(tmp_path):
     """bench/tracing.py wraps curvkit functions by name for the per-layer
@@ -329,10 +372,8 @@ def _assert_one_error_line_or_success(code, out, err, ok_codes):
         assert out == "" and re.fullmatch(r"error: [^\n]*\n", err), err
 
 
-# '^' is left out: an exponent tower such as 3^3^3^3 is exact arithmetic on
-# a number with about 10^12 digits, a hang rather than an error line
 METRIC_PIECES = ["g", "[", "]", "1", "2", "3", "0", "=", "x", "y", "a",
-                 "h(x)", "h", "(", ")", ",", "'", "*", "/", "+", "-", ".",
+                 "h(x)", "h", "(", ")", ",", "'", "*", "/", "+", "-", "^", ".",
                  "#", "dim", "coords", "function", "constant", "metric", "sin",
                  "diff", " ", "\t", "\u00b2", "\u0662", "\u00e9", "$", "@", ";"]
 BASE_METRIC = ["metric demo", "dim 2", "coords x y", "constant a",
@@ -355,7 +396,8 @@ def test_metric_file_lines_exit_0_or_one_error_line(pieces, where, encoding):
 
 IDENTITY_PIECES = [
     "R", "S", "C", "P", "W", "K", "G", "g", "T", "Q", "wedge", "nabla",
-    "bogus", "(", ")", ",", ".", "=", "+", "-", "*", "/", "0", "2", "L", "L1",
+    "bogus", "(", ")", ",", ".", "=", "+", "-", "*", "/", "^", "0", "2", "L",
+    "L1",
     "theta", "a", "sin(theta)", " ", "\u00b2", "$"]
 
 

@@ -270,6 +270,14 @@ class TestTensor:
         assert t.get((1, 0)) == -X
         assert t.get((0, 0)).is_zero
 
+    def test_stored_gives_the_stored_object_and_sign(self):
+        t = Tensor.from_reps(CHART, 2, D_ANTI2, {(0, 1): X})
+        v = t.comps[(0, 1)]
+        assert t.stored((0, 1)) == (v, 1) and t.stored((0, 1))[0] is v
+        assert t.stored((1, 0))[0] is v and t.stored((1, 0))[1] == -1
+        assert t.stored((0, 0)) == (None, 0)
+        assert _tensor({}).stored((0, 1)) == (None, 0)
+
     def test_get1_is_one_based(self):
         t = _tensor({(0, 1): X})
         assert t.get1(1, 2) == X
@@ -411,6 +419,118 @@ class TestRaisedLast:
         for head, row in first.items():
             assert [l for l, _ in row] == [l for l, _ in second[head]]
             assert all(v == w for (_, v), (_, w) in zip(row, second[head]))
+
+
+def _reference_raise_last(t: Tensor, g: Metric) -> dict:
+    """The raised table summed at every one of the n^(k+1) positions."""
+    n = g.dim
+    table = {}
+    for head in itertools.product(range(n), repeat=t.valence - 1):
+        row = ((l, g.raise_index(l, lambda m: t.get(head + (m,))))
+               for l in range(n))
+        table[head] = tuple((l, v) for l, v in row if not v.is_zero)
+    return table
+
+
+def _reference_dot_action(d: Tensor, h: Tensor, g: Metric) -> Tensor:
+    """dot_action multiplying each signed read, with nothing reused."""
+    k = h.valence
+    raised = _reference_raise_last(d, g)
+
+    def entry(idx):
+        head, x, y = idx[:k], idx[k], idx[k + 1]
+        total = ZERO
+        for s in range(k):
+            for l, w in raised[(x, y, head[s])]:
+                total = total - w * h.get(head[:s] + (l,) + head[s + 1:])
+        return total
+
+    return Tensor.compute(h.chart, k + 2,
+                          h.descriptor.with_extra(("anti", k, k + 1)), entry)
+
+
+def _reference_tachibana(a: Tensor, h: Tensor) -> Tensor:
+    """tachibana multiplying each signed read, with nothing reused."""
+    k = h.valence
+
+    def entry(idx):
+        head, x, y = idx[:k], idx[k], idx[k + 1]
+        total = ZERO
+        for s in range(k):
+            i_s = head[s]
+            ax = a.get((x, i_s))
+            ay = a.get((y, i_s))
+            if not ax.is_zero:
+                total = total + ax * h.get(head[:s] + (y,) + head[s + 1:])
+            if not ay.is_zero:
+                total = total - ay * h.get(head[:s] + (x,) + head[s + 1:])
+        return total
+
+    return Tensor.compute(h.chart, k + 2,
+                          h.descriptor.with_extra(("anti", k, k + 1)), entry)
+
+
+def _terms(v: Expression):
+    """A value with its term order: equal only when the bytes are."""
+    return list(v.num.terms.items()), list(v.den.terms.items())
+
+
+class TestReuseMatchesReference:
+    """Signed copies of raised rows and products reused within one call
+    give the same terms, in the same order, as evaluating every entry."""
+
+    @pytest.mark.parametrize("path", METRIC_FILES, ids=lambda p: p.stem)
+    def test_tables_and_products_keep_every_term(self, path):
+        b = CurvatureBundle(parse_metric_file(path.read_text()))
+        names = "RCPKWS" if b.dim > 2 else "RPWS"
+        for name in names:
+            t = b.tensor(name)
+            got = raised_last(t, b.metric)
+            want = _reference_raise_last(t, b.metric)
+            assert list(got) == list(want), name
+            for head, row in want.items():
+                assert [(l, _terms(v)) for l, v in got[head]] == \
+                    [(l, _terms(v)) for l, v in row], (name, head)
+        products = [("dot", "R", "R"), ("Q", "g", "R")]
+        if b.dim > 2:
+            products += [("dot", "R", "C"), ("dot", "C", "R"),
+                         ("dot", "C", "C"), ("Q", "S", "C")]
+        for kind, left, right in products:
+            d, h = b.tensor(left), b.tensor(right)
+            if kind == "dot":
+                got = operators.dot_action(d, h, b.metric)
+                want = _reference_dot_action(d, h, b.metric)
+            else:
+                got = operators.tachibana(d, h)
+                want = _reference_tachibana(d, h)
+            assert got.descriptor is want.descriptor
+            assert list(got.comps) == list(want.comps), (kind, left, right)
+            for idx, v in want.comps.items():
+                assert _terms(got.comps[idx]) == _terms(v), \
+                    (kind, left, right, idx)
+
+    def test_raised_rows_computed_only_for_representatives(self, vaidya,
+                                                           monkeypatch):
+        g, r = vaidya.metric, vaidya.riemann
+        heads = set()
+        get = Tensor.get
+
+        def spy(t, idx):
+            if t is r:
+                heads.add(tuple(idx[:3]))
+            return get(t, idx)
+
+        monkeypatch.setattr(Tensor, "get", spy)
+        table = tensor_mod._raise_last(r, g)
+        assert len(table) == 64
+        # anti(0,1) leaves the raised slot alone: heads x < y carry the rows
+        assert heads == {h for h in table if h[0] < h[1]}
+        assert len(heads) == 24
+        for (x, y, z), row in table.items():
+            if x == y:
+                assert row == ()
+            elif x > y:
+                assert [(l, -v) for l, v in row] == list(table[(y, x, z)])
 
 
 class TestCovariantDerivative:
