@@ -18,9 +18,7 @@ from .parsing import (
     parse_metric_file, parse_identity, DegenerateMetricError,
     TENSOR_VALENCE, TName, TDot, TQ, TNabla, tensor_ast_str)
 from .tensor import Descriptor, Tensor, D_SYM2, format_dump
-from .curvature import CurvatureBundle
-from .operators import check_identity, evaluate_tensor_ast
-from .classify import classify, compare_reports
+from .curvature import CurvatureBundle, evaluate_tensor_ast
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -138,6 +136,7 @@ def cmd_compute(args) -> int:
 # -- check ------------------------------------------------------------------
 
 def cmd_check(args) -> int:
+    from .operators import check_identity
     bundle = load_bundle(args.metric)
     try:
         ast = parse_identity(args.identity, bundle.chart)
@@ -168,13 +167,20 @@ def cmd_check(args) -> int:
 
 # -- classify / compare / catalog -------------------------------------------
 
+# classify and compare read both functions from the package.  Reading
+# compare_reports binds every public name, so `classify` is the function
+# even where the submodule curvkit.classify was imported first and bound
+# that name to itself (bench/tracing.py does).
+
 def cmd_classify(args) -> int:
+    from . import classify, compare_reports
     bundle = load_bundle(args.metric)
     sys.stdout.write(classify(bundle).render())
     return EXIT_HOLDS
 
 
 def cmd_compare(args) -> int:
+    from . import classify, compare_reports
     left = classify(load_bundle(args.metric1))
     right = classify(load_bundle(args.metric2))
     sys.stdout.write(compare_reports(left, right))

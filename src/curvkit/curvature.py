@@ -1,5 +1,5 @@
-"""Levi-Civita connection, the curvature tensors built from it, and the
-energy-momentum tensor.
+"""Levi-Civita connection, the curvature tensors built from it, the
+energy-momentum tensor, and the evaluation of tensor expressions over them.
 
 Sign conventions are calibrated once against a numeric divided-difference
 oracle and frozen:
@@ -23,10 +23,10 @@ from functools import cached_property
 
 from .chart import Chart
 from .expr import Atom, Expression, ONE, ZERO
-from .parsing import MetricSpec
+from .parsing import MetricSpec, TDot, TName, TNabla, TQ, TWedge
 from .tensor import (Connection, D_ANTI2, D_RIEMANN, D_SYM2, Metric, Tensor,
                      TensorError, covariant_derivative, divergence_first,
-                     kulkarni_nomizu, trace2)
+                     dot_action, kulkarni_nomizu, tachibana, trace2)
 
 
 def christoffel(g: Metric) -> Connection:
@@ -201,3 +201,32 @@ class CurvatureBundle:
 
     def divergence(self, name: str) -> Tensor:
         return divergence_first(self.nabla(name), self.metric)
+
+
+def evaluate_tensor_ast(node, bundle: CurvatureBundle, cache: dict) -> Tensor:
+    """Evaluate a tensor AST node against a bundle, memoized by node."""
+    if node in cache:
+        return cache[node]
+    if isinstance(node, TName):
+        out = bundle.tensor(node.name)
+    elif isinstance(node, TDot):
+        out = dot_action(evaluate_tensor_ast(node.left, bundle, cache),
+                         evaluate_tensor_ast(node.right, bundle, cache),
+                         bundle.metric)
+    elif isinstance(node, TQ):
+        out = tachibana(evaluate_tensor_ast(node.metric_like, bundle, cache),
+                        evaluate_tensor_ast(node.operand, bundle, cache))
+    elif isinstance(node, TWedge):
+        out = kulkarni_nomizu(evaluate_tensor_ast(node.left, bundle, cache),
+                              evaluate_tensor_ast(node.right, bundle, cache))
+    elif isinstance(node, TNabla):
+        if isinstance(node.operand, TName):
+            out = bundle.nabla(node.operand.name)
+        else:
+            out = covariant_derivative(
+                evaluate_tensor_ast(node.operand, bundle, cache),
+                bundle.connection)
+    else:
+        raise TensorError(f"unsupported tensor node {node!r}")
+    cache[node] = out
+    return out

@@ -1,11 +1,12 @@
-"""Curvature-operator actions and the linear structure decisions built on
-them.
+"""The linear structure decisions built on the curvature tensors and the
+operator actions.
 
-Two tensor-valued operations extend a (0,k) tensor to a (0,k+2) tensor: the
-action of a curvature-type operator as a derivation, and the endomorphism
-action attached to a symmetric (0,2) tensor.  Everything else here reduces a
-geometric yes/no question to an exact linear system over expressions and
-reports witnesses that can be re-verified by substitution.
+Each decision here reduces a geometric yes/no question to an exact linear
+system over expressions and reports witnesses that can be re-verified by
+substitution.  The operator actions themselves live in tensor.py and the
+evaluation of tensor expressions in curvature.py; dot_action, tachibana and
+evaluate_tensor_ast are imported here so that they stay reachable under
+this module's name.
 """
 
 from __future__ import annotations
@@ -13,132 +14,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .curvature import CurvatureBundle
+from .curvature import CurvatureBundle, evaluate_tensor_ast
 from .expr import (Atom, Expression, ONE, PRIME, ZERO, _KIND_COORD,
                    _KIND_TRIG, gcd_mod_p, matrix_at_point)
 from .linsolve import LinearEquation, matrix_rank, solve_linear
-from .parsing import (IdentityAst, TDot, TName, TNabla, TQ, TWedge)
+from .parsing import IdentityAst
 from .tensor import (Descriptor, Metric, Tensor, TensorError,
-                     common_descriptor, covariant_derivative, kulkarni_nomizu,
-                     raised_last)
-
-
-def _times(products: dict, a: Expression, b: Expression) -> Expression:
-    """a * b, formed once per pair of stored objects: products is keyed by
-    the operands' identities and lives for one call, whose tables keep
-    both operands alive."""
-    key = (id(a), id(b))
-    p = products.get(key)
-    if p is None:
-        p = products[key] = a * b
-    return p
-
-
-def dot_action(d: Tensor, h: Tensor, g: Metric) -> Tensor:
-    """Act the operator attached to d on h, producing a (0,k+2) tensor.
-
-    Component rule: (d.h)[i1..ik, x, y] = -sum over slots s and l of
-    d^l[x, y, i_s] * h[.. l at s ..], where the l index is raised with g
-    on d's fourth slot.
-
-    Each product of a raised entry and a stored component of h is formed
-    once per call and signed after the lookup: total - w*(-v) is written
-    total + w*v.  The bytes are those of multiplying each signed read,
-    since w*(-v) is -(w*v) term for term (see raised_last).
-    """
-    if d.valence != 4:
-        raise TensorError("operator tensor must have valence 4")
-    if ("anti", 0, 1) not in d.descriptor.ops:
-        raise TensorError("operator tensor must be antisymmetric in its "
-                          "first index pair")
-    chart = h.chart
-    k = h.valence
-    raised = raised_last(d, g)
-    desc = h.descriptor.with_extra(("anti", k, k + 1))
-    products: dict = {}
-
-    def entry(idx):
-        head, x, y = idx[:k], idx[k], idx[k + 1]
-        total = ZERO
-        for s in range(k):
-            for l, w in raised[(x, y, head[s])]:
-                v, sign = h.stored(head[:s] + (l,) + head[s + 1:])
-                if v is not None:
-                    p = _times(products, w, v)
-                    total = total - p if sign == 1 else total + p
-        return total
-
-    return Tensor.compute(chart, k + 2, desc, entry)
-
-
-def tachibana(a: Tensor, h: Tensor) -> Tensor:
-    """Endomorphism action Q(a,h): a (0,k+2) tensor, antisymmetric in the
-    trailing pair.
-
-    Component rule: Q(a,h)[i1..ik, x, y] = sum over slots s of
-    a[x, i_s] * h[.. y at s ..] - a[y, i_s] * h[.. x at s ..].
-
-    As in dot_action, each product of two stored components is formed
-    once per call and the sign of the read of h is applied after it.
-    """
-    if a.valence != 2:
-        raise TensorError("endomorphism base must have valence 2")
-    if ("sym", 0, 1) not in a.descriptor.ops:
-        raise TensorError("endomorphism base must be declared symmetric")
-    chart = h.chart
-    k = h.valence
-    desc = h.descriptor.with_extra(("anti", k, k + 1))
-    products: dict = {}
-
-    def entry(idx):
-        head, x, y = idx[:k], idx[k], idx[k + 1]
-        total = ZERO
-        for s in range(k):
-            for c, e, sign in ((x, y, 1), (y, x, -1)):
-                # a is symmetric, so a stored read of it has sign 1
-                av, _ = a.stored((c, head[s]))
-                if av is None:
-                    continue
-                hv, h_sign = h.stored(head[:s] + (e,) + head[s + 1:])
-                if hv is not None:
-                    p = _times(products, av, hv)
-                    total = total + p if sign * h_sign == 1 else total - p
-        return total
-
-    return Tensor.compute(chart, k + 2, desc, entry)
+                     common_descriptor, dot_action, raised_last, tachibana)
 
 
 # ---------------------------------------------------------------------------
 # identity checking
-
-
-def evaluate_tensor_ast(node, bundle: CurvatureBundle, cache: dict) -> Tensor:
-    """Evaluate a tensor AST node against a bundle, memoized by node."""
-    if node in cache:
-        return cache[node]
-    if isinstance(node, TName):
-        out = bundle.tensor(node.name)
-    elif isinstance(node, TDot):
-        out = dot_action(evaluate_tensor_ast(node.left, bundle, cache),
-                         evaluate_tensor_ast(node.right, bundle, cache),
-                         bundle.metric)
-    elif isinstance(node, TQ):
-        out = tachibana(evaluate_tensor_ast(node.metric_like, bundle, cache),
-                        evaluate_tensor_ast(node.operand, bundle, cache))
-    elif isinstance(node, TWedge):
-        out = kulkarni_nomizu(evaluate_tensor_ast(node.left, bundle, cache),
-                              evaluate_tensor_ast(node.right, bundle, cache))
-    elif isinstance(node, TNabla):
-        if isinstance(node.operand, TName):
-            out = bundle.nabla(node.operand.name)
-        else:
-            out = covariant_derivative(
-                evaluate_tensor_ast(node.operand, bundle, cache),
-                bundle.connection)
-    else:
-        raise TensorError(f"unsupported tensor node {node!r}")
-    cache[node] = out
-    return out
 
 
 @dataclass(frozen=True)

@@ -498,7 +498,9 @@ class _IdentityParser(_ExprParser):
         self.symbols = {*chart.coords, *chart.functions, *chart.constants,
                         *BUILTIN_CONSTANTS}
 
-    def side(self) -> list[Term]:
+    def side(self, end: str) -> list[Term]:
+        """Summands up to the token `end`: '=' on the left, the end of the
+        input ('') on the right."""
         terms: list[Term] = []
         sign = -1 if self.cur.accept("-") else 1
         while True:
@@ -509,8 +511,10 @@ class _IdentityParser(_ExprParser):
                 sign = 1
             elif self.cur.accept("-"):
                 sign = -1
+            elif self.cur.peek().text != end:
+                self.cur.fail(
+                    f"unexpected trailing input {self.cur.peek().text!r}")
             else:
-                self.cur.expect_end()
                 return terms
 
     def summand(self, sign: int) -> Term | None:
@@ -554,7 +558,7 @@ class _IdentityParser(_ExprParser):
         self.cur.pos = start
         try:
             self.tensor_atom()
-            return self.cur.peek().text in ("+", "-", "")
+            return self.cur.peek().text in ("+", "-", "=", "")
         except ParseError:
             return False
         finally:
@@ -592,8 +596,10 @@ class _IdentityParser(_ExprParser):
 def parse_identity(text: str, chart: Chart) -> IdentityAst:
     if text.count("=") != 1:
         raise ParseError("an identity needs exactly one '='", 1, 1)
-    left, right = (_IdentityParser(_Cursor(_tokenize(part)), chart).side()
-                   for part in text.split("="))
+    parser = _IdentityParser(_Cursor(_tokenize(text)), chart)
+    left = parser.side("=")
+    parser.cur.next()
+    right = parser.side("")
     if not left and not right:
         raise ParseError("identity 0 = 0 has no content", 1, 1)
     valences = {tensor_ast_valence(t.tensor) for t in left + right}

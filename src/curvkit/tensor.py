@@ -1,6 +1,10 @@
 """Valence-(0,k) component tables with symmetry-aware sparse storage, the
 metric with every contraction by its inverse, covariant differentiation,
-and Kulkarni-Nomizu products.
+Kulkarni-Nomizu products and the operator actions.
+
+Two tensor-valued operations extend a (0,k) tensor to a (0,k+2) tensor: the
+action of a curvature-type operator as a derivation, and the endomorphism
+action attached to a symmetric (0,2) tensor.
 
 Indices are 0-based internally; every public text format is 1-based.
 """
@@ -8,7 +12,6 @@ Indices are 0-based internally; every public text format is 1-based.
 from __future__ import annotations
 
 import itertools
-import json
 import operator
 from dataclasses import dataclass, field
 
@@ -462,6 +465,91 @@ def kulkarni_nomizu(a: Tensor, e: Tensor) -> Tensor:
     return Tensor.compute(a.chart, 4, D_RIEMANN, entry)
 
 
+def _times(products: dict, a: Expression, b: Expression) -> Expression:
+    """a * b, formed once per pair of stored objects: products is keyed by
+    the operands' identities and lives for one call, whose tables keep
+    both operands alive."""
+    key = (id(a), id(b))
+    p = products.get(key)
+    if p is None:
+        p = products[key] = a * b
+    return p
+
+
+def dot_action(d: Tensor, h: Tensor, g: Metric) -> Tensor:
+    """Act the operator attached to d on h, producing a (0,k+2) tensor.
+
+    Component rule: (d.h)[i1..ik, x, y] = -sum over slots s and l of
+    d^l[x, y, i_s] * h[.. l at s ..], where the l index is raised with g
+    on d's fourth slot.
+
+    Each product of a raised entry and a stored component of h is formed
+    once per call and signed after the lookup: total - w*(-v) is written
+    total + w*v.  The bytes are those of multiplying each signed read,
+    since w*(-v) is -(w*v) term for term (see raised_last).
+    """
+    if d.valence != 4:
+        raise TensorError("operator tensor must have valence 4")
+    if ("anti", 0, 1) not in d.descriptor.ops:
+        raise TensorError("operator tensor must be antisymmetric in its "
+                          "first index pair")
+    chart = h.chart
+    k = h.valence
+    raised = raised_last(d, g)
+    desc = h.descriptor.with_extra(("anti", k, k + 1))
+    products: dict = {}
+
+    def entry(idx):
+        head, x, y = idx[:k], idx[k], idx[k + 1]
+        total = ZERO
+        for s in range(k):
+            for l, w in raised[(x, y, head[s])]:
+                v, sign = h.stored(head[:s] + (l,) + head[s + 1:])
+                if v is not None:
+                    p = _times(products, w, v)
+                    total = total - p if sign == 1 else total + p
+        return total
+
+    return Tensor.compute(chart, k + 2, desc, entry)
+
+
+def tachibana(a: Tensor, h: Tensor) -> Tensor:
+    """Endomorphism action Q(a,h): a (0,k+2) tensor, antisymmetric in the
+    trailing pair.
+
+    Component rule: Q(a,h)[i1..ik, x, y] = sum over slots s of
+    a[x, i_s] * h[.. y at s ..] - a[y, i_s] * h[.. x at s ..].
+
+    As in dot_action, each product of two stored components is formed
+    once per call and the sign of the read of h is applied after it.
+    """
+    if a.valence != 2:
+        raise TensorError("endomorphism base must have valence 2")
+    if ("sym", 0, 1) not in a.descriptor.ops:
+        raise TensorError("endomorphism base must be declared symmetric")
+    chart = h.chart
+    k = h.valence
+    desc = h.descriptor.with_extra(("anti", k, k + 1))
+    products: dict = {}
+
+    def entry(idx):
+        head, x, y = idx[:k], idx[k], idx[k + 1]
+        total = ZERO
+        for s in range(k):
+            for c, e, sign in ((x, y, 1), (y, x, -1)):
+                # a is symmetric, so a stored read of it has sign 1
+                av, _ = a.stored((c, head[s]))
+                if av is None:
+                    continue
+                hv, h_sign = h.stored(head[:s] + (e,) + head[s + 1:])
+                if hv is not None:
+                    p = _times(products, av, hv)
+                    total = total + p if sign * h_sign == 1 else total - p
+        return total
+
+    return Tensor.compute(chart, k + 2, desc, entry)
+
+
 def trace2(t: Tensor, g: Metric) -> Expression:
     """Full metric trace of a (0,2) tensor."""
     if t.valence != 2:
@@ -509,6 +597,7 @@ def format_dump(name: str, t: Tensor, fmt: str = "text") -> str:
     if fmt == "text":
         return "\n".join(format_component_lines(name, t))
     if fmt == "json-lines":
+        import json
         rows = []
         for idx, v in t.iter_nonzero():
             rows.append(json.dumps(

@@ -283,7 +283,7 @@ class TestErrors:
     def test_non_decimal_digit_in_identity(self, capsys):
         code, out, err = run(capsys, "check", "vaidya", "R.R = \u00b2*Q(g,R)")
         assert code == 2 and out == ""
-        assert err == ("error: line 1, column 2: unknown identifier "
+        assert err == ("error: line 1, column 7: unknown identifier "
                        "'\u00b2'\n")
 
     @pytest.mark.parametrize("text,column", [
@@ -308,8 +308,20 @@ class TestErrors:
     def test_identity_exponent_out_of_range(self, capsys):
         code, out, err = run(capsys, "check", "vaidya", "R.R = r^99*Q(g,R)")
         assert code == 2 and out == ""
-        assert re.fullmatch(r"error: line 1, column \d+: exponent must be "
-                            r"from -64 to 64\n", err), err
+        assert err == "error: line 1, column 9: exponent must be from -64 to 64\n"
+
+    @pytest.mark.parametrize("identity,column,message", [
+        ("R.R = L*Q(g,R) S", 16, "unexpected trailing input 'S'"),
+        ("R R = S", 3, "unexpected trailing input 'R'"),
+        ("= R", 1, "expected an expression, found '='"),
+        ("R.R = 2*(r + 1", 15, "expected ')', found 'end of input'"),
+    ])
+    def test_identity_error_column(self, capsys, identity, column, message):
+        """Columns count from the start of the identity on both sides of
+        its '='."""
+        code, out, err = run(capsys, "check", "vaidya", identity)
+        assert code == 2 and out == ""
+        assert err == f"error: line 1, column {column}: {message}\n"
 
 
 def test_closed_stdout_exits_quietly():
@@ -332,8 +344,9 @@ def test_closed_stdout_exits_quietly():
 
 def test_benchmark_tracer_still_wraps_every_name(tmp_path):
     """bench/tracing.py wraps curvkit functions by name for the per-layer
-    benchmark; a renamed or deleted one makes install raise.  It rebinds
-    module globals, so it runs in its own process."""
+    benchmark; a renamed or deleted one makes install raise, and a call
+    that bypasses the wrapped module global drops out of the trace.  It
+    rebinds module globals, so it runs in its own process."""
     root = CATALOG.parent
     trace = tmp_path / "trace.jsonl"
     code = (
@@ -343,16 +356,129 @@ def test_benchmark_tracer_still_wraps_every_name(tmp_path):
         "from curvkit import cli\n"
         f"tr = tracing.Tracer({str(trace)!r})\n"
         "tracing.install(tr)\n"
-        "code = cli.main(['compute', 'vaidya', 'R'])\n"
+        "codes = [cli.main(['compute', 'vaidya', 'R']),\n"
+        "         cli.main(['compute', 'vaidya', 'dot:R.R']),\n"
+        "         cli.main(['check', 'vaidya', 'R.R = L*Q(g,R)'])]\n"
         "tr.flush()\n"
-        "sys.exit(code)\n")
+        "print('codes', *codes)\n")
     env = dict(os.environ, CURVKIT_CATALOG_DIR=str(CATALOG))
     p = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True, env=env, cwd=tmp_path, timeout=120)
     assert p.returncode == 0, p.stderr
     assert p.stdout.startswith("R[1][2][1][2] = ")
-    counts = json.loads(trace.read_text().splitlines()[-1])["counts"]
+    assert p.stdout.endswith("\ncodes 0 0 1\n")
+    *spans, last = map(json.loads, trace.read_text().splitlines())
+    counts = last["counts"]
     assert counts["compute_calls"] > 0 and counts["entries_evaluated"] > 0
+    assert counts["eval_lookups"] > 0
+    assert {"operators.dot_action", "operators.tachibana",
+            "operators.check_identity"} <= {s["name"] for s in spans}
+
+
+# -- each verb loads only the modules it runs ---------------------------------
+
+SRC = CATALOG.parent / "src"
+ALL_MODULES = {"curvkit"} | {f"curvkit.{p.stem}" for p in
+                             (SRC / "curvkit").glob("*.py")
+                             if p.stem != "__init__"}
+
+
+def _fresh(code: str, *argv: str) -> str:
+    """Run code in a new interpreter with curvkit on its path and return
+    its stdout."""
+    env = dict(os.environ, CURVKIT_CATALOG_DIR=str(CATALOG),
+               PYTHONPATH=str(SRC))
+    p = subprocess.run([sys.executable, "-c", code, *argv],
+                       capture_output=True, text=True, env=env, timeout=120)
+    assert p.returncode == 0, p.stderr
+    return p.stdout
+
+
+_LOADED = (
+    "import contextlib, io, sys\n"
+    "import curvkit.cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = curvkit.cli.main(sys.argv[1:])\n"
+    "print(code, *sorted(m for m in sys.modules\n"
+    "                    if m.split('.')[0] == 'curvkit'))\n")
+
+
+def _loaded(*argv: str) -> tuple[int, set]:
+    code, *modules = _fresh(_LOADED, *argv).split()
+    return int(code), set(modules)
+
+
+@pytest.mark.parametrize("name", ["R", "nabla:S", "dot:R.R", "Q:g.R",
+                                  "kappa", "ginv", "gamma"])
+def test_compute_loads_no_decision_module(name):
+    code, modules = _loaded("compute", "vaidya", name)
+    assert code == 0
+    assert "curvkit.tensor" in modules
+    assert not modules & {"curvkit.operators", "curvkit.classify"}
+
+
+def test_check_loads_no_classify():
+    code, modules = _loaded("check", "vaidya", "C.C = L*Q(g,C)")
+    assert code == 0
+    assert "curvkit.operators" in modules
+    assert "curvkit.classify" not in modules
+
+
+@pytest.mark.parametrize("argv", [("classify", "sphere2"),
+                                  ("compare", "sphere2", "minkowski")])
+def test_classify_loads_every_module(argv):
+    code, modules = _loaded(*argv)
+    assert code == 0
+    assert modules == ALL_MODULES | {"curvkit.cli"}
+
+
+def test_package_names_resolve_to_their_defining_modules():
+    """Every public name is the object of the module that defines it; a
+    name outside __all__ raises at once and loads nothing."""
+    out = _fresh(
+        "import sys, types\n"
+        "import curvkit\n"
+        "try:\n"
+        "    curvkit.operators\n"
+        "except AttributeError:\n"
+        "    print('no operators')\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('curvkit.')))\n"
+        "home = {'ZERO': 'expr', 'ONE': 'expr', 'CONDITION_NAMES': 'classify'}\n"
+        "names = [n for n in curvkit.__all__ if n != '__version__']\n"
+        "for name in names:\n"
+        "    obj = getattr(curvkit, name)\n"
+        "    module = (obj.__module__\n"
+        "              if isinstance(obj, (type, types.FunctionType))\n"
+        "              else 'curvkit.' + home[name])\n"
+        "    assert getattr(sys.modules[module], name) is obj, name\n"
+        "print('checked', len(names))\n")
+    assert out.splitlines() == ["no operators", "", "checked 40"]
+
+
+@pytest.mark.parametrize("argv", [("classify", "sphere2"),
+                                  ("compare", "sphere2", "minkowski")])
+def test_classify_stays_the_function_after_a_verb(argv):
+    out = _fresh(
+        "import contextlib, io, sys\n"
+        "import curvkit, curvkit.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    curvkit.cli.main(sys.argv[1:])\n"
+        "print(curvkit.classify is sys.modules['curvkit.classify'].classify)\n",
+        *argv)
+    assert out == "True\n"
+
+
+def test_submodule_imported_first_holds_the_name_until_a_public_access():
+    """Importing the submodule curvkit.classify before any public name is
+    read binds the package's `classify` to the submodule; the first public
+    access binds every public name, and `classify` becomes the function."""
+    out = _fresh(
+        "import types\n"
+        "import curvkit.classify\n"
+        "print(isinstance(curvkit.classify, types.ModuleType))\n"
+        "curvkit.CurvatureBundle\n"
+        "print(isinstance(curvkit.classify, types.FunctionType))\n")
+    assert out == "True\nTrue\n"
 
 
 # -- no input ends in a traceback ---------------------------------------------

@@ -385,6 +385,9 @@ class TestRaisedLast:
             return lookup(t, g)
 
         monkeypatch.setattr(tensor_mod, "_raise_last", counted_build)
+        # the operator actions look it up in tensor, the compatibility
+        # decisions in operators
+        monkeypatch.setattr(tensor_mod, "raised_last", counted_lookup)
         monkeypatch.setattr(operators, "raised_last", counted_lookup)
         classify(b)
         assert len(builds) == len({id(t) for t in builds})
