@@ -2,8 +2,9 @@
 against one metric and render the verdicts as a stable text report.
 
 Each catalog row is either backed by a formula in the identity grammar
-(decided by check_identity over a shared evaluation cache) or by a custom
-decision procedure (decompositions, recurrences, compatibility solves).
+(decided by check_identity) or by a custom decision procedure
+(decompositions, recurrences, compatibility solves).  The operations the
+rows repeat run once per set of operand tensors, in the bundle's memo.
 Rows whose decision procedure is not implemented are reported as
 not-evaluated, never as fails.
 """
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 from .expr import format_expression
 from .parsing import parse_identity
-from .curvature import CurvatureBundle
+from .curvature import CurvatureBundle, once
 from .tensor import Descriptor, TensorError, endo_square
 from .operators import (
     first_residual, check_identity, two_form_recurrence, one_form_recurrence,
@@ -80,26 +81,18 @@ def _verdict(hit):
 
 
 class _Evaluator:
-    """One classification pass over a single bundle.
-
-    Caches the tensor-expression evaluations so the pseudosymmetry rows
-    share their (0,6) products, and memoizes the Ricci decomposition.
-    """
+    """One classification pass over a single bundle."""
 
     def __init__(self, bundle: CurvatureBundle):
         self.bundle = bundle
-        self.cache = {}
-        self._decomposition = None
 
     @property
     def decomposition(self):
-        if self._decomposition is None:
-            self._decomposition = ricci_decompose(self.bundle)
-        return self._decomposition
+        return once(self.bundle.memo, ricci_decompose, self.bundle)
 
     def identity(self, formula: str):
         ast = parse_identity(formula, self.bundle.chart)
-        check = check_identity(ast, self.bundle, self.cache)
+        check = check_identity(ast, self.bundle)
         if check.holds:
             wit = [(u, format_expression(check.solved[u]))
                    for u in sorted(check.solved)]
@@ -199,16 +192,17 @@ class _Evaluator:
         return self._recurrence(recurrent_tensor(self.bundle, name))
 
     def ricci_compatible(self, name: str):
-        d = self.bundle.tensor(name)
-        res = compatibility_check(d, self.bundle.ricci, self.bundle.metric)
+        b = self.bundle
+        res = once(b.memo, compatibility_check, b.tensor(name), b.ricci,
+                   b.metric)
         return _verdict(None if res.holds
                         else (res.witness_component, res.witness_value))
 
     def compatible_family(self, name: str):
-        d = self.bundle.tensor(name)
-        fam = compatible_space(d, self.bundle.metric)
+        b = self.bundle
+        fam = once(b.memo, compatible_space, b.tensor(name), b.metric)
         wit = [("param_count", str(fam.param_count))]
-        n = self.bundle.dim
+        n = b.dim
         params = set(fam.params)
         for i in range(n):
             for j in range(n):

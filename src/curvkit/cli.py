@@ -119,7 +119,7 @@ def cmd_compute(args) -> int:
     else:
         display, node = _parse_compute_name(args.name)
         try:
-            tensor = evaluate_tensor_ast(node, bundle, {})
+            tensor = evaluate_tensor_ast(node, bundle, bundle.memo)
         except ExprError as e:
             raise CliError(str(e))
         out = format_dump(display, tensor, fmt)

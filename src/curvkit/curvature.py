@@ -1,6 +1,10 @@
 """Levi-Civita connection, the curvature tensors built from it, the
 energy-momentum tensor, and the evaluation of tensor expressions over them.
 
+Each operation a bundle repeats runs once per set of operand objects (see
+once), and a tensor plus a zero tensor is the tensor itself (Tensor.add):
+on a Ricci-flat metric C, K and W are R, and their products are R's.
+
 Sign conventions are calibrated once against a numeric divided-difference
 oracle and frozen:
 
@@ -109,7 +113,7 @@ class CurvatureBundle:
         self.chart: Chart = spec.chart
         self.name = spec.name
         self.metric = Metric(spec.chart, spec.matrix, spec.name)
-        self._nabla_cache: dict[str, Tensor] = {}
+        self.memo: dict[tuple, tuple] = {}
 
     @property
     def dim(self) -> int:
@@ -193,40 +197,44 @@ class CurvatureBundle:
         return getattr(self, attr)
 
     def nabla(self, name: str) -> Tensor:
-        t = self._nabla_cache.get(name)
-        if t is None:
-            t = covariant_derivative(self.tensor(name), self.connection)
-            self._nabla_cache[name] = t
-        return t
+        return once(self.memo, covariant_derivative, self.tensor(name),
+                    self.connection)
 
     def divergence(self, name: str) -> Tensor:
-        return divergence_first(self.nabla(name), self.metric)
+        return once(self.memo, divergence_first, self.nabla(name),
+                    self.metric)
 
 
-def evaluate_tensor_ast(node, bundle: CurvatureBundle, cache: dict) -> Tensor:
-    """Evaluate a tensor AST node against a bundle, memoized by node."""
-    if node in cache:
-        return cache[node]
+def once(memo: dict, fn, *operands):
+    """fn(*operands), computed once per fn and operand objects: the entry
+    keeps its operands alive, so that no id in its key is reused.  fn is
+    passed as a module global, so a wrapper rebound there sees each call."""
+    key = (fn,) + tuple(map(id, operands))
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = (operands, fn(*operands))
+    return got[1]
+
+
+def evaluate_tensor_ast(node, bundle: CurvatureBundle, memo: dict) -> Tensor:
+    """Evaluate a tensor AST node against a bundle; memo is bundle.memo."""
     if isinstance(node, TName):
-        out = bundle.tensor(node.name)
-    elif isinstance(node, TDot):
-        out = dot_action(evaluate_tensor_ast(node.left, bundle, cache),
-                         evaluate_tensor_ast(node.right, bundle, cache),
-                         bundle.metric)
-    elif isinstance(node, TQ):
-        out = tachibana(evaluate_tensor_ast(node.metric_like, bundle, cache),
-                        evaluate_tensor_ast(node.operand, bundle, cache))
-    elif isinstance(node, TWedge):
-        out = kulkarni_nomizu(evaluate_tensor_ast(node.left, bundle, cache),
-                              evaluate_tensor_ast(node.right, bundle, cache))
-    elif isinstance(node, TNabla):
-        if isinstance(node.operand, TName):
-            out = bundle.nabla(node.operand.name)
-        else:
-            out = covariant_derivative(
-                evaluate_tensor_ast(node.operand, bundle, cache),
-                bundle.connection)
-    else:
-        raise TensorError(f"unsupported tensor node {node!r}")
-    cache[node] = out
-    return out
+        return bundle.tensor(node.name)
+    if isinstance(node, TDot):
+        return once(memo, dot_action,
+                    evaluate_tensor_ast(node.left, bundle, memo),
+                    evaluate_tensor_ast(node.right, bundle, memo),
+                    bundle.metric)
+    if isinstance(node, TQ):
+        return once(memo, tachibana,
+                    evaluate_tensor_ast(node.metric_like, bundle, memo),
+                    evaluate_tensor_ast(node.operand, bundle, memo))
+    if isinstance(node, TWedge):
+        return once(memo, kulkarni_nomizu,
+                    evaluate_tensor_ast(node.left, bundle, memo),
+                    evaluate_tensor_ast(node.right, bundle, memo))
+    if isinstance(node, TNabla):
+        return once(memo, covariant_derivative,
+                    evaluate_tensor_ast(node.operand, bundle, memo),
+                    bundle.connection)
+    raise TensorError(f"unsupported tensor node {node!r}")

@@ -86,16 +86,13 @@ def first_residual(walk, residual):
     return None
 
 
-def check_identity(ast: IdentityAst, bundle: CurvatureBundle,
-                   cache: dict | None = None) -> IdentityCheck:
+def check_identity(ast: IdentityAst, bundle: CurvatureBundle) -> IdentityCheck:
     """Decide a tensor identity, solving for any unknown scalars."""
-    if cache is None:
-        cache = {}
     concrete = []
     unknown_terms = {u: [] for u in ast.unknowns}
     for side, sgn in ((ast.left, 1), (ast.right, -1)):
         for term in side:
-            t = evaluate_tensor_ast(term.tensor, bundle, cache)
+            t = evaluate_tensor_ast(term.tensor, bundle, bundle.memo)
             coeff = term.coeff if sgn == 1 else -term.coeff
             if term.unknown is None:
                 concrete.append((coeff, t))
@@ -462,31 +459,42 @@ class CompatibilityResult:
     witness_value: Expression | None = None
 
 
-def compatibility_check(d: Tensor, e: Tensor, g: Metric) -> CompatibilityResult:
-    """Zero-test the compatibility sum of e against a curvature-type d.
+def _compatibility(d: Tensor, g: Metric):
+    """The walk of the compatibility equations of a (0,2) tensor E with a
+    curvature-type d, and terms(idx): (row, column, coefficient) of each
+    entry of E in the equation at idx.
 
-    The condition is the cyclic sum over (i1,i2,i3) of
-    d(e_i1, e_i2, e_x, Ee_i3), with the endomorphism E raised from e by
-    g(X, E Y) = e(Y, X).  For pair-symmetric d this is the same condition
-    as putting E on the first slot, but it also extends correctly to
-    operators without the pair symmetry (the projective-type tensor).
-    """
-    n = d.chart.dim
-    raised = raised_last(e, g)
+    The equation is the cyclic sum over (i1,i2,i3) of d(e_i1, e_i2, e_x,
+    Ee_i3), E acting as the endomorphism g(X, E Y) = E(Y, X).  For
+    pair-symmetric d this is the condition with E on the first slot; it
+    also extends to operators without the pair symmetry (projective)."""
+    raised = raised_last(d, g)
 
-    def term(a, b, x, c):
-        v = ZERO
-        for l, w in raised[(c,)]:
-            dv = d.get((a, b, x, l))
-            if not dv.is_zero:
-                v = v + w * dv
-        return v
-
-    def residual(idx):
+    def terms(idx):
         i1, i2, i3, x = idx
-        return term(i1, i2, x, i3) + term(i2, i3, x, i1) + term(i3, i1, x, i2)
+        return [(c, m, dm)
+                for a, b, c in ((i1, i2, i3), (i2, i3, i1), (i3, i1, i2))
+                for m, dm in raised[(a, b, x)]]
 
-    hit = first_residual(Descriptor(_cyclic_ops(d)).reps(n, 4), residual)
+    return Descriptor(_cyclic_ops(d)).reps(d.chart.dim, 4), terms
+
+
+def _substituted(terms, entry) -> Expression:
+    """The sum over terms of coefficient * entry(row, column)."""
+    total = ZERO
+    for c, m, cv in terms:
+        v = entry(c, m)
+        if not v.is_zero:
+            total = total + cv * v
+    return total
+
+
+def compatibility_check(d: Tensor, e: Tensor, g: Metric) -> CompatibilityResult:
+    """Zero-test the compatibility equations of e against a curvature-type
+    d: the residual of compatible_space's equations at E = e."""
+    walk, terms = _compatibility(d, g)
+    hit = first_residual(walk, lambda idx: _substituted(
+        terms(idx), lambda c, m: e.get((c, m))))
     if hit is None:
         return CompatibilityResult(True)
     return CompatibilityResult(False, *hit)
@@ -517,16 +525,7 @@ def compatible_space(d: Tensor, g: Metric) -> CompatibleFamily:
     n = chart.dim
     name = [[f"a{i + 1}{j + 1}" for j in range(n)] for i in range(n)]
     unknowns = [name[m][a] for a in range(n) for m in range(n)]
-    raised = raised_last(d, g)
-
-    def terms(idx):
-        """(row, column, coefficient) of each unknown entry at idx."""
-        i1, i2, i3, x = idx
-        return [(c, m, dm)
-                for a, b, c in ((i1, i2, i3), (i2, i3, i1), (i3, i1, i2))
-                for m, dm in raised[(a, b, x)]]
-
-    walk = Descriptor(_cyclic_ops(d)).reps(n, 4)
+    walk, terms = _compatibility(d, g)
     result = solve_at(walk, unknowns, lambda idx: (
         [(name[c][m], cv) for c, m, cv in terms(idx)], ZERO))
     if not result.consistent:
@@ -549,13 +548,8 @@ def compatible_space(d: Tensor, g: Metric) -> CompatibleFamily:
                          for j in range(n)) for i in range(n))
     params = tuple(prefix + u[1:] for u in unknowns if u in result.free)
 
-    def residual(idx):
-        total = ZERO
-        for c, m, cv in terms(idx):
-            total = total + cv * matrix[c][m]
-        return total
-
-    hit = first_residual(walk, residual)
+    hit = first_residual(walk, lambda idx: _substituted(
+        terms(idx), lambda c, m: matrix[c][m]))
     if hit is not None:
         raise TensorError(f"compatible family fails substitution at {hit[0]}")
     return CompatibleFamily(matrix, params)

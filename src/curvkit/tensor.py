@@ -256,10 +256,14 @@ class Tensor:
 
     def add(self, other: "Tensor") -> "Tensor":
         """Componentwise sum; the result keeps only symmetries common to both
-        descriptors (set intersection of ops)."""
+        descriptors (set intersection of ops).  A zero operand whose common
+        descriptor with the other is the other's own gives that other."""
         self._check_same_shape(other)
-        return Tensor.compute(self.chart, self.valence,
-                              common_descriptor((self, other)),
+        desc = common_descriptor((self, other))
+        for t, zero in ((self, other), (other, self)):
+            if zero.is_zero and desc is t.descriptor:
+                return t
+        return Tensor.compute(self.chart, self.valence, desc,
                               lambda idx: self.get(idx) + other.get(idx))
 
     def sub(self, other: "Tensor") -> "Tensor":

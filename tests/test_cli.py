@@ -1,5 +1,6 @@
 """End-to-end command-line tests: byte-stable dumps, verdicts, exit codes,
 catalog resolution."""
+import collections
 import contextlib
 import io
 import json
@@ -342,11 +343,10 @@ def test_closed_stdout_exits_quietly():
     assert p.stderr == b""
 
 
-def test_benchmark_tracer_still_wraps_every_name(tmp_path):
-    """bench/tracing.py wraps curvkit functions by name for the per-layer
-    benchmark; a renamed or deleted one makes install raise, and a call
-    that bypasses the wrapped module global drops out of the trace.  It
-    rebinds module globals, so it runs in its own process."""
+def _traced(tmp_path, *argvs):
+    """Run each argv through cli.main under bench/tracing.py, in a process
+    of its own since the tracer rebinds module globals; returns the
+    stdout, the spans and the counters."""
     root = CATALOG.parent
     trace = tmp_path / "trace.jsonl"
     code = (
@@ -356,23 +356,42 @@ def test_benchmark_tracer_still_wraps_every_name(tmp_path):
         "from curvkit import cli\n"
         f"tr = tracing.Tracer({str(trace)!r})\n"
         "tracing.install(tr)\n"
-        "codes = [cli.main(['compute', 'vaidya', 'R']),\n"
-        "         cli.main(['compute', 'vaidya', 'dot:R.R']),\n"
-        "         cli.main(['check', 'vaidya', 'R.R = L*Q(g,R)'])]\n"
+        f"codes = [cli.main(argv) for argv in {list(argvs)!r}]\n"
         "tr.flush()\n"
         "print('codes', *codes)\n")
     env = dict(os.environ, CURVKIT_CATALOG_DIR=str(CATALOG))
     p = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True, env=env, cwd=tmp_path, timeout=120)
     assert p.returncode == 0, p.stderr
-    assert p.stdout.startswith("R[1][2][1][2] = ")
-    assert p.stdout.endswith("\ncodes 0 0 1\n")
     *spans, last = map(json.loads, trace.read_text().splitlines())
-    counts = last["counts"]
+    return p.stdout, spans, last["counts"]
+
+
+def test_benchmark_tracer_still_wraps_every_name(tmp_path):
+    """bench/tracing.py wraps curvkit functions by name for the per-layer
+    benchmark; a renamed or deleted one makes install raise, and a call
+    that bypasses the wrapped module global drops out of the trace."""
+    out, spans, counts = _traced(
+        tmp_path, ["compute", "vaidya", "R"], ["compute", "vaidya", "dot:R.R"],
+        ["check", "vaidya", "R.R = L*Q(g,R)"])
+    assert out.startswith("R[1][2][1][2] = ")
+    assert out.endswith("\ncodes 0 0 1\n")
     assert counts["compute_calls"] > 0 and counts["entries_evaluated"] > 0
     assert counts["eval_lookups"] > 0
     assert {"operators.dot_action", "operators.tachibana",
             "operators.check_identity"} <= {s["name"] for s in spans}
+
+
+def test_benchmark_tracer_sees_each_classify_product_once(tmp_path):
+    """The bundle's memo calls the wrapped module globals, so a traced
+    classify shows one span per distinct product: on Ricci-flat
+    Schwarzschild C is R, and its five dot rows need R.R and R.S only."""
+    out, spans, _ = _traced(tmp_path, ["classify", "schwarzschild"])
+    assert out.endswith("\ncodes 0\n")
+    names = collections.Counter(s["name"] for s in spans)
+    assert names["operators.dot_action"] == 2
+    assert names["operators.tachibana"] == 3
+    assert names["operators.compatible_space"] == 2
 
 
 # -- each verb loads only the modules it runs ---------------------------------

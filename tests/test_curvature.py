@@ -4,12 +4,13 @@ import itertools
 import pytest
 
 from curvkit import CurvatureBundle, TensorError, parse_metric_file
-from curvkit.curvature import christoffel
+from curvkit.curvature import christoffel, evaluate_tensor_ast
 from curvkit.expr import ZERO
+from curvkit.parsing import TName, TNabla
 from curvkit.tensor import D_RIEMANN, D_SYM2
 
 import vaidya_reference as ref
-from conftest import CATALOG, expect_components, expr
+from conftest import CATALOG, expect_components, expr, load_bundle
 
 BENCH_METRICS = CATALOG.parent / "bench" / "metrics"
 
@@ -108,6 +109,14 @@ class TestBundleApi:
         assert n1 is vaidya.nabla("S")
         assert n1.valence == 3
         assert vaidya.nabla("R").valence == 5
+
+    def test_nabla_is_the_evaluated_ast(self):
+        b = load_bundle("vaidya")
+        got = evaluate_tensor_ast(TNabla(TName("S")), b, b.memo)
+        assert got is b.nabla("S")
+        # kappa = 0 makes C the conharmonic tensor, so they share one nabla
+        assert b.nabla("C") is b.nabla("K")
+        assert b.divergence("C") is b.divergence("K")
 
     def test_divergence_shapes(self, vaidya):
         assert vaidya.divergence("S").valence == 1

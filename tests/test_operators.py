@@ -1,5 +1,7 @@
 """Operator actions, identity solving, recurrences, decompositions,
 compatibility families, on the catalog metrics."""
+import collections
+import importlib
 import itertools
 import sys
 
@@ -8,7 +10,7 @@ import pytest
 from curvkit import (CurvatureBundle, TensorError, operators,
                      parse_metric_file)
 from curvkit.classify import classify
-from curvkit import expr as expr_mod
+from curvkit import curvature as curvature_mod, expr as expr_mod
 from curvkit.expr import Atom, Expression
 from curvkit.operators import (
     dot_action, tachibana, check_identity, two_form_recurrence,
@@ -18,10 +20,14 @@ from curvkit.operators import (
 )
 from curvkit.linsolve import solve_linear
 from curvkit.parsing import parse_identity
-from curvkit.tensor import Descriptor, Tensor, D_SYM2, D_ANTI2, D_NONE2
+from curvkit.tensor import (Descriptor, Tensor, D_SYM2, D_ANTI2, D_NONE2,
+                            common_descriptor)
 
 import vaidya_reference as ref
-from conftest import expect_components, expr, load_bundle
+from conftest import CATALOG, expect_components, expr, load_bundle
+
+# `from curvkit import classify` gives the function of that name
+classify_mod = importlib.import_module("curvkit.classify")
 
 
 def check(bundle, text):
@@ -232,6 +238,15 @@ class TestCompatibility:
         assert not res.holds
         assert res.witness_component is not None
         assert not res.witness_value.is_zero
+        # the residual with e raised instead of R, as the check once summed
+        g, r = vaidya.metric, vaidya.riemann
+        i1, i2, i3, x = res.witness_component
+
+        def term(a, b, c):
+            return g.contract(lambda l, m: r.get((a, b, x, l)) * bad.get((c, m)))
+
+        assert res.witness_value == (term(i1, i2, i3) + term(i2, i3, i1)
+                                     + term(i3, i1, i2))
 
     def test_family_shape(self, vaidya):
         fam = compatible_space(vaidya.riemann, vaidya.metric)
@@ -273,6 +288,68 @@ class TestCompatibility:
         for i in (0, 1):
             for j in (2, 3):
                 assert m[i][j].is_zero
+
+
+def _add_always_computed(self, other):
+    """Tensor.add summing every component, with no operand returned as is."""
+    self._check_same_shape(other)
+    return Tensor.compute(self.chart, self.valence,
+                          common_descriptor((self, other)),
+                          lambda idx: self.get(idx) + other.get(idx))
+
+
+REPORT_METRICS = (sorted(CATALOG.glob("*.metric"))
+                  + [CATALOG.parent / "bench" / "metrics" / "taub-nut.metric"])
+
+
+class TestBundleMemo:
+    @pytest.mark.parametrize("name,dots,qs,spaces", [
+        ("schwarzschild", 2, 3, 2), ("minkowski", 2, 3, 2),
+        # kappa = 0 makes C the conharmonic tensor K
+        ("vaidya", 5, 5, 3), ("ludwig-edgar", 5, 5, 3)])
+    def test_classify_runs_each_operation_once(self, name, dots, qs, spaces,
+                                               monkeypatch):
+        calls = collections.Counter()
+
+        def counted(module, attr):
+            fn = getattr(module, attr)
+
+            def spy(*args):
+                calls[attr] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, attr, spy)
+
+        # the products are looked up in curvature, the families in classify
+        counted(curvature_mod, "dot_action")
+        counted(curvature_mod, "tachibana")
+        counted(classify_mod, "compatible_space")
+        classify(load_bundle(name))
+        assert calls == {"dot_action": dots, "tachibana": qs,
+                         "compatible_space": spaces}
+
+    @pytest.mark.parametrize("path", REPORT_METRICS, ids=lambda p: p.stem)
+    def test_report_same_as_with_every_sum_computed(self, path, monkeypatch):
+        text = path.read_text()
+        got = classify(CurvatureBundle(parse_metric_file(text))).render()
+        monkeypatch.setattr(Tensor, "add", _add_always_computed)
+        want = classify(CurvatureBundle(parse_metric_file(text))).render()
+        assert got == want
+
+    def test_vacuum_twins_are_riemann(self):
+        b = load_bundle("schwarzschild")
+        assert b.weyl is b.riemann
+        assert b.conharmonic is b.riemann
+        assert b.concircular is b.riemann
+        # P - R is zero too, but P keeps its own fewer symmetries
+        assert b.projective is not b.riemann
+        assert b.projective.descriptor is D_ANTI2
+
+    def test_scalar_flat_twins(self):
+        b = load_bundle("vaidya")
+        assert b.concircular is b.riemann
+        assert b.weyl is b.conharmonic
+        assert b.weyl is not b.riemann
 
 
 class TestWeakRicciSymmetry:

@@ -308,6 +308,19 @@ class TestTensor:
         assert s.get((0, 1)) == X + Y
         assert s.get((1, 0)) == X - Y
 
+    def test_adding_zero_gives_the_operand_itself(self):
+        t = _tensor({(0, 1): X})
+        zero = Tensor.from_reps(CHART, 2, D_SYM2, {})
+        assert t.add(zero) is t and zero.add(t) is t
+        assert t.sub(zero) is t
+
+    def test_zero_of_fewer_symmetries_still_sums(self):
+        t = _tensor({(0, 1): X})
+        zero = Tensor.from_reps(CHART, 2, D_NONE2, {})
+        s = t.add(zero)
+        assert s is not t and s.descriptor is D_NONE2
+        assert s.get((1, 0)) == X
+
     def test_equals(self):
         t = _tensor({(0, 1): X})
         u = Tensor.from_reps(CHART, 2, D_NONE2, {(0, 1): X, (1, 0): X})
