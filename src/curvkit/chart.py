@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .expr import ExprError
+from .expr import ExprError, Record
 
 # symbols every chart knows without declaration
 BUILTIN_CONSTANTS = ("c", "G", "pi")
@@ -14,16 +12,18 @@ class ChartError(ExprError):
     pass
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(Record):
     """Immutable chart: coordinate names, declared scalar functions with
     their argument lists, and declared constant symbols."""
 
-    coords: tuple[str, ...]
-    functions: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    constants: tuple[str, ...] = ()
+    __slots__ = ("coords", "functions", "constants")
 
-    def __post_init__(self):
+    def __init__(self, coords: tuple[str, ...],
+                 functions: dict[str, tuple[str, ...]] | None = None,
+                 constants: tuple[str, ...] = ()):
+        self.coords = coords
+        self.functions = {} if functions is None else functions
+        self.constants = constants
         if len(self.coords) < 2:
             raise ChartError("a chart needs at least two coordinates")
         names: list[str] = list(self.coords)

@@ -10,9 +10,7 @@ not-evaluated, never as fails.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .expr import format_expression
+from .expr import Record, format_expression
 from .parsing import parse_identity
 from .curvature import CurvatureBundle, once
 from .tensor import Descriptor, TensorError, endo_square
@@ -26,13 +24,16 @@ FAILS = "fails"
 NOT_EVALUATED = "not-evaluated"
 
 
-@dataclass(frozen=True)
-class ConditionResult:
+class ConditionResult(Record):
     """Verdict for one catalog row, with formatted witness pairs."""
-    name: str
-    verdict: str
-    witnesses: tuple = ()          # of (name, formatted value) pairs
-    formula: str = ""
+    __slots__ = ("name", "verdict", "witnesses", "formula")
+
+    def __init__(self, name: str, verdict: str, witnesses: tuple = (),
+                 formula: str = ""):
+        self.name = name
+        self.verdict = verdict
+        self.witnesses = witnesses   # of (name, formatted value) pairs
+        self.formula = formula
 
     def render(self) -> str:
         line = f"{self.name}: {self.verdict}"
@@ -41,11 +42,13 @@ class ConditionResult:
         return line
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    metric_name: str
-    dim: int
-    results: tuple
+class StructureReport(Record):
+    __slots__ = ("metric_name", "dim", "results")
+
+    def __init__(self, metric_name: str, dim: int, results: tuple):
+        self.metric_name = metric_name
+        self.dim = dim
+        self.results = results
 
     def result(self, name: str) -> ConditionResult:
         for r in self.results:

@@ -5,6 +5,9 @@ classify (structure report), compare (side-by-side reports), catalog list.
 
 Exit codes: 0 success / identity holds, 1 identity fails, 2 input error,
 3 degenerate metric.
+
+Each verb imports the modules it runs, so `catalog list` and a usage
+error load no curvkit module besides this one.
 """
 from __future__ import annotations
 
@@ -12,13 +15,6 @@ import argparse
 import os
 import sys
 from pathlib import Path
-
-from .expr import ExprError, format_expression
-from .parsing import (
-    parse_metric_file, parse_identity, DegenerateMetricError,
-    TENSOR_VALENCE, TName, TDot, TQ, TNabla, tensor_ast_str)
-from .tensor import Descriptor, Tensor, D_SYM2, format_dump
-from .curvature import CurvatureBundle, evaluate_tensor_ast
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -57,6 +53,9 @@ def resolve_metric_path(arg: str) -> Path:
 
 
 def load_bundle(arg: str) -> CurvatureBundle:
+    from .curvature import CurvatureBundle
+    from .expr import ExprError
+    from .parsing import DegenerateMetricError, parse_metric_file
     path = resolve_metric_path(arg)
     try:
         text = path.read_text()
@@ -79,6 +78,8 @@ def _brackets(component) -> str:
 
 def _parse_compute_name(name: str):
     """Map a compute argument to a display name and a tensor AST node."""
+    from .parsing import (TENSOR_VALENCE, TDot, TName, TNabla, TQ,
+                          tensor_ast_str)
     if name.startswith("nabla:"):
         if name[6:] not in TENSOR_VALENCE:
             raise CliError(f"unknown tensor in {name!r}")
@@ -97,6 +98,9 @@ def _parse_compute_name(name: str):
 
 
 def cmd_compute(args) -> int:
+    from .curvature import evaluate_tensor_ast
+    from .expr import ExprError, format_expression
+    from .tensor import D_SYM2, Descriptor, Tensor, format_dump
     bundle = load_bundle(args.metric)
     fmt = args.dump_format
     if args.name == "kappa":
@@ -136,7 +140,9 @@ def cmd_compute(args) -> int:
 # -- check ------------------------------------------------------------------
 
 def cmd_check(args) -> int:
+    from .expr import ExprError, format_expression
     from .operators import check_identity
+    from .parsing import parse_identity
     bundle = load_bundle(args.metric)
     try:
         ast = parse_identity(args.identity, bundle.chart)

@@ -17,8 +17,33 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
+
+
+class Record:
+    """Base of curvkit's plain records.  A subclass lists its fields, in
+    order, as __slots__ and sets them in its __init__.  Two records are
+    equal when they are of one type with equal fields, a record hashes
+    over its type and fields, and it shows as Name(field=value, ...).
+    Immutable by convention, as Expression is."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash((type(self), self._values()))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self.__slots__) + ")"
 
 
 class ExprError(Exception):

@@ -28,36 +28,49 @@ loop too; there is no second exact elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .expr import (Expression, ONE, ZERO, full_rank_at_point,
+from .expr import (Expression, ONE, Record, ZERO, full_rank_at_point,
                    pivots_at_point)
 
 
-@dataclass(frozen=True)
-class LinearEquation:
-    coeffs: dict          # unknown name -> Expression
-    rhs: Expression
-    label: tuple = ()     # the caller's index tuple
+class LinearEquation(Record):
+    __slots__ = ("coeffs", "rhs", "label")
+
+    def __init__(self, coeffs: dict, rhs: Expression, label: tuple = ()):
+        self.coeffs = coeffs   # unknown name -> Expression
+        self.rhs = rhs
+        self.label = label     # the caller's index tuple
 
 
-@dataclass(frozen=True)
-class AffineForm:
+class AffineForm(Record):
     """const + sum over free unknowns of coeff * unknown."""
-    const: Expression
-    coeffs: dict = field(default_factory=dict)
+    __slots__ = ("const", "coeffs")
+
+    def __init__(self, const: Expression, coeffs: dict | None = None):
+        self.const = const
+        self.coeffs = {} if coeffs is None else coeffs
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    status: str                       # unique | underdetermined | inconsistent
-    unknowns: tuple[str, ...]
-    solution: dict | None             # unknown -> AffineForm (None if inconsistent)
-    free: tuple[str, ...]
-    pivot_labels: dict                # pivot unknown -> index tuple that fixed it
-    witness_label: tuple = ()         # index tuple of the inconsistent equation
-    witness_residual: Expression = ZERO
-    partial: dict | None = None       # best-effort particular values on failure
+class SolveResult(Record):
+    __slots__ = ("status", "unknowns", "solution", "free", "pivot_labels",
+                 "witness_label", "witness_residual", "partial")
+
+    def __init__(self, status: str, unknowns: tuple[str, ...],
+                 solution: dict | None, free: tuple[str, ...],
+                 pivot_labels: dict, witness_label: tuple = (),
+                 witness_residual: Expression = ZERO,
+                 partial: dict | None = None):
+        self.status = status   # unique | underdetermined | inconsistent
+        self.unknowns = unknowns
+        # unknown -> AffineForm (None if inconsistent)
+        self.solution = solution
+        self.free = free
+        # pivot unknown -> index tuple that fixed it
+        self.pivot_labels = pivot_labels
+        # index tuple of the inconsistent equation
+        self.witness_label = witness_label
+        self.witness_residual = witness_residual
+        # best-effort particular values on failure
+        self.partial = partial
 
     @property
     def consistent(self) -> bool:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .curvature import CurvatureBundle, evaluate_tensor_ast
+from .curvature import CurvatureBundle, evaluate_tensor_ast, once
 from .expr import (Atom, Expression, ONE, PRIME, ZERO, _KIND_COORD,
                    _KIND_TRIG, gcd_mod_p, matrix_at_point)
 from .linsolve import LinearEquation, matrix_rank, solve_linear
@@ -26,6 +26,9 @@ from .tensor import (Descriptor, Metric, Tensor, TensorError,
 # ---------------------------------------------------------------------------
 # identity checking
 
+# The verdict records of this module stay dataclasses, where curvkit's
+# other records are expr.Record classes: bench/ops.py renders and
+# bench/tracing.py walks each result through dataclasses.fields.
 
 @dataclass(frozen=True)
 class IdentityWitness:
@@ -185,10 +188,16 @@ def two_form_recurrence(bundle: CurvatureBundle, name: str) -> RecurrenceResult:
     """Decide whether the 2-forms induced by a (0,4) curvature-type tensor
     are recurrent: the cyclic first-derivative sum over (i,j,k) must equal
     the same cyclic sum weighted by an unknown 1-form.
+
+    The three recurrences run once per tensor object, in the bundle's
+    memo: on a Ricci-flat metric C is R, and its row reuses R's solve.
     """
-    d = bundle.tensor(name)
-    nd = bundle.nabla(name)
-    n = bundle.dim
+    return once(bundle.memo, _two_form_recurrence, bundle.tensor(name),
+                bundle.nabla(name))
+
+
+def _two_form_recurrence(d: Tensor, nd: Tensor) -> RecurrenceResult:
+    n = d.chart.dim
     names = [f"P{i + 1}" for i in range(n)]
     ops = _cyclic_ops(d)
     if ("anti", 2, 3) in d.descriptor.ops:   # (x, y) fill d's second pair
@@ -207,9 +216,12 @@ def two_form_recurrence(bundle: CurvatureBundle, name: str) -> RecurrenceResult:
 
 def one_form_recurrence(bundle: CurvatureBundle, name: str) -> RecurrenceResult:
     """Same decision for the 1-forms induced by a symmetric (0,2) tensor."""
-    z = bundle.tensor(name)
-    nz = bundle.nabla(name)
-    n = bundle.dim
+    return once(bundle.memo, _one_form_recurrence, bundle.tensor(name),
+                bundle.nabla(name))
+
+
+def _one_form_recurrence(z: Tensor, nz: Tensor) -> RecurrenceResult:
+    n = z.chart.dim
     names = [f"P{i + 1}" for i in range(n)]
 
     def equation(idx):
@@ -225,9 +237,12 @@ def one_form_recurrence(bundle: CurvatureBundle, name: str) -> RecurrenceResult:
 
 def recurrent_tensor(bundle: CurvatureBundle, name: str) -> RecurrenceResult:
     """Decide plain recurrence nabla T = pi (x) T for an unknown 1-form."""
-    t = bundle.tensor(name)
-    nt = bundle.nabla(name)
-    n = bundle.dim
+    return once(bundle.memo, _recurrent_tensor, bundle.tensor(name),
+                bundle.nabla(name))
+
+
+def _recurrent_tensor(t: Tensor, nt: Tensor) -> RecurrenceResult:
+    n = t.chart.dim
     k = t.valence
     names = [f"P{i + 1}" for i in range(n)]
 

@@ -33,10 +33,9 @@ contributes nothing.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .chart import BUILTIN_CONSTANTS, Chart
-from .expr import Atom, Expression, ExprError, ONE, ZERO
+from .expr import Atom, Expression, ExprError, ONE, Record, ZERO
 from .linsolve import matrix_rank
 
 
@@ -64,12 +63,14 @@ _TOKEN = re.compile(r"(?P<NL>\n)|[ \t\r]+|(?P<INT>\d+)|(?P<NAME>[^\W\d]\w*)"
 MAX_EXPONENT = 64
 
 
-@dataclass
-class Token:
-    kind: str   # INT NAME PUNCT PRIME END
-    text: str
-    line: int
-    col: int
+class Token(Record):
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind   # INT NAME PUNCT PRIME END
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def _tokenize(text: str, line0: int = 1) -> list[Token]:
@@ -293,11 +294,14 @@ def parse_expression(text: str, chart: Chart, line0: int = 1) -> Expression:
 # ---------------------------------------------------------------------------
 # metric files
 
-@dataclass(frozen=True)
-class MetricSpec:
-    name: str
-    chart: Chart
-    matrix: tuple   # n x n tuple of tuples of Expressions, symmetric
+class MetricSpec(Record):
+    __slots__ = ("name", "chart", "matrix")
+
+    def __init__(self, name: str, chart: Chart, matrix: tuple):
+        self.name = name
+        self.chart = chart
+        # n x n tuple of tuples of Expressions, symmetric
+        self.matrix = matrix
 
     @property
     def dim(self) -> int:
@@ -407,47 +411,62 @@ TENSOR_VALENCE = {"R": 4, "S": 2, "C": 4, "P": 4, "W": 4, "K": 4, "G": 4,
 _RESERVED = frozenset(TENSOR_VALENCE) | {"Q", "wedge", "nabla"}
 
 
-@dataclass(frozen=True)
-class TName:
-    name: str
+class TName(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
-class TDot:
-    left: object
-    right: object
+class TDot(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
-class TQ:
-    metric_like: object
-    operand: object
+class TQ(Record):
+    __slots__ = ("metric_like", "operand")
+
+    def __init__(self, metric_like, operand):
+        self.metric_like = metric_like
+        self.operand = operand
 
 
-@dataclass(frozen=True)
-class TWedge:
-    left: object
-    right: object
+class TWedge(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
-class TNabla:
-    operand: object
+class TNabla(Record):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand):
+        self.operand = operand
 
 
-@dataclass(frozen=True)
-class Term:
-    coeff: Expression          # concrete scalar factor (sign folded in)
-    unknown: str | None        # unknown scalar name, or None
-    tensor: object             # tensor AST node
+class Term(Record):
+    __slots__ = ("coeff", "unknown", "tensor")
+
+    def __init__(self, coeff: Expression, unknown: str | None, tensor):
+        self.coeff = coeff       # concrete scalar factor (sign folded in)
+        self.unknown = unknown   # unknown scalar name, or None
+        self.tensor = tensor     # tensor AST node
 
 
-@dataclass(frozen=True)
-class IdentityAst:
-    left: tuple[Term, ...]
-    right: tuple[Term, ...]
-    valence: int
-    unknowns: tuple[str, ...]
+class IdentityAst(Record):
+    __slots__ = ("left", "right", "valence", "unknowns")
+
+    def __init__(self, left: tuple[Term, ...], right: tuple[Term, ...],
+                 valence: int, unknowns: tuple[str, ...]):
+        self.left = left
+        self.right = right
+        self.valence = valence
+        self.unknowns = unknowns
 
 
 def tensor_ast_str(node) -> str:

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
 
 from .chart import Chart
-from .expr import Expression, ExprError, ONE, ZERO
+from .expr import Expression, ExprError, ONE, Record, ZERO
 from .linsolve import LinearEquation, solve_linear
 
 
@@ -172,15 +171,18 @@ D_RIEMANN = Descriptor(RIEMANN)
 D_ANTI2 = Descriptor((("anti", 0, 1),))
 
 
-@dataclass(frozen=True)
-class Tensor:
+class Tensor(Record):
     """Immutable (0,k) component table storing nonzero canonical
     representatives only."""
 
-    chart: Chart
-    valence: int
-    descriptor: Descriptor
-    comps: dict = field(default_factory=dict)
+    __slots__ = ("chart", "valence", "descriptor", "comps")
+
+    def __init__(self, chart: Chart, valence: int, descriptor: Descriptor,
+                 comps: dict | None = None):
+        self.chart = chart
+        self.valence = valence
+        self.descriptor = descriptor
+        self.comps = {} if comps is None else comps
 
     @staticmethod
     def from_reps(chart: Chart, valence: int, descriptor: Descriptor,
@@ -415,12 +417,14 @@ def _raise_last(t: Tensor, g: Metric) -> dict:
 # ---------------------------------------------------------------------------
 # connection and covariant derivative
 
-@dataclass(frozen=True)
-class Connection:
+class Connection(Record):
     """Christoffel symbols gamma[l][i][j], symmetric in (i, j)."""
 
-    chart: Chart
-    gamma: tuple   # gamma[l][i][j] -> Expression
+    __slots__ = ("chart", "gamma")
+
+    def __init__(self, chart: Chart, gamma: tuple):
+        self.chart = chart
+        self.gamma = gamma   # gamma[l][i][j] -> Expression
 
     def __getitem__(self, lij):
         l, i, j = lij

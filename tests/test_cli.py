@@ -417,23 +417,40 @@ _LOADED = (
     "import contextlib, io, sys\n"
     "import curvkit.cli\n"
     "with contextlib.redirect_stdout(io.StringIO()):\n"
-    "    code = curvkit.cli.main(sys.argv[1:])\n"
+    "    try:\n"
+    "        code = curvkit.cli.main(sys.argv[2:])\n"
+    "    except SystemExit as e:\n"
+    "        code = e.code\n"
+    "tops = sys.argv[1].split(',')\n"
     "print(code, *sorted(m for m in sys.modules\n"
-    "                    if m.split('.')[0] == 'curvkit'))\n")
+    "                    if m.split('.')[0] in tops))\n")
 
 
-def _loaded(*argv: str) -> tuple[int, set]:
-    code, *modules = _fresh(_LOADED, *argv).split()
+def _loaded(*argv: str, tops=("curvkit",)) -> tuple[int, set]:
+    """Run the CLI on argv in a new interpreter; its exit code and the
+    loaded modules whose top-level package is in tops."""
+    code, *modules = _fresh(_LOADED, ",".join(tops), *argv).split()
     return int(code), set(modules)
 
 
 @pytest.mark.parametrize("name", ["R", "nabla:S", "dot:R.R", "Q:g.R",
                                   "kappa", "ginv", "gamma"])
 def test_compute_loads_no_decision_module(name):
-    code, modules = _loaded("compute", "vaidya", name)
+    """Nor the dataclass machinery: curvkit's records are expr.Record."""
+    code, modules = _loaded("compute", "vaidya", name,
+                            tops=("curvkit", "dataclasses", "inspect"))
     assert code == 0
     assert "curvkit.tensor" in modules
-    assert not modules & {"curvkit.operators", "curvkit.classify"}
+    assert not modules & {"curvkit.operators", "curvkit.classify",
+                          "dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("argv", [("catalog", "list"), ("compute", "vaidya"),
+                                  ("frobnicate",)])
+def test_catalog_and_usage_errors_load_only_the_cli(argv):
+    code, modules = _loaded(*argv)
+    assert code == (0 if argv[0] == "catalog" else 2)
+    assert modules == {"curvkit", "curvkit.cli"}
 
 
 def test_check_loads_no_classify():

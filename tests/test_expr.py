@@ -14,8 +14,11 @@ from curvkit import (Atom, CurvatureBundle, Expression, ZERO, ONE,
 from curvkit import expr as expr_mod
 from curvkit.expr import (DivisionByZeroExpression, PRIME, Poly, gcd_mod_p,
                           poly_gcd)
-from curvkit.chart import Chart
-from curvkit.parsing import parse_expression
+from curvkit.chart import Chart, ChartError
+from curvkit.linsolve import AffineForm
+from curvkit.parsing import (TDot, TName, TNabla, TQ, TWedge,
+                             parse_expression)
+from curvkit.tensor import D_SYM2, Tensor
 
 from conftest import CATALOG as CATALOG_DIR
 
@@ -270,6 +273,51 @@ class TestAtomIdentity:
     def test_bump_returns_the_interned_atom(self):
         assert Atom.func("f", ("t", "x")).bump("x") is \
             Atom.func("f", ("t", "x"), (0, 1))
+
+
+class TestRecord:
+    """expr.Record, the base of the plain records, compares, hashes and
+    prints as the frozen dataclasses it replaced did."""
+
+    def test_equal_within_one_type_only(self):
+        r, s = TName("R"), TName("S")
+        assert TDot(r, s) == TDot(TName("R"), TName("S"))
+        assert hash(TDot(r, s)) == hash(TDot(TName("R"), TName("S")))
+        assert TDot(r, s) != TDot(s, r)
+        assert TDot(r, s) != TQ(r, s)
+        assert TDot(r, s) != TWedge(r, s)
+        assert TName("R") != "R"
+
+    def test_repr_names_every_field(self):
+        assert repr(TName("R")) == "TName(name='R')"
+        assert repr(TNabla(TWedge(TName("g"), TName("S")))) == (
+            "TNabla(operand=TWedge(left=TName(name='g'), "
+            "right=TName(name='S')))")
+
+    def test_pickle_round_trip(self):
+        node = TQ(TName("g"), TNabla(TName("R")))
+        assert pickle.loads(pickle.dumps(node)) == node
+
+    @pytest.mark.parametrize("kwargs", [
+        {"coords": ("x",)},
+        {"coords": ("x", "x")},
+        {"coords": ("x", "2y")},
+        {"coords": ("x", "y"), "constants": ("pi",)},
+        {"coords": ("x", "y"), "functions": {"f": ()}},
+        {"coords": ("x", "y"), "functions": {"f": ("z",)}},
+        {"coords": ("x", "y"), "functions": {"f": ("x", "x")}}])
+    def test_bad_chart_raises(self, kwargs):
+        with pytest.raises(ChartError):
+            Chart(**kwargs)
+
+    def test_default_dicts_are_per_instance(self):
+        c1, c2 = Chart(("x", "y")), Chart(("x", "y"))
+        assert c1 == c2
+        assert c1.functions == {} and c1.functions is not c2.functions
+        t1, t2 = Tensor(c1, 2, D_SYM2), Tensor(c1, 2, D_SYM2)
+        assert t1.comps == {} and t1.comps is not t2.comps
+        f1, f2 = AffineForm(ZERO), AffineForm(ZERO)
+        assert f1.coeffs == {} and f1.coeffs is not f2.coeffs
 
 
 def test_gcd_work_meter_is_pinned(monkeypatch):

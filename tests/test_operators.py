@@ -336,6 +336,28 @@ class TestBundleMemo:
         want = classify(CurvatureBundle(parse_metric_file(text))).render()
         assert got == want
 
+    def test_ricci_flat_recurrences_share_the_solve(self, monkeypatch):
+        """On Schwarzschild C is R, so conformal-2-forms-recurrent reads
+        riemann-2-forms-recurrent's solve from the memo; computing every
+        recurrence afresh solves once more and prints the same report."""
+        def run():
+            solves = []
+
+            def spy(equations, unknowns):
+                solves.append(unknowns)
+                return solve_linear(equations, unknowns)
+
+            monkeypatch.setattr(operators, "solve_linear", spy)
+            report = classify(load_bundle("schwarzschild")).render()
+            return report, len(solves)
+
+        got, solves = run()
+        monkeypatch.setattr(operators, "once",
+                            lambda memo, fn, *operands: fn(*operands))
+        want, fresh_solves = run()
+        assert got == want
+        assert solves == fresh_solves - 1
+
     def test_vacuum_twins_are_riemann(self):
         b = load_bundle("schwarzschild")
         assert b.weyl is b.riemann
@@ -425,7 +447,9 @@ class TestCanonicalWalk:
         monkeypatch.setattr(operators, "solve_linear", spy)
         return sizes
 
-    def test_equation_counts(self, monkeypatch, vaidya, ludwig_edgar):
+    def test_equation_counts(self, monkeypatch, ludwig_edgar):
+        # a fresh bundle: the session's may hold the recurrences' results
+        vaidya = load_bundle("vaidya")
         sizes = self.spy_solver(monkeypatch)
         check(vaidya, "R.R = L*Q(g,R)")
         two_form_recurrence(vaidya, "R")
