@@ -207,13 +207,20 @@ class CurvatureBundle:
 
 def once(memo: dict, fn, *operands):
     """fn(*operands), computed once per fn and operand objects: the entry
-    keeps its operands alive, so that no id in its key is reused.  fn is
-    passed as a module global, so a wrapper rebound there sees each call."""
-    key = (fn,) + tuple(map(id, operands))
+    keeps its operands alive, so that no id in its key is reused.  A tuple
+    operand counts by its items and a name by its text.  fn is passed as a
+    module global, so a wrapper rebound there sees each call."""
+    key = (fn,) + tuple(map(_key, operands))
     got = memo.get(key)
     if got is None:
         got = memo[key] = (operands, fn(*operands))
     return got[1]
+
+
+def _key(operand):
+    if type(operand) is tuple:
+        return tuple(map(_key, operand))
+    return operand if type(operand) is str else id(operand)
 
 
 def evaluate_tensor_ast(node, bundle: CurvatureBundle, memo: dict) -> Tensor:

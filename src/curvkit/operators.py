@@ -90,24 +90,38 @@ def first_residual(walk, residual):
 
 
 def check_identity(ast: IdentityAst, bundle: CurvatureBundle) -> IdentityCheck:
-    """Decide a tensor identity, solving for any unknown scalars."""
+    """Decide a tensor identity, solving for any unknown scalars.
+
+    The decision runs once per unknown names, evaluated term tensors and
+    coefficient objects, in the bundle's memo: on a Ricci-flat metric C is
+    R, so C.C = L*Q(g,C) reads the solve of R.R = L*Q(g,R).
+    """
+    left, right = (tuple((evaluate_tensor_ast(term.tensor, bundle,
+                                              bundle.memo),
+                          term.coeff, term.unknown) for term in side)
+                   for side in (ast.left, ast.right))
+    return once(bundle.memo, _decide_identity, ast.unknowns, left, right)
+
+
+def _decide_identity(unknowns, left, right) -> IdentityCheck:
+    """The decision of check_identity; each side is a tuple of (tensor,
+    coefficient, unknown name or None) terms."""
     concrete = []
-    unknown_terms = {u: [] for u in ast.unknowns}
-    for side, sgn in ((ast.left, 1), (ast.right, -1)):
-        for term in side:
-            t = evaluate_tensor_ast(term.tensor, bundle, bundle.memo)
-            coeff = term.coeff if sgn == 1 else -term.coeff
-            if term.unknown is None:
+    unknown_terms = {u: [] for u in unknowns}
+    for side, sgn in ((left, 1), (right, -1)):
+        for t, coeff, unknown in side:
+            coeff = coeff if sgn == 1 else -coeff
+            if unknown is None:
                 concrete.append((coeff, t))
             else:
-                unknown_terms[term.unknown].append((coeff, t))
+                unknown_terms[unknown].append((coeff, t))
 
     # every term shares these symmetries, so the equation or residual at
     # any index tuple is +-1 times the one at its representative, or zero
-    walk = common_descriptor(
-        [t for _, t in concrete]
-        + [t for terms in unknown_terms.values() for _, t in terms]
-    ).reps(bundle.dim, ast.valence)
+    tensors = ([t for _, t in concrete]
+               + [t for terms in unknown_terms.values() for _, t in terms])
+    walk = common_descriptor(tensors).reps(tensors[0].chart.dim,
+                                           tensors[0].valence)
 
     def residual(idx):
         v = ZERO
@@ -117,7 +131,7 @@ def check_identity(ast: IdentityAst, bundle: CurvatureBundle) -> IdentityCheck:
                 v = v + coeff * tv
         return v
 
-    if not ast.unknowns:
+    if not unknowns:
         hit = first_residual(walk, residual)
         if hit is None:
             return IdentityCheck(True, {}, (), None)
@@ -129,13 +143,13 @@ def check_identity(ast: IdentityAst, bundle: CurvatureBundle) -> IdentityCheck:
                  for u, terms in unknown_terms.items() for coeff, t in terms],
                 -residual(idx))
 
-    result = solve_at(walk, ast.unknowns, equation)
+    result = solve_at(walk, unknowns, equation)
     if result.consistent:
         return IdentityCheck(True, result.particular(), result.free, None)
 
     idx = result.witness_label
-    if len(ast.unknowns) == 1:
-        u = ast.unknowns[0]
+    if len(unknowns) == 1:
+        u = unknowns[0]
         terms, rhs = equation(idx)
         cu = ZERO
         for _, c in terms:
@@ -387,25 +401,13 @@ def ricci_decompose(bundle: CurvatureBundle) -> RicciDecomposition:
             return got
 
     # Last resort: an alpha making S - alpha*g rank <= 1 must be a common
-    # root of every 2x2 minor, each a quadratic in alpha.
-    pairs = list(itertools.combinations(range(n), 2))
-    blocks = [(i, j, k, l) for i, j in pairs for k, l in pairs]
-    if not _no_common_root_at_point(s_rows, g_rows, blocks):
-        minors = []
-        for block in blocks:
-            poly = _minor_quadratic(s_rows, g_rows, *block)
-            while poly and poly[-1].is_zero:
-                poly.pop()
-            if poly:
-                minors.append(poly)
-        common = _poly1_gcd(minors)
-        if len(common) == 2:
-            alpha = -common[0] / common[1]
-            rows = shifted(alpha)
-            if matrix_rank(rows) <= 1:
-                got = build("quasi-einstein", alpha, rows)
-                if got is not None:
-                    return got
+    # root of every 2x2 minor, each a quadratic in alpha; the exact entry
+    # check of build certifies the one candidate
+    alpha = _common_root(s_rows, g_rows)
+    if alpha is not None:
+        got = build("quasi-einstein", alpha, shifted(alpha))
+        if got is not None:
+            return got
     return RicciDecomposition("none", ZERO, None, None, None, rank_s,
                               n - rank_s)
 
@@ -419,21 +421,52 @@ def _minor_quadratic(s, g, i, j, k, l) -> list:
             g[i][k] * g[j][l] - g[i][l] * g[j][k]]
 
 
-def _no_common_root_at_point(s_rows, g_rows, blocks) -> bool:
-    """True only if the exact minors have a gcd of degree 0 in alpha.
+def _common_root(s_rows, g_rows) -> Expression | None:
+    """The only alpha that can be a common root of the 2x2 minors of
+    s - alpha*g, or None when they have none.
 
-    A common factor of positive degree, made monic by a minor whose alpha^2
-    coefficient is nonzero at the point, maps to a common factor of the
-    same degree of the minors' values at the point."""
+    The minors' values at the point decide it when one of them, m1, keeps
+    its alpha^2 coefficient there.  A common factor of the exact minors of
+    positive degree, made monic by m1, maps to a common factor of the same
+    degree of the values; so a value gcd of degree 0 leaves no root, and
+    one of degree 1 leaves at most one.  Writing m = a*alpha^2 + b*alpha +
+    c, that root is the root of a2*m1 - a1*m2 for the first minor m2 with
+    a2*b1 - a1*b2 nonzero at the point, and only m1 and m2 are built
+    exactly.  m2 exists: where a2*b1 - a1*b2 is zero, a2*m1 - a1*m2 is a
+    constant that vanishes at the values' common root, so m2's value is a
+    multiple of m1's, and were every value one, m1's would be their gcd.
+    Any other value gcd, or no minor keeping its degree, takes the Euclid
+    over every exact minor."""
+    n = len(s_rows)
+    pairs = list(itertools.combinations(range(n), 2))
+    blocks = [(i, j, k, l) for i, j in pairs for k, l in pairs]
     s_at, g_at = matrix_at_point(s_rows), matrix_at_point(g_rows)
-    if s_at is None or g_at is None:
-        return False
-    common, keeps_degree = [], False
+    if s_at is not None and g_at is not None:
+        images = [[c % PRIME for c in _minor_quadratic(s_at, g_at, *block)]
+                  for block in blocks]
+        first = next((m for m, image in enumerate(images) if image[2]), None)
+        common = []
+        for image in images:
+            common = gcd_mod_p(common, image)
+        if first is not None and len(common) == 1:
+            return None
+        if first is not None and len(common) == 2:
+            _, b1, a1 = images[first]
+            second = next(m for m, (_, b2, a2) in enumerate(images)
+                          if (a2 * b1 - a1 * b2) % PRIME)
+            (c1, b1, a1), (c2, b2, a2) = (
+                _minor_quadratic(s_rows, g_rows, *blocks[m])
+                for m in (first, second))
+            return (a1 * c2 - a2 * c1) / (a2 * b1 - a1 * b2)
+    minors = []
     for block in blocks:
-        poly = [c % PRIME for c in _minor_quadratic(s_at, g_at, *block)]
-        keeps_degree = keeps_degree or poly[2] != 0
-        common = gcd_mod_p(common, poly)
-    return keeps_degree and len(common) == 1
+        poly = _minor_quadratic(s_rows, g_rows, *block)
+        while poly and poly[-1].is_zero:
+            poly.pop()
+        if poly:
+            minors.append(poly)
+    common = _poly1_gcd(minors)
+    return -common[0] / common[1] if len(common) == 2 else None
 
 
 @dataclass(frozen=True)

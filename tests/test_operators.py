@@ -6,19 +6,21 @@ import itertools
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvkit import (CurvatureBundle, TensorError, operators,
                      parse_metric_file)
 from curvkit.classify import classify
 from curvkit import curvature as curvature_mod, expr as expr_mod
-from curvkit.expr import Atom, Expression
+from curvkit.expr import (Atom, Expression, PRIME, ZERO, gcd_mod_p,
+                          matrix_at_point)
 from curvkit.operators import (
-    dot_action, tachibana, check_identity, two_form_recurrence,
-    one_form_recurrence, recurrent_tensor, ricci_decompose, pure_radiation,
-    compatibility_check, compatible_space, weakly_ricci_symmetric, solve_at,
-    first_residual,
+    RicciDecomposition, dot_action, tachibana, check_identity,
+    two_form_recurrence, one_form_recurrence, recurrent_tensor,
+    ricci_decompose, pure_radiation, compatibility_check, compatible_space,
+    weakly_ricci_symmetric, solve_at, first_residual, rank_one_factor,
 )
-from curvkit.linsolve import solve_linear
+from curvkit.linsolve import matrix_rank, solve_linear
 from curvkit.parsing import parse_identity
 from curvkit.tensor import (Descriptor, Tensor, D_SYM2, D_ANTI2, D_NONE2,
                             common_descriptor)
@@ -336,27 +338,56 @@ class TestBundleMemo:
         want = classify(CurvatureBundle(parse_metric_file(text))).render()
         assert got == want
 
+    @staticmethod
+    def schwarzschild_solves(monkeypatch, fresh=()):
+        """Schwarzschild's classify report and its number of solve_linear
+        calls, with the operators in fresh run at every call instead of
+        once per operands."""
+        solves = []
+
+        def spy(equations, unknowns):
+            solves.append(unknowns)
+            return solve_linear(equations, unknowns)
+
+        def memo(memo, fn, *operands):
+            if fn in fresh:
+                return fn(*operands)
+            return curvature_mod.once(memo, fn, *operands)
+
+        monkeypatch.setattr(operators, "solve_linear", spy)
+        monkeypatch.setattr(operators, "once", memo)
+        return classify(load_bundle("schwarzschild")).render(), len(solves)
+
     def test_ricci_flat_recurrences_share_the_solve(self, monkeypatch):
         """On Schwarzschild C is R, so conformal-2-forms-recurrent reads
         riemann-2-forms-recurrent's solve from the memo; computing every
         recurrence afresh solves once more and prints the same report."""
-        def run():
-            solves = []
-
-            def spy(equations, unknowns):
-                solves.append(unknowns)
-                return solve_linear(equations, unknowns)
-
-            monkeypatch.setattr(operators, "solve_linear", spy)
-            report = classify(load_bundle("schwarzschild")).render()
-            return report, len(solves)
-
-        got, solves = run()
-        monkeypatch.setattr(operators, "once",
-                            lambda memo, fn, *operands: fn(*operands))
-        want, fresh_solves = run()
+        got, solves = self.schwarzschild_solves(monkeypatch)
+        want, fresh_solves = self.schwarzschild_solves(monkeypatch, (
+            operators._two_form_recurrence, operators._one_form_recurrence,
+            operators._recurrent_tensor))
         assert got == want
         assert solves == fresh_solves - 1
+
+    def test_ricci_flat_identities_share_the_solve(self, monkeypatch):
+        """On Schwarzschild C is R, so conformally-pseudosymmetric (R.C =
+        L*Q(g,C)) and pseudosymmetric-weyl (C.C = L*Q(g,C)) have the terms
+        of pseudosymmetric (R.R = L*Q(g,R)) and read its solve; deciding
+        every identity afresh solves twice more and prints the same
+        report."""
+        got, solves = self.schwarzschild_solves(monkeypatch)
+        want, fresh_solves = self.schwarzschild_solves(
+            monkeypatch, (operators._decide_identity,))
+        assert got == want
+        assert solves == fresh_solves - 2
+
+    def test_identity_memo_keys_on_terms(self, vaidya):
+        """Two parses of one formula share a decision; a formula with other
+        terms does not."""
+        first = check(vaidya, "R.R = L*Q(g,R)")
+        assert check(vaidya, "R.R = L*Q(g,R)") is first
+        assert check(vaidya, "R.R = L1*Q(g,R)") is not first
+        assert check(vaidya, "R.C = L*Q(g,C)") is not first
 
     def test_vacuum_twins_are_riemann(self):
         b = load_bundle("schwarzschild")
@@ -570,3 +601,193 @@ g[5][5] = x^2
 
 def refuse(*args):
     raise AssertionError("exact path ran")
+
+
+# -- the quasi-Einstein last resort against the exact Euclid ------------------
+
+def _old_poly1_mod(p, q):
+    p = list(p)
+    while len(p) >= len(q):
+        lead = p[-1] / q[-1]
+        shift = len(p) - len(q)
+        for i, qc in enumerate(q):
+            p[shift + i] = p[shift + i] - lead * qc
+        while p and p[-1].is_zero:
+            p.pop()
+        if not p:
+            break
+    return p
+
+
+def _old_poly1_gcd(polys):
+    acc = None
+    for p in polys:
+        p = list(p)
+        while p and p[-1].is_zero:
+            p.pop()
+        if not p:
+            continue
+        if acc is None:
+            acc = p
+            continue
+        a, b = acc, p
+        while b:
+            a, b = b, _old_poly1_mod(a, b)
+        acc = a
+    return acc or []
+
+
+def _old_minor(s, g, i, j, k, l):
+    return [s[i][k] * s[j][l] - s[i][l] * s[j][k],
+            -(s[i][k] * g[j][l] + g[i][k] * s[j][l]
+              - s[i][l] * g[j][k] - g[i][l] * s[j][k]),
+            g[i][k] * g[j][l] - g[i][l] * g[j][k]]
+
+
+def _old_no_common_root_at_point(s_rows, g_rows, blocks):
+    s_at, g_at = matrix_at_point(s_rows), matrix_at_point(g_rows)
+    if s_at is None or g_at is None:
+        return False
+    common, keeps_degree = [], False
+    for block in blocks:
+        poly = [c % PRIME for c in _old_minor(s_at, g_at, *block)]
+        keeps_degree = keeps_degree or poly[2] != 0
+        common = gcd_mod_p(common, poly)
+    return keeps_degree and len(common) == 1
+
+
+def old_ricci_decompose(bundle):
+    """ricci_decompose with its earlier last resort: the Euclid over all 36
+    exact minors unless their values prove them coprime, and a rank check
+    before the rank-one factorization."""
+    s, g, n, kappa = bundle.ricci, bundle.metric, bundle.dim, bundle.kappa
+    s_rows = [[s.get((i, j)) for j in range(n)] for i in range(n)]
+    g_rows = [[g.lower(i, j) for j in range(n)] for i in range(n)]
+
+    def shifted(alpha):
+        return [[s_rows[i][j] - alpha * g_rows[i][j] for j in range(n)]
+                for i in range(n)]
+
+    def build(kind, alpha, rows):
+        factored = rank_one_factor(rows, g)
+        if factored is None:
+            return None
+        return RicciDecomposition(kind, alpha, *factored, 1, n - 1)
+
+    alpha_e = kappa / n
+    e_rows = shifted(alpha_e)
+    rank_e = matrix_rank(e_rows)
+    if rank_e == 0:
+        return RicciDecomposition("einstein", alpha_e, None, None, None, 0, n)
+    rank_s = matrix_rank(s_rows)
+    if rank_s <= 1:
+        got = build("ricci-simple", ZERO, s_rows)
+        if got is not None:
+            return got
+    if rank_e == 1:
+        got = build("quasi-einstein", alpha_e, e_rows)
+        if got is not None:
+            return got
+    pairs = list(itertools.combinations(range(n), 2))
+    blocks = [(i, j, k, l) for i, j in pairs for k, l in pairs]
+    if not _old_no_common_root_at_point(s_rows, g_rows, blocks):
+        minors = []
+        for block in blocks:
+            poly = _old_minor(s_rows, g_rows, *block)
+            while poly and poly[-1].is_zero:
+                poly.pop()
+            if poly:
+                minors.append(poly)
+        common = _old_poly1_gcd(minors)
+        if len(common) == 2:
+            alpha = -common[0] / common[1]
+            rows = shifted(alpha)
+            if matrix_rank(rows) <= 1:
+                got = build("quasi-einstein", alpha, rows)
+                if got is not None:
+                    return got
+    return RicciDecomposition("none", ZERO, None, None, None, rank_s,
+                              n - rank_s)
+
+
+BENCH_METRICS = CATALOG.parent / "bench" / "metrics"
+
+
+def frw_type(scale: str, k: int) -> CurvatureBundle:
+    return CurvatureBundle(parse_metric_file(f"""\
+dim 4
+coords t r theta phi
+g[1][1] = -1
+g[2][2] = ({scale})^2/(1 - ({k})*r^2)
+g[3][3] = ({scale})^2*r^2
+g[4][4] = ({scale})^2*r^2*sin(theta)^2
+"""))
+
+
+def frw() -> CurvatureBundle:
+    return CurvatureBundle(parse_metric_file(
+        (BENCH_METRICS / "frw.metric").read_text()))
+
+
+class TestQuasiEinsteinRoot:
+    """The last resort builds two exact minors chosen by their values and
+    lets the rank-one factorization certify their one common root; it
+    prints what the Euclid over every exact minor printed."""
+
+    @pytest.mark.parametrize("path", sorted(CATALOG.glob("*.metric"))
+                             + sorted(BENCH_METRICS.glob("*.metric")),
+                             ids=lambda p: p.stem)
+    def test_same_as_exact_euclid(self, path):
+        bundle = CurvatureBundle(parse_metric_file(path.read_text()))
+        assert repr(ricci_decompose(bundle)) == repr(
+            old_ricci_decompose(bundle))
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any),
+           st.integers(-2, 2))
+    def test_frw_type_same_as_exact_euclid(self, coeffs, k):
+        scale = " + ".join(f"({c})*t^{e}" for e, c in enumerate(coeffs))
+        bundle = frw_type(scale, k)
+        assert repr(ricci_decompose(bundle)) == repr(
+            old_ricci_decompose(bundle))
+
+    def test_frw_builds_two_exact_minors(self, monkeypatch):
+        exact = []
+        minor = operators._minor_quadratic
+
+        def spy(s, g, *block):
+            if isinstance(s[0][0], Expression):
+                exact.append(block)
+            return minor(s, g, *block)
+
+        monkeypatch.setattr(operators, "_minor_quadratic", spy)
+        monkeypatch.setattr(operators, "_poly1_gcd", refuse)
+        got = ricci_decompose(frw())
+        assert got.kind == "quasi-einstein"
+        assert len(exact) == 2
+
+    def test_quadratic_value_gcd_takes_the_euclid(self, monkeypatch):
+        want = repr(ricci_decompose(frw()))
+        euclids = []
+        gcd = operators._poly1_gcd
+
+        def spy(polys):
+            euclids.append(len(polys))
+            return gcd(polys)
+
+        monkeypatch.setattr(operators, "gcd_mod_p", lambda f, g: [1, 0, 1])
+        monkeypatch.setattr(operators, "_poly1_gcd", spy)
+        assert repr(ricci_decompose(frw())) == want
+        # the metric is diagonal: only the 6 principal minors are nonzero
+        assert euclids == [6]
+
+    def test_failed_certificate_is_none(self, monkeypatch):
+        """A linear value gcd only bounds the exact gcd's degree: when the
+        exact minors have no common root, the candidate fails the rank-one
+        factorization and the verdict is the Euclid's none."""
+        bundle = CurvatureBundle(parse_metric_file(WARPED5))
+        monkeypatch.setattr(operators, "gcd_mod_p", lambda f, g: [1, 1])
+        monkeypatch.setattr(operators, "_poly1_gcd", refuse)
+        got = ricci_decompose(bundle)
+        assert got.kind == "none"
+        assert repr(got) == repr(old_ricci_decompose(bundle))
