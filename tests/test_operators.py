@@ -349,13 +349,13 @@ class TestBundleMemo:
             solves.append(unknowns)
             return solve_linear(equations, unknowns)
 
-        def memo(memo, fn, *operands):
+        def once_unless_fresh(memo, fn, *operands):
             if fn in fresh:
                 return fn(*operands)
             return curvature_mod.once(memo, fn, *operands)
 
         monkeypatch.setattr(operators, "solve_linear", spy)
-        monkeypatch.setattr(operators, "once", memo)
+        monkeypatch.setattr(operators, "once", once_unless_fresh)
         return classify(load_bundle("schwarzschild")).render(), len(solves)
 
     def test_ricci_flat_recurrences_share_the_solve(self, monkeypatch):
