@@ -1,23 +1,24 @@
 """Structure classification: run a fixed catalog of curvature conditions
 against one metric and render the verdicts as a stable text report.
 
-Each catalog row is either backed by a formula in the identity grammar
-(decided by check_identity) or by a custom decision procedure
-(decompositions, recurrences, compatibility solves).  The operations the
-rows repeat run once per set of operand tensors, in the bundle's memo.
-Rows whose decision procedure is not implemented are reported as
-not-evaluated, never as fails.
+Each catalog row is either a formula in the identity grammar, decided by
+check_identity (every linear row: the derivative symmetries, the
+recurrences and weak Ricci symmetry among them), or a custom decision
+procedure (decompositions, divergences, compatibility solves).  The
+operations the rows repeat run once per set of operand tensors, in the
+bundle's memo.  Rows whose decision procedure is not implemented are
+reported as not-evaluated, never as fails.
 """
 from __future__ import annotations
 
-from .expr import Record, format_expression
+from .expr import Record, format_expression, format_value
 from .parsing import parse_identity
 from .curvature import CurvatureBundle, once
-from .tensor import Descriptor, TensorError, endo_square
+from .tensor import TensorError, endo_square
 from .operators import (
-    first_residual, check_identity, two_form_recurrence, one_form_recurrence,
-    recurrent_tensor, ricci_decompose, pure_radiation, compatibility_check,
-    compatible_space, weakly_ricci_symmetric)
+    ONE_FORM_RECURRENT, TWO_FORM_RECURRENT, WEAKLY_RICCI_SYMMETRIC,
+    check_identity, compatibility_check, compatible_space, only_zero,
+    pure_radiation, recurrent_formula, ricci_decompose)
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -66,10 +67,6 @@ class StructureReport(Record):
         return "\n".join(lines) + "\n"
 
 
-def _fmt_covector(values) -> str:
-    return "{" + ", ".join(format_expression(v) for v in values) + "}"
-
-
 def _label(component) -> str:
     return "".join(str(i + 1) for i in component)
 
@@ -93,11 +90,14 @@ class _Evaluator:
     def decomposition(self):
         return once(self.bundle.memo, ricci_decompose, self.bundle)
 
-    def identity(self, formula: str):
+    def identity(self, formula: str, nonzero: bool):
         ast = parse_identity(formula, self.bundle.chart)
         check = check_identity(ast, self.bundle)
+        if nonzero and only_zero(check):
+            return FAILS, tuple((f"only_{u}", format_value(check.solved[u]))
+                                for u in sorted(check.solved))
         if check.holds:
-            wit = [(u, format_expression(check.solved[u]))
+            wit = [(u, format_value(check.solved[u]))
                    for u in sorted(check.solved)]
             if check.free:
                 wit.append(("free", ", ".join(check.free)))
@@ -127,14 +127,14 @@ class _Evaluator:
         if dec.kind in ("quasi-einstein", "ricci-simple"):
             return HOLDS, (("alpha", format_expression(dec.alpha)),
                            ("beta", format_expression(dec.beta)),
-                           ("eta", _fmt_covector(dec.eta)))
+                           ("eta", format_value(dec.eta)))
         return FAILS, ()
 
     def ricci_simple(self):
         dec = self.decomposition
         if dec.kind == "ricci-simple":
             return HOLDS, (("beta", format_expression(dec.beta)),
-                           ("eta", _fmt_covector(dec.eta)),
+                           ("eta", format_value(dec.eta)),
                            ("eta_norm2", format_expression(dec.eta_norm2)))
         if dec.kind == "einstein" and dec.alpha.is_zero:
             # S vanishes identically; rank-one form holds with beta = 0
@@ -145,54 +145,9 @@ class _Evaluator:
         sq = endo_square(self.bundle.ricci, self.bundle.metric)
         return _verdict(next(sq.iter_nonzero(), None))
 
-    def codazzi(self):
-        ns = self.bundle.nabla("S")
-
-        def residual(idx):
-            x, y, z = idx
-            return ns.get((y, z, x)) - ns.get((x, z, y))
-
-        # the residual at (x, y, z) is minus the one at (y, x, z)
-        walk = Descriptor((("anti", 0, 1),)).reps(self.bundle.dim, 3)
-        return _verdict(first_residual(walk, residual))
-
-    def cyclic_parallel(self):
-        ns = self.bundle.nabla("S")
-
-        def residual(idx):
-            x, y, z = idx
-            return ns.get((y, z, x)) + ns.get((z, x, y)) + ns.get((x, y, z))
-
-        # a cyclic sum; with S symmetric it is totally symmetric
-        ops = ()
-        if ("sym", 0, 1) in ns.descriptor.ops:
-            ops = (("sym", 0, 1), ("sym", 1, 2))
-        walk = Descriptor(ops).reps(self.bundle.dim, 3)
-        return _verdict(first_residual(walk, residual))
-
     def divergence_free(self, name: str):
         div = self.bundle.divergence(name)
         return _verdict(next(div.iter_nonzero(), None))
-
-    def _recurrence(self, result):
-        if result.holds:
-            wit = [("pi", _fmt_covector(result.covector))]
-            if result.free:
-                wit.append(("free", ", ".join(result.free)))
-            return HOLDS, tuple(wit)
-        if result.witness_component is None:
-            # consistent system whose only solution is the zero covector
-            return FAILS, (("only_pi", _fmt_covector(result.covector)),)
-        return _verdict((result.witness_component, result.witness_residual))
-
-    def two_form(self, name: str):
-        return self._recurrence(two_form_recurrence(self.bundle, name))
-
-    def one_form(self, name: str):
-        return self._recurrence(one_form_recurrence(self.bundle, name))
-
-    def recurrent(self, name: str):
-        return self._recurrence(recurrent_tensor(self.bundle, name))
 
     def ricci_compatible(self, name: str):
         b = self.bundle
@@ -218,29 +173,21 @@ class _Evaluator:
                 wit.append((f"E{i + 1}{j + 1}", text))
         return HOLDS, tuple(wit)
 
-    def weakly_ricci(self):
-        res = weakly_ricci_symmetric(self.bundle)
-        if res.holds:
-            wit = [("a", _fmt_covector(res.a)), ("b", _fmt_covector(res.b)),
-                   ("d", _fmt_covector(res.d))]
-            if res.free:
-                wit.append(("free", ", ".join(res.free)))
-            return HOLDS, tuple(wit)
-        return _verdict((res.witness_component, res.witness_residual))
-
     def pure_radiation_form(self):
         res = pure_radiation(self.bundle)
         if res.holds:
             return HOLDS, (("beta", format_expression(res.beta)),
-                           ("eta", _fmt_covector(res.eta)),
+                           ("eta", format_value(res.eta)),
                            ("eta_norm2", format_expression(res.eta_norm2)))
         wit = (("reason", res.reason),) if res.reason else ()
         return FAILS, wit
 
 
-def _identity_row(name: str, formula: str):
-    """A catalog row decided by check_identity on the formula it shows."""
-    return name, formula, lambda ev: ev.identity(formula)
+def _identity_row(name: str, formula: str, nonzero: bool = False):
+    """A catalog row decided by check_identity on the formula it shows.
+    With nonzero, a solution whose every unknown is zero fails the row
+    (a recurrence needs a nonzero covector) and is shown as only_<name>."""
+    return name, formula, lambda ev: ev.identity(formula, nonzero)
 
 
 # catalog rows: (name, formula shown for reference, evaluator factory)
@@ -258,10 +205,9 @@ _CATALOG = (
     ("s-squared-zero", "S^2 = 0 as an endomorphism",
      lambda ev: ev.endo_square_zero()),
     _identity_row("ricci-symmetric", "nabla S = 0"),
-    ("codazzi-ricci", "(nabla S)(y,z;x) = (nabla S)(x,z;y)",
-     lambda ev: ev.codazzi()),
-    ("cyclic-parallel-ricci", "cyclic sum of nabla S = 0",
-     lambda ev: ev.cyclic_parallel()),
+    _identity_row("codazzi-ricci", "nabla S[y,z,x] = nabla S[x,z,y]"),
+    _identity_row("cyclic-parallel-ricci",
+                  "nabla S[y,z,x] + nabla S[z,x,y] + nabla S[x,y,z] = 0"),
     ("harmonic", "div R = 0",
      lambda ev: ev.divergence_free("R")),
     ("conformal-harmonic", "div C = 0",
@@ -279,14 +225,14 @@ _CATALOG = (
     _identity_row("ricci-generalized-pseudosymmetric", "R.R = L*Q(S,R)"),
     _identity_row("rr-qsr-pseudosymmetric", "R.R - Q(S,R) = L*Q(g,C)"),
     _identity_row("rc-cr-pseudosymmetric", "R.C + C.R = L*Q(g,C) + Q(S,C)"),
-    ("riemann-2-forms-recurrent", "cyclic nabla R = pi-weighted cyclic R",
-     lambda ev: ev.two_form("R")),
-    ("conformal-2-forms-recurrent", "cyclic nabla C = pi-weighted cyclic C",
-     lambda ev: ev.two_form("C")),
-    ("ricci-1-forms-recurrent", "antisymmetrized nabla S = pi-weighted S",
-     lambda ev: ev.one_form("S")),
-    ("conformally-recurrent", "nabla C = pi (x) C",
-     lambda ev: ev.recurrent("C")),
+    _identity_row("riemann-2-forms-recurrent", TWO_FORM_RECURRENT.format("R"),
+                  nonzero=True),
+    _identity_row("conformal-2-forms-recurrent",
+                  TWO_FORM_RECURRENT.format("C"), nonzero=True),
+    _identity_row("ricci-1-forms-recurrent", ONE_FORM_RECURRENT.format("S"),
+                  nonzero=True),
+    _identity_row("conformally-recurrent", recurrent_formula("C"),
+                  nonzero=True),
     ("riemann-compatible-ricci", "S compatible with R",
      lambda ev: ev.ricci_compatible("R")),
     ("weyl-compatible-ricci", "S compatible with C",
@@ -299,9 +245,7 @@ _CATALOG = (
      lambda ev: ev.compatible_family("C")),
     ("compatible-space-conharmonic", "all E compatible with K",
      lambda ev: ev.compatible_family("K")),
-    ("weakly-ricci-symmetric",
-     "(nabla S)(y,z;x) = a(x)S(y,z) + b(y)S(x,z) + d(z)S(y,x)",
-     lambda ev: ev.weakly_ricci()),
+    _identity_row("weakly-ricci-symmetric", WEAKLY_RICCI_SYMMETRIC),
     _identity_row("parallel-energy-momentum", "nabla T = 0"),
     ("pure-radiation", "T = beta*(eta x eta) with null eta",
      lambda ev: ev.pure_radiation_form()),

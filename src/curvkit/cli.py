@@ -140,7 +140,7 @@ def cmd_compute(args) -> int:
 # -- check ------------------------------------------------------------------
 
 def cmd_check(args) -> int:
-    from .expr import ExprError, format_expression
+    from .expr import ExprError, format_expression, format_value
     from .operators import check_identity
     from .parsing import parse_identity
     bundle = load_bundle(args.metric)
@@ -153,7 +153,7 @@ def cmd_check(args) -> int:
     if result.holds:
         print("verdict: holds")
         for u in sorted(result.solved or ()):
-            print(f"{u} = {format_expression(result.solved[u])}")
+            print(f"{u} = {format_value(result.solved[u])}")
         if result.free:
             print(f"free: {', '.join(result.free)}")
         return EXIT_HOLDS

@@ -1247,3 +1247,10 @@ def format_expression(e: Expression) -> str:
     if _den_needs_parens(den):
         ds = f"({ds})"
     return ("-" if neg else "") + f"{ns}/{ds}"
+
+
+def format_value(v) -> str:
+    """An Expression, or a covector (a tuple of them) as {v1, v2, ...}."""
+    if type(v) is tuple:
+        return "{" + ", ".join(map(format_expression, v)) + "}"
+    return format_expression(v)

@@ -3,24 +3,29 @@ operator actions.
 
 Each decision here reduces a geometric yes/no question to an exact linear
 system over expressions and reports witnesses that can be re-verified by
-substitution.  The operator actions themselves live in tensor.py and the
-evaluation of tensor expressions in curvature.py; dot_action, tachibana and
-evaluate_tensor_ast are imported here so that they stay reachable under
-this module's name.
+substitution.  Every linear condition on the curvature tensors, the
+recurrences and weak Ricci symmetry included, is an identity decided by
+check_identity, which walks one index tuple per orbit of the symmetries
+it derives from the identity's terms; compatibility and the Ricci
+decomposition have their own procedures.  The operator actions themselves
+live in tensor.py and the evaluation of tensor expressions in
+curvature.py; dot_action, tachibana and evaluate_tensor_ast are imported
+here so that they stay reachable under this module's name.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .curvature import CurvatureBundle, evaluate_tensor_ast, once
 from .expr import (Atom, Expression, ONE, PRIME, ZERO, _KIND_COORD,
                    _KIND_TRIG, gcd_mod_p, matrix_at_point)
 from .linsolve import LinearEquation, matrix_rank, solve_linear
-from .parsing import IdentityAst
-from .tensor import (Descriptor, Metric, Tensor, TensorError,
-                     common_descriptor, dot_action, raised_last, tachibana)
+from .parsing import TENSOR_VALENCE, IdentityAst, parse_identity
+from .tensor import (Descriptor, Metric, Tensor, TensorError, _apply_op,
+                     dot_action, raised_last, tachibana)
 
 
 # ---------------------------------------------------------------------------
@@ -90,45 +95,65 @@ def first_residual(walk, residual):
 
 
 def check_identity(ast: IdentityAst, bundle: CurvatureBundle) -> IdentityCheck:
-    """Decide a tensor identity, solving for any unknown scalars.
+    """Decide a tensor identity, solving for any unknown scalars and
+    covectors.
 
     The decision runs once per unknown names, evaluated term tensors and
     coefficient objects, in the bundle's memo: on a Ricci-flat metric C is
     R, so C.C = L*Q(g,C) reads the solve of R.R = L*Q(g,R).
     """
-    left, right = (tuple((evaluate_tensor_ast(term.tensor, bundle,
-                                              bundle.memo),
-                          term.coeff, term.unknown) for term in side)
-                   for side in (ast.left, ast.right))
-    return once(bundle.memo, _decide_identity, ast.unknowns, left, right)
+    covectors = dict(ast.covectors)
+    position = {letter: p for p, letter in enumerate(ast.letters)}
+
+    def terms(side):
+        out = []
+        for term in side:
+            t = evaluate_tensor_ast(term.tensor, bundle, bundle.memo)
+            slots = (tuple(range(t.valence)) if term.slots is None
+                     else tuple(position[x] for x in term.slots))
+            names = covectors.get(term.unknown, (term.unknown,)
+                                  if term.unknown else ())
+            out.append((t, term.coeff, slots, names,
+                        position.get(term.letter)))
+        return tuple(out)
+
+    return once(bundle.memo, _decide_identity, ast.unknowns, ast.covectors,
+                terms(ast.left), terms(ast.right))
 
 
-def _decide_identity(unknowns, left, right) -> IdentityCheck:
-    """The decision of check_identity; each side is a tuple of (tensor,
-    coefficient, unknown name or None) terms."""
-    concrete = []
-    unknown_terms = {u: [] for u in unknowns}
-    for side, sgn in ((left, 1), (right, -1)):
-        for t, coeff, unknown in side:
-            coeff = coeff if sgn == 1 else -coeff
-            if unknown is None:
-                concrete.append((coeff, t))
-            else:
-                unknown_terms[unknown].append((coeff, t))
+def _times(c: Expression):
+    """v -> c*v; for c = 1 or -1 without forming the product, which would
+    reduce v again."""
+    if c.is_one:
+        return lambda v: v
+    if (-c).is_one:
+        return operator.neg
+    return c.__mul__
 
-    # every term shares these symmetries, so the equation or residual at
-    # any index tuple is +-1 times the one at its representative, or zero
-    tensors = ([t for _, t in concrete]
-               + [t for terms in unknown_terms.values() for _, t in terms])
-    walk = common_descriptor(tensors).reps(tensors[0].chart.dim,
-                                           tensors[0].valence)
+
+def _decide_identity(unknowns, covectors, left, right) -> IdentityCheck:
+    """The decision of check_identity.  Each side is a tuple of (tensor,
+    coefficient, slots, unknowns, at) terms: the tensor's slot s takes the
+    index at position slots[s] of the equation's index tuple, and the term
+    multiplies none of the unknowns, its only one, or the one the index at
+    position `at` picks (a covector's)."""
+    signed = [(coeff if sgn == 1 else -coeff, t, slots, names, at)
+              for side, sgn in ((left, 1), (right, -1))
+              for t, coeff, slots, names, at in side]
+    concrete, unknown_terms = [], []
+    for coeff, t, slots, names, at in signed:
+        (unknown_terms if names else concrete).append(
+            (_times(coeff), t, operator.itemgetter(*slots), names, at))
+    _, t, slots, _, at = signed[0]
+    k = len(slots) + (at is not None)
+    walk = Descriptor(_symmetries(signed, k)).reps(t.chart.dim, k)
 
     def residual(idx):
         v = ZERO
-        for coeff, t in concrete:
-            tv = t.get(idx)
+        for times, t, pick, _, _ in concrete:
+            tv = t.get(pick(idx))
             if not tv.is_zero:
-                v = v + coeff * tv
+                v = v + times(tv)
         return v
 
     if not unknowns:
@@ -139,13 +164,17 @@ def _decide_identity(unknowns, left, right) -> IdentityCheck:
                              IdentityWitness("component", *hit))
 
     def equation(idx):
-        return ([(u, coeff * t.get(idx))
-                 for u, terms in unknown_terms.items() for coeff, t in terms],
+        return ([(names[0] if at is None else names[idx[at]],
+                  times(t.get(pick(idx))))
+                 for times, t, pick, names, at in unknown_terms],
                 -residual(idx))
 
     result = solve_at(walk, unknowns, equation)
     if result.consistent:
-        return IdentityCheck(True, result.particular(), result.free, None)
+        solved = result.particular()
+        for name, names in covectors:
+            solved[name] = tuple(solved.pop(u) for u in names)
+        return IdentityCheck(True, solved, result.free, None)
 
     idx = result.witness_label
     if len(unknowns) == 1:
@@ -163,8 +192,98 @@ def _decide_identity(unknowns, left, right) -> IdentityCheck:
         "forced", idx, result.witness_residual))
 
 
+def _symmetries(terms, k: int) -> tuple:
+    """The ops on the k index positions under which the signed terms,
+    (coefficient, tensor, slots, unknowns, at), go over into plus or minus
+    themselves: transpositions, and the swaps of slot pairs that a term's
+    tensor admits.  A term is matched by its tensor object, its slots up to
+    that tensor's symmetries, its unknowns and the position picking one,
+    and matching terms add up; the sum of the terms at an op's image of an
+    index tuple is then the op's sign times the sum at the tuple.  The
+    terms' own ops are tried first, so that an identity of whole tensors
+    walks a descriptor whose table is built; when they all share one
+    descriptor, its group is the answer, found without trying."""
+    whole = tuple(range(k))
+    first = terms[0][1].descriptor
+    if all(t.descriptor is first and slots == whole
+           for _, t, slots, _, _ in terms):
+        return first.ops
+
+    def image(perm, keys=None):
+        """The matched terms at perm, or None once one is not in keys."""
+        out = {}
+        for c, t, slots, names, at in terms:
+            rep, sign = t.descriptor.canon(tuple(perm[p] for p in slots))
+            if sign:
+                key = (id(t), rep, names, None if at is None else perm[at])
+                if keys is not None and key not in keys:
+                    return None
+                out[key] = out.get(key, ZERO) + (c if sign > 0 else -c)
+        return {key: c for key, c in out.items() if not c.is_zero}
+
+    def candidate(op, slots):
+        places = tuple(slots[p] for p in op[1:])
+        if op[0] == "block":
+            return ("block",) + places
+        return ("sym",) + tuple(sorted(places))
+
+    base = image(whole)
+    negated = {key: -c for key, c in base.items()}
+    # with no two terms matched, a term that goes over into none of them
+    # refutes the op
+    keys = base.keys() if len(base) == len(terms) else None
+    ops = []
+    for op in dict.fromkeys(
+            [candidate(op, slots) for _, t, slots, _, _ in terms
+             for op in t.descriptor.ops]
+            + [("sym", a, b) for a, b in itertools.combinations(range(k), 2)]):
+        got = image(_apply_op(op, whole)[0], keys)
+        if got == base:
+            ops.append(op)
+        elif got == negated and op[0] != "block":
+            ops.append(("anti",) + op[1:])
+    return tuple(ops)
+
+
 # ---------------------------------------------------------------------------
-# recurrence of the induced 2-forms / 1-forms
+# recurrences and weak Ricci symmetry, as identities
+
+# bench/ops.py calls the four functions below by name and prints the
+# fields of their results; the classify rows decide the same formulas
+TWO_FORM_RECURRENT = (
+    "pi[i]*{0}[j,k,x,y] + pi[j]*{0}[k,i,x,y] + pi[k]*{0}[i,j,x,y]"
+    " = nabla {0}[j,k,x,y,i] + nabla {0}[k,i,x,y,j] + nabla {0}[i,j,x,y,k]")
+ONE_FORM_RECURRENT = ("pi[i]*{0}[j,x] - pi[j]*{0}[i,x]"
+                      " = nabla {0}[j,x,i] - nabla {0}[i,x,j]")
+WEAKLY_RICCI_SYMMETRIC = ("a[x]*S[y,z] + b[y]*S[x,z] + d[z]*S[y,x]"
+                          " = nabla S[y,z,x]")
+
+
+def recurrent_formula(name: str) -> str:
+    """nabla T = pi (x) T, the derivative slot last."""
+    slots = ",".join("abcdefgh"[:TENSOR_VALENCE[name]])
+    return f"pi[x]*{name}[{slots}] = nabla {name}[{slots},x]"
+
+
+def only_zero(check: IdentityCheck) -> bool:
+    """Whether the identity holds with every unknown zero and nothing
+    free.  A recurrence means a nonzero 1-form, so there it fails."""
+    return check.holds and not check.free and all(
+        v.is_zero for value in check.solved.values()
+        for v in (value if type(value) is tuple else (value,)))
+
+
+def _covector_result(cls, bundle, formula, names, nonzero=False):
+    """cls(holds, the named covectors, free, witness component, witness
+    residual) for the formula's identity on the bundle."""
+    check = check_identity(parse_identity(formula, bundle.chart), bundle)
+    if not check.holds:
+        return cls(False, *[None] * len(names), (), check.witness.component,
+                   check.witness.value)
+    values = [check.solved[u] for u in names]
+    if nonzero and only_zero(check):
+        return cls(False, *values, ())
+    return cls(True, *values, check.free)
 
 
 @dataclass(frozen=True)
@@ -176,97 +295,41 @@ class RecurrenceResult:
     witness_residual: Expression | None = None
 
 
-def _solve_covector(result, names) -> RecurrenceResult:
-    if not result.consistent:
-        return RecurrenceResult(False, None, (), result.witness_label,
-                                result.witness_residual)
-    particular = result.particular()
-    covector = tuple(particular[u] for u in names)
-    # recurrence means a nonzero 1-form; a system whose only solution is
-    # the zero covector is a failure, not a vacuous success
-    if not result.free and all(v.is_zero for v in covector):
-        return RecurrenceResult(False, covector, ())
-    return RecurrenceResult(True, covector, result.free)
-
-
-def _cyclic_ops(d: Tensor) -> tuple:
-    """Ops on the three indices of a cyclic sum in which two of them fill
-    d's first slot pair: total antisymmetry when d is antisymmetric in that
-    pair, else none."""
-    if ("anti", 0, 1) in d.descriptor.ops:
-        return ("anti", 0, 1), ("anti", 1, 2)
-    return ()
-
-
 def two_form_recurrence(bundle: CurvatureBundle, name: str) -> RecurrenceResult:
     """Decide whether the 2-forms induced by a (0,4) curvature-type tensor
     are recurrent: the cyclic first-derivative sum over (i,j,k) must equal
-    the same cyclic sum weighted by an unknown 1-form.
-
-    The three recurrences run once per tensor object, in the bundle's
-    memo: on a Ricci-flat metric C is R, and its row reuses R's solve.
-    """
-    return once(bundle.memo, _two_form_recurrence, bundle.tensor(name),
-                bundle.nabla(name))
-
-
-def _two_form_recurrence(d: Tensor, nd: Tensor) -> RecurrenceResult:
-    n = d.chart.dim
-    names = [f"P{i + 1}" for i in range(n)]
-    ops = _cyclic_ops(d)
-    if ("anti", 2, 3) in d.descriptor.ops:   # (x, y) fill d's second pair
-        ops += (("anti", 3, 4),)
-
-    def equation(idx):
-        i, j, k, x, y = idx
-        return ([(names[a], d.get((bb, cc, x, y)))
-                 for a, bb, cc in ((i, j, k), (j, k, i), (k, i, j))],
-                nd.get((j, k, x, y, i)) + nd.get((k, i, x, y, j))
-                + nd.get((i, j, x, y, k)))
-
-    return _solve_covector(
-        solve_at(Descriptor(ops).reps(n, 5), names, equation), names)
+    the same cyclic sum weighted by an unknown 1-form."""
+    return _covector_result(RecurrenceResult, bundle,
+                            TWO_FORM_RECURRENT.format(name), ["pi"], True)
 
 
 def one_form_recurrence(bundle: CurvatureBundle, name: str) -> RecurrenceResult:
     """Same decision for the 1-forms induced by a symmetric (0,2) tensor."""
-    return once(bundle.memo, _one_form_recurrence, bundle.tensor(name),
-                bundle.nabla(name))
-
-
-def _one_form_recurrence(z: Tensor, nz: Tensor) -> RecurrenceResult:
-    n = z.chart.dim
-    names = [f"P{i + 1}" for i in range(n)]
-
-    def equation(idx):
-        i, j, x = idx
-        return ([(names[i], z.get((j, x))), (names[j], -z.get((i, x)))],
-                nz.get((j, x, i)) - nz.get((i, x, j)))
-
-    # the equation at (i, j, x) is minus the one at (j, i, x)
-    return _solve_covector(
-        solve_at(Descriptor((("anti", 0, 1),)).reps(n, 3), names, equation),
-        names)
+    return _covector_result(RecurrenceResult, bundle,
+                            ONE_FORM_RECURRENT.format(name), ["pi"], True)
 
 
 def recurrent_tensor(bundle: CurvatureBundle, name: str) -> RecurrenceResult:
     """Decide plain recurrence nabla T = pi (x) T for an unknown 1-form."""
-    return once(bundle.memo, _recurrent_tensor, bundle.tensor(name),
-                bundle.nabla(name))
+    return _covector_result(RecurrenceResult, bundle,
+                            recurrent_formula(name), ["pi"], True)
 
 
-def _recurrent_tensor(t: Tensor, nt: Tensor) -> RecurrenceResult:
-    n = t.chart.dim
-    k = t.valence
-    names = [f"P{i + 1}" for i in range(n)]
+@dataclass(frozen=True)
+class WeakRicciResult:
+    holds: bool
+    a: tuple | None = None
+    b: tuple | None = None
+    d: tuple | None = None
+    free: tuple = ()
+    witness_component: tuple | None = None
+    witness_residual: Expression | None = None
 
-    def equation(idx):
-        return [(names[idx[k]], t.get(idx[:k]))], nt.get(idx)
 
-    # t's ops touch only the first k slots, so these are t's
-    # representatives, each followed by every derivative index
-    return _solve_covector(
-        solve_at(t.descriptor.reps(n, k + 1), names, equation), names)
+def weakly_ricci_symmetric(bundle: CurvatureBundle) -> WeakRicciResult:
+    """Solve nabla S = A(x)S(y,z) + B(y)S(x,z) + D(z)S(y,x) for covectors."""
+    return _covector_result(WeakRicciResult, bundle, WEAKLY_RICCI_SYMMETRIC,
+                            ["a", "b", "d"])
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +587,12 @@ def _compatibility(d: Tensor, g: Metric):
                 for a, b, c in ((i1, i2, i3), (i2, i3, i1), (i3, i1, i2))
                 for m, dm in raised[(a, b, x)]]
 
-    return Descriptor(_cyclic_ops(d)).reps(d.chart.dim, 4), terms
+    # a cyclic sum over (i1,i2,i3), two of which fill d's first slot
+    # pair: totally antisymmetric when d is antisymmetric in that pair
+    ops = ()
+    if ("anti", 0, 1) in d.descriptor.ops:
+        ops = ("anti", 0, 1), ("anti", 1, 2)
+    return Descriptor(ops).reps(d.chart.dim, 4), terms
 
 
 def _substituted(terms, entry) -> Expression:
@@ -601,46 +669,3 @@ def compatible_space(d: Tensor, g: Metric) -> CompatibleFamily:
     if hit is not None:
         raise TensorError(f"compatible family fails substitution at {hit[0]}")
     return CompatibleFamily(matrix, params)
-
-
-# ---------------------------------------------------------------------------
-# weak Ricci symmetry
-
-
-@dataclass(frozen=True)
-class WeakRicciResult:
-    holds: bool
-    a: tuple | None = None
-    b: tuple | None = None
-    d: tuple | None = None
-    free: tuple = ()
-    witness_component: tuple | None = None
-    witness_residual: Expression | None = None
-
-
-def weakly_ricci_symmetric(bundle: CurvatureBundle) -> WeakRicciResult:
-    """Solve nabla S = A(x)S(y,z) + B(y)S(x,z) + D(z)S(y,x) for covectors."""
-    s = bundle.ricci
-    ns = bundle.nabla("S")
-    n = bundle.dim
-    a_names = [f"A{i + 1}" for i in range(n)]
-    b_names = [f"B{i + 1}" for i in range(n)]
-    d_names = [f"D{i + 1}" for i in range(n)]
-    names = a_names + b_names + d_names
-
-    def equation(idx):
-        x, y, z = idx
-        return ([(a_names[x], s.get((y, z))), (b_names[y], s.get((x, z))),
-                 (d_names[z], s.get((y, x)))], ns.get((y, z, x)))
-
-    # the equation has no index symmetry: every tuple is its own orbit
-    result = solve_at(Descriptor(()).reps(n, 3), names, equation)
-    if not result.consistent:
-        return WeakRicciResult(False, witness_component=result.witness_label,
-                               witness_residual=result.witness_residual)
-    p = result.particular()
-    return WeakRicciResult(True,
-                           tuple(p[u] for u in a_names),
-                           tuple(p[u] for u in b_names),
-                           tuple(p[u] for u in d_names),
-                           result.free)

@@ -17,8 +17,10 @@ functions, or diff(f(args), coord, order, ...).
 Identity grammar, one side of the '=':
 
     side    := ['-'] summand (('+' | '-') summand)*
-    summand := [coefficient '*'] tensor | zero
-    coefficient := unknown | term           # unknown: L, L1, L2, ...
+    summand := [coefficient '*'] tensor [slots] | zero
+    coefficient := unknown | covector | term    # unknown: L, L1, L2, ...
+    covector := NAME '[' NAME ']'
+    slots   := '[' NAME (',' NAME)* ']'
     tensor  := basic ('.' basic)*
     basic   := '(' tensor ')' | 'Q' '(' tensor ',' tensor ')'
              | 'wedge' '(' tensor ',' tensor ')' | 'nabla' basic | NAME
@@ -28,6 +30,13 @@ the tensor, and a coefficient's term ends before the '*' they follow. Inside
 a coefficient's parentheses nothing is reserved: a parenthesised factor is a
 chart expression. A summand without a tensor must be a zero scalar and
 contributes nothing.
+
+Slots give each slot of a tensor an index letter; a covector is an unknown
+1-form taken at one letter. Either every term has slots or none has, each
+term names every free letter once, and the free letters in alphabetical
+order index the equations. A covector's unknowns are its name's first
+letter, upper-cased, numbered 1..n (pi gives P1, P2, ...); it may share a
+chart symbol's name only where the identity does not write that symbol.
 """
 
 from __future__ import annotations
@@ -122,16 +131,16 @@ class _Cursor:
         t = self.peek()
         raise ParseError(message, t.line, t.col)
 
-    def names(self) -> list[Token]:
+    def names(self, close: str = ")") -> list[Token]:
         """Consume `a,b,c)`: one or more names separated by commas."""
         out = []
         while True:
             t = self.next()
             if t.kind != "NAME":
-                raise ParseError("expected an argument name", t.line, t.col)
+                raise ParseError("expected a name", t.line, t.col)
             out.append(t)
             if not self.accept(","):
-                self.expect(")")
+                self.expect(close)
                 return out
 
 
@@ -410,6 +419,11 @@ TENSOR_VALENCE = {"R": 4, "S": 2, "C": 4, "P": 4, "W": 4, "K": 4, "G": 4,
 
 _RESERVED = frozenset(TENSOR_VALENCE) | {"Q", "wedge", "nabla"}
 
+# the coefficient of a term with a minus sign and no other factor: one
+# object, as ONE is, so that check_identity's memo, which counts a
+# coefficient by its object, meets a formula's negated terms again
+_MINUS_ONE = -ONE
+
 
 class TName(Record):
     __slots__ = ("name",)
@@ -450,23 +464,31 @@ class TNabla(Record):
 
 
 class Term(Record):
-    __slots__ = ("coeff", "unknown", "tensor")
+    __slots__ = ("coeff", "unknown", "tensor", "slots", "letter")
 
-    def __init__(self, coeff: Expression, unknown: str | None, tensor):
+    def __init__(self, coeff: Expression, unknown: str | None, tensor,
+                 slots: tuple[str, ...] | None = None,
+                 letter: str | None = None):
         self.coeff = coeff       # concrete scalar factor (sign folded in)
-        self.unknown = unknown   # unknown scalar name, or None
+        self.unknown = unknown   # unknown scalar or covector name, or None
         self.tensor = tensor     # tensor AST node
+        self.slots = slots       # a letter per slot; None for a whole tensor
+        self.letter = letter     # a covector's index letter, else None
 
 
 class IdentityAst(Record):
-    __slots__ = ("left", "right", "valence", "unknowns")
+    __slots__ = ("left", "right", "valence", "unknowns", "letters",
+                 "covectors")
 
     def __init__(self, left: tuple[Term, ...], right: tuple[Term, ...],
-                 valence: int, unknowns: tuple[str, ...]):
+                 valence: int, unknowns: tuple[str, ...],
+                 letters: tuple[str, ...] = (), covectors: tuple = ()):
         self.left = left
         self.right = right
         self.valence = valence
-        self.unknowns = unknowns
+        self.unknowns = unknowns     # every scalar unknown, in solve order
+        self.letters = letters       # the free letters, alphabetical
+        self.covectors = covectors   # ((name, its unknowns), ...)
 
 
 def tensor_ast_str(node) -> str:
@@ -516,6 +538,7 @@ class _IdentityParser(_ExprParser):
         super().__init__(cur, chart)
         self.symbols = {*chart.coords, *chart.functions, *chart.constants,
                         *BUILTIN_CONSTANTS}
+        self.starts: list[Token] = []   # the first token of each term
 
     def side(self, end: str) -> list[Term]:
         """Summands up to the token `end`: '=' on the left, the end of the
@@ -523,9 +546,11 @@ class _IdentityParser(_ExprParser):
         terms: list[Term] = []
         sign = -1 if self.cur.accept("-") else 1
         while True:
+            start = self.cur.peek()
             term = self.summand(sign)
             if term is not None:
                 terms.append(term)
+                self.starts.append(start)
             if self.cur.accept("+"):
                 sign = 1
             elif self.cur.accept("-"):
@@ -537,15 +562,25 @@ class _IdentityParser(_ExprParser):
                 return terms
 
     def summand(self, sign: int) -> Term | None:
-        coeff = ONE if sign > 0 else -ONE
-        unknown = None
+        coeff = ONE if sign > 0 else _MINUS_ONE
+        unknown, letters = None, []
         if not self._tensor_at(self.cur.pos):
             t = self.cur.peek()
-            if t.kind == "NAME" and _is_unknown_name(t.text):
+            # END is the last token, and a NAME is never it
+            after = (self.cur.tokens[self.cur.pos + 1].text
+                     if t.kind == "NAME" else "")
+            if after == "[":
+                unknown = self.cur.next().text
+                self.cur.next()
+                letters = self.cur.names("]")
+                if len(letters) > 1:
+                    raise ParseError("a covector takes one index letter",
+                                     letters[1].line, letters[1].col)
+            elif t.kind == "NAME" and _is_unknown_name(t.text):
                 if t.text in self.symbols:
                     self.cur.fail(f"unknown-scalar name {t.text!r} collides "
                                   f"with a declared symbol")
-                if self.cur.tokens[self.cur.pos + 1].text == "*":
+                if after == "*":
                     unknown = self.cur.next().text
             if unknown is None:
                 scalar = self.term()
@@ -553,7 +588,19 @@ class _IdentityParser(_ExprParser):
                     return None
                 coeff = coeff * scalar
             self.cur.expect("*")
-        return Term(coeff, unknown, self.tensor_atom())
+        tensor, slots = self.indexed_tensor()
+        if slots is None:
+            if letters:
+                self.cur.expect("[")
+            return Term(coeff, unknown, tensor)
+        seen = set()
+        for t in letters + slots:
+            if t.text in seen:
+                raise ParseError(f"index letter {t.text!r} repeats in one "
+                                 f"term", t.line, t.col)
+            seen.add(t.text)
+        return Term(coeff, unknown, tensor, tuple(t.text for t in slots),
+                    letters[0].text if letters else None)
 
     def primary(self) -> Expression:
         """A coefficient's parenthesised factor is a plain chart expression."""
@@ -571,17 +618,31 @@ class _IdentityParser(_ExprParser):
         t = self.cur.tokens[k]
         if t.kind != "NAME" or t.text not in _RESERVED:
             return False
-        if t.text not in self.symbols:
+        if t.text not in self.symbols or self.cur.tokens[k + 1].text == "[":
             return True
         pos = self.cur.pos
         self.cur.pos = start
         try:
-            self.tensor_atom()
+            self.indexed_tensor()
             return self.cur.peek().text in ("+", "-", "=", "")
-        except ParseError:
+        except ExprError:
             return False
         finally:
             self.cur.pos = pos
+
+    def indexed_tensor(self):
+        """A tensor and the list of its slot letter tokens, None when it
+        has none."""
+        node = self.tensor_atom()
+        bracket = self.cur.peek()
+        if not self.cur.accept("["):
+            return node, None
+        slots = self.cur.names("]")
+        valence = tensor_ast_valence(node)
+        if len(slots) != valence:
+            raise ParseError(f"{tensor_ast_str(node)} has {valence} slots, "
+                             f"not {len(slots)}", bracket.line, bracket.col)
+        return node, slots
 
     def tensor_atom(self):
         node = self.tensor_basic()
@@ -621,13 +682,39 @@ def parse_identity(text: str, chart: Chart) -> IdentityAst:
     right = parser.side("")
     if not left and not right:
         raise ParseError("identity 0 = 0 has no content", 1, 1)
-    valences = {tensor_ast_valence(t.tensor) for t in left + right}
+    terms = left + right
+    free = [None if t.slots is None else {*t.slots, t.letter} - {None}
+            for t in terms]
+    # a covector may share its name with a chart symbol (pi, a function a)
+    # unless the identity writes that symbol too
+    written = {a.name for t in terms for a in t.coeff.atoms()}
+    unknowns, covectors = {}, {}   # unknown -> its owner; covector -> names
+    for term, letters, start in zip(terms, free, parser.starts):
+        name, problem = term.unknown, None
+        if letters != free[0]:
+            problem = ("indexed and whole-tensor terms are mixed"
+                       if None in (letters, free[0]) else
+                       f"free letters {','.join(sorted(letters))} differ "
+                       f"from {','.join(sorted(free[0]))}")
+        elif term.letter is not None and name in written:
+            problem = f"covector {name!r} is also a chart symbol here"
+        elif name is not None:
+            names = (name,) if term.letter is None else covectors.setdefault(
+                name, tuple(f"{name[0].upper()}{i + 1}"
+                            for i in range(chart.dim)))
+            for u in names:
+                if unknowns.setdefault(u, name) != name:
+                    problem = (f"{unknowns[u]!r} and {name!r} both name "
+                               f"the unknown {u!r}")
+                    break
+        if problem:
+            raise ParseError(problem, start.line, start.col)
+    valences = ({tensor_ast_valence(t.tensor) for t in terms}
+                if free[0] is None else {len(free[0])})
     if len(valences) > 1:
         lo, hi = min(valences), max(valences)
         raise ParseError(
             f"valence mismatch: (0,{lo}) equated with (0,{hi})", 1, 1)
-    unknowns = []
-    for t in left + right:
-        if t.unknown and t.unknown not in unknowns:
-            unknowns.append(t.unknown)
-    return IdentityAst(tuple(left), tuple(right), valences.pop(), tuple(unknowns))
+    return IdentityAst(tuple(left), tuple(right), valences.pop(),
+                       tuple(unknowns), tuple(sorted(free[0] or ())),
+                       tuple(covectors.items()))

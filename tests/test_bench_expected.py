@@ -1,14 +1,18 @@
-"""The recorded outputs of the solve-stress benchmark, checked in tier-1.
+"""The recorded outputs of the benchmark, checked in tier-1.
 
 Every solve-stress operation runs through bench/ops.py (set-up, run_op,
 render) and its text is compared byte for byte with
-bench/expected/solve-stress.json, so that a changed witness fails here
-before it fails the benchmark's output check. The test only reads those
+bench/expected/solve-stress.json, and every classify, compare and check
+operation of catalog-cli runs through the CLI in process and is compared
+with bench/expected/catalog-cli.json, so that a changed witness fails here
+before it fails the benchmark's output check. The tests only read those
 files; the one operation recorded as null (unverified) is skipped."""
 import importlib.util
 import pathlib
 
 import pytest
+
+from curvkit.cli import main
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
@@ -41,3 +45,18 @@ def test_output_is_recorded_bytes(bundles, op):
     if want is None:
         pytest.skip("recorded as null: unverified")
     assert ops.render(op, ops.run_op(bundles, op)) == want
+
+
+CATALOG_EXPECTED = ops.load_expected("catalog-cli")
+CATALOG_KEYS = sorted(k for k in CATALOG_EXPECTED
+                      if k.split(" | ")[0] in ("classify", "compare", "check"))
+
+
+@pytest.mark.parametrize("key", CATALOG_KEYS)
+def test_catalog_output_is_recorded_bytes(capsys, monkeypatch, key):
+    """The exit code and stdout of one catalog-cli operation, as the
+    benchmark records them."""
+    monkeypatch.setenv("CURVKIT_CATALOG_DIR", str(ops.CATALOG))
+    code = main(key.split(" | "))
+    assert f"exit={code}\n" + capsys.readouterr().out == \
+        CATALOG_EXPECTED[key]

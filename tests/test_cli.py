@@ -560,7 +560,9 @@ IDENTITY_PIECES = [
     "R", "S", "C", "P", "W", "K", "G", "g", "T", "Q", "wedge", "nabla",
     "bogus", "(", ")", ",", ".", "=", "+", "-", "*", "/", "^", "0", "2", "L",
     "L1",
-    "theta", "a", "sin(theta)", " ", "\u00b2", "$"]
+    "theta", "a", "sin(theta)", " ", "\u00b2", "$",
+    # index notation: brackets, letters, a covector and an indexed tensor
+    "[", "]", "i", "j", "x", "pi[i]", "S[i,j]"]
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)

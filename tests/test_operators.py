@@ -21,7 +21,8 @@ from curvkit.operators import (
     weakly_ricci_symmetric, solve_at, first_residual, rank_one_factor,
 )
 from curvkit.linsolve import matrix_rank, solve_linear
-from curvkit.parsing import parse_identity
+from curvkit.chart import Chart
+from curvkit.parsing import MetricSpec, parse_identity
 from curvkit.tensor import (Descriptor, Tensor, D_SYM2, D_ANTI2, D_NONE2,
                             common_descriptor)
 
@@ -339,10 +340,10 @@ class TestBundleMemo:
         assert got == want
 
     @staticmethod
-    def schwarzschild_solves(monkeypatch, fresh=()):
-        """Schwarzschild's classify report and its number of solve_linear
-        calls, with the operators in fresh run at every call instead of
-        once per operands."""
+    def counted_solves(monkeypatch, fresh=()):
+        """The list that each solve_linear call appends its unknowns to,
+        with the operators in fresh run at every call instead of once per
+        operands."""
         solves = []
 
         def spy(equations, unknowns):
@@ -356,30 +357,36 @@ class TestBundleMemo:
 
         monkeypatch.setattr(operators, "solve_linear", spy)
         monkeypatch.setattr(operators, "once", once_unless_fresh)
-        return classify(load_bundle("schwarzschild")).render(), len(solves)
+        return solves
 
     def test_ricci_flat_recurrences_share_the_solve(self, monkeypatch):
-        """On Schwarzschild C is R, so conformal-2-forms-recurrent reads
-        riemann-2-forms-recurrent's solve from the memo; computing every
-        recurrence afresh solves once more and prints the same report."""
-        got, solves = self.schwarzschild_solves(monkeypatch)
-        want, fresh_solves = self.schwarzschild_solves(monkeypatch, (
-            operators._two_form_recurrence, operators._one_form_recurrence,
-            operators._recurrent_tensor))
-        assert got == want
-        assert solves == fresh_solves - 1
+        """On Schwarzschild C is R, so the conformal 2-form recurrence has
+        the terms of the Riemann one and reads its solve from the memo;
+        deciding afresh solves once more and gives the same result."""
+        results = []
+        for fresh in ((), (operators._decide_identity,)):
+            solves = self.counted_solves(monkeypatch, fresh)
+            b = load_bundle("schwarzschild")
+            results.append([two_form_recurrence(b, name) for name in "RC"])
+            assert len(solves) == 1 + len(fresh)
+        assert results[0] == results[1]
+        assert results[0][0] == results[0][1]
 
     def test_ricci_flat_identities_share_the_solve(self, monkeypatch):
         """On Schwarzschild C is R, so conformally-pseudosymmetric (R.C =
         L*Q(g,C)) and pseudosymmetric-weyl (C.C = L*Q(g,C)) have the terms
-        of pseudosymmetric (R.R = L*Q(g,R)) and read its solve; deciding
-        every identity afresh solves twice more and prints the same
-        report."""
-        got, solves = self.schwarzschild_solves(monkeypatch)
-        want, fresh_solves = self.schwarzschild_solves(
-            monkeypatch, (operators._decide_identity,))
+        of pseudosymmetric (R.R = L*Q(g,R)), and conformal-2-forms-recurrent
+        those of riemann-2-forms-recurrent, and each reads its twin's
+        solve; deciding every identity afresh solves three times more and
+        prints the same report."""
+        reports = []
+        for fresh in ((), (operators._decide_identity,)):
+            solves = self.counted_solves(monkeypatch, fresh)
+            reports.append(classify(load_bundle("schwarzschild")).render())
+            reports.append(len(solves))
+        got, solves, want, fresh_solves = reports
         assert got == want
-        assert solves == fresh_solves - 2
+        assert solves == fresh_solves - 3
 
     def test_identity_memo_keys_on_terms(self, vaidya):
         """Two parses of one formula share a decision; a formula with other
@@ -388,6 +395,9 @@ class TestBundleMemo:
         assert check(vaidya, "R.R = L*Q(g,R)") is first
         assert check(vaidya, "R.R = L1*Q(g,R)") is not first
         assert check(vaidya, "R.C = L*Q(g,C)") is not first
+        # a term's minus sign is one coefficient object, as a plus sign is
+        signed = "R.R - Q(S,R) = L*Q(g,C)"
+        assert check(vaidya, signed) is check(vaidya, signed)
 
     def test_vacuum_twins_are_riemann(self):
         b = load_bundle("schwarzschild")
@@ -517,6 +527,121 @@ class TestCanonicalWalk:
         sizes.clear()
         assert classify(load_bundle(name)).render() == report
         assert sum(sizes) > walked
+
+
+WALK_METRICS = {p.stem: p for p in (
+    sorted(CATALOG.glob("*.metric"))
+    + [CATALOG.parent / "bench" / "metrics" / f"{m}.metric"
+       for m in ("warped5", "frw")])}
+
+
+def _cyclic_ops(d):
+    """Reference copy of the hand-made walk of a cyclic sum over d's
+    first slot pair and one more index."""
+    if ("anti", 0, 1) in d.descriptor.ops:
+        return ("anti", 0, 1), ("anti", 1, 2)
+    return ()
+
+
+def _two_form_ops(d):
+    ops = _cyclic_ops(d)
+    if ("anti", 2, 3) in d.descriptor.ops:
+        ops += (("anti", 3, 4),)
+    return ops
+
+
+def _cyclic_parallel_ops(b):
+    if ("sym", 0, 1) in b.nabla("S").descriptor.ops:
+        return ("sym", 0, 1), ("sym", 1, 2)
+    return ()
+
+
+# row: (formula, the hand-made ops it replaced, as a function of the
+# bundle, and the number of index positions)
+HAND_WALKS = {
+    "codazzi-ricci": ("nabla S[y,z,x] = nabla S[x,z,y]",
+                      lambda b: (("anti", 0, 1),), 3),
+    "cyclic-parallel-ricci": (
+        "nabla S[y,z,x] + nabla S[z,x,y] + nabla S[x,y,z] = 0",
+        _cyclic_parallel_ops, 3),
+    "riemann-2-forms-recurrent": (operators.TWO_FORM_RECURRENT.format("R"),
+                                  lambda b: _two_form_ops(b.riemann), 5),
+    "conformal-2-forms-recurrent": (operators.TWO_FORM_RECURRENT.format("C"),
+                                    lambda b: _two_form_ops(b.weyl), 5),
+    "ricci-1-forms-recurrent": (operators.ONE_FORM_RECURRENT.format("S"),
+                                lambda b: (("anti", 0, 1),), 3),
+    "conformally-recurrent": (operators.recurrent_formula("C"),
+                              lambda b: b.weyl.descriptor.ops, 5),
+    "weakly-ricci-symmetric": (operators.WEAKLY_RICCI_SYMMETRIC,
+                               lambda b: (), 3),
+}
+
+
+class _Walked(Exception):
+    pass
+
+
+@pytest.fixture(scope="module")
+def walk_bundles():
+    return {name: CurvatureBundle(parse_metric_file(path.read_text()))
+            for name, path in WALK_METRICS.items()}
+
+
+class TestDerivedWalk:
+    """The walk of an identity comes from the symmetries of its terms; for
+    the seven rows that had hand-made walks it is the same walk."""
+
+    # the conformal tensor needs dimension >= 3, so the 2-sphere has no
+    # conformal rows
+    @pytest.mark.parametrize("metric,row", [
+        (metric, row) for metric in sorted(WALK_METRICS)
+        for row in sorted(HAND_WALKS)
+        if not (metric == "sphere2" and "C" in HAND_WALKS[row][0])])
+    def test_same_walk_as_by_hand(self, walk_bundles, monkeypatch, metric,
+                                  row):
+        b = walk_bundles[metric]
+        formula, hand_ops, k = HAND_WALKS[row]
+        def stop(walk, *_):
+            raise _Walked(walk)
+
+        # the walk is read where the decision starts; nothing is solved
+        monkeypatch.setattr(operators, "solve_at", stop)
+        monkeypatch.setattr(operators, "first_residual", stop)
+        with pytest.raises(_Walked) as walked:
+            check(b, formula)
+        (walk,) = walked.value.args
+        assert walk == Descriptor(hand_ops(b)).reps(b.dim, k)
+
+    @pytest.mark.parametrize("name,formula", [
+        ("vaidya", "R = W"), ("vaidya", "C = K"),
+        ("schwarzschild", "C + L*R = R + L*W")])
+    def test_cancelling_terms_hold(self, name, formula):
+        """kappa = 0 makes W the R object and C the K object, and on
+        Schwarzschild C, W and R are one object: the terms cancel, every
+        op maps them onto themselves, and the identity holds, an unknown
+        staying free."""
+        b = load_bundle(name)
+        assert b.concircular is b.riemann and b.weyl is b.conharmonic
+        res = check(b, formula)
+        assert res.holds and res.witness is None
+        assert res.free == (("L",) if "L" in formula else ())
+
+
+@pytest.mark.parametrize("path", sorted(CATALOG.glob("*.metric")),
+                         ids=lambda p: p.stem)
+def test_reversed_coordinates_keep_every_verdict(path):
+    """Listing the coordinates in reverse order permutes every component
+    and keeps every classify verdict (witness texts may name other
+    components)."""
+    spec = parse_metric_file(path.read_text())
+    n, chart = spec.dim, spec.chart
+    reversed_spec = MetricSpec(spec.name, Chart(
+        chart.coords[::-1], chart.functions, chart.constants),
+        tuple(tuple(spec.matrix[n - 1 - i][n - 1 - j] for j in range(n))
+              for i in range(n)))
+    verdicts = [[(r.name, r.verdict) for r in classify(
+        CurvatureBundle(s)).results] for s in (spec, reversed_spec)]
+    assert verdicts[0] == verdicts[1]
 
 
 class TestValuesAtPoint:

@@ -330,6 +330,68 @@ class TestIdentityGrammar:
             parse_identity(text, CHART)
 
 
+class TestIndexNotation:
+    """Slot letters on tensors and covector unknowns."""
+
+    def test_covector_identity(self):
+        ast = parse_identity(
+            "a[x]*S[y,z] + b[y]*S[x,z] = nabla S[y,z,x]", CHART)
+        assert ast.letters == ("x", "y", "z") and ast.valence == 3
+        assert ast.covectors == (("a", ("A1", "A2")), ("b", ("B1", "B2")))
+        assert ast.unknowns == ("A1", "A2", "B1", "B2")
+        first, second = ast.left
+        assert (first.unknown, first.letter, first.slots) == \
+            ("a", "x", ("y", "z"))
+        assert (second.unknown, second.letter) == ("b", "y")
+        (term,) = ast.right
+        assert term.tensor == TNabla(TName("S"))
+        assert (term.unknown, term.letter, term.slots) == \
+            (None, None, ("y", "z", "x"))
+
+    def test_whole_tensor_terms_carry_no_letters(self):
+        ast = parse_identity("R.R = L*Q(g,R)", CHART)
+        assert ast.letters == () and ast.covectors == ()
+        assert all(t.slots is None and t.letter is None
+                   for t in ast.left + ast.right)
+
+    def test_covector_may_share_an_unwritten_chart_name(self):
+        """pi is a built-in constant and a a declared one; neither is
+        written as a scalar here, so each name is the covector's."""
+        ast = parse_identity("pi[x]*S[y,z] + a[y]*S[z,x] = 0", CHART)
+        assert ast.unknowns == ("P1", "P2", "A1", "A2")
+
+    @pytest.mark.parametrize("text,col,msg", [
+        # slot count different from the valence: at the '['
+        ("nabla S[y,z] = 0", 8, "nabla S has 3 slots, not 2"),
+        ("G[x]*S[y,z] = nabla S[x,y,z]", 2, "G has 4 slots, not 1"),
+        # a repeated letter in one term: at its second use
+        ("a[x]*S[x,z] = nabla S[y,z,x]", 8, "index letter 'x' repeats"),
+        ("S[x,x] = 0", 5, "index letter 'x' repeats"),
+        # terms with different free letters: at the term
+        ("S[x,y] = 2*S[x,z]", 10, "free letters x,z differ from x,y"),
+        # indexed terms mixed with whole-tensor terms: at the term
+        ("S[x,y] + S = 0", 10, "indexed and whole-tensor terms are mixed"),
+        ("S = S[x,y]", 5, "indexed and whole-tensor terms are mixed"),
+        # a covector without its letter
+        ("b[x]*S[y,z] = b*nabla S[y,z,x]", 15, "unknown identifier 'b'"),
+        ("b[]*S[x,y] = 0", 3, "expected a name"),
+        ("b[x,y]*S[z,w] = 0", 5, "a covector takes one index letter"),
+        ("b[x]*S = nabla S", 8, "expected '\\['"),
+        # a covector named like a chart symbol that the identity writes
+        ("a[x]*S[y,z] = a*nabla S[y,z,x]", 1,
+         "covector 'a' is also a chart symbol"),
+        ("pi[x]*S[y,z] = (pi/2)*nabla S[y,z,x]", 1,
+         "covector 'pi' is also a chart symbol"),
+        # two covectors with the same unknowns
+        ("p[x]*S[y,z] + pi[y]*S[x,z] = 0", 15,
+         "'p' and 'pi' both name the unknown 'P1'"),
+    ])
+    def test_rejects_with_column(self, text, col, msg):
+        with pytest.raises(ParseError, match=msg) as err:
+            parse_identity(text, CHART)
+        assert (err.value.line, err.value.col) == (1, col)
+
+
 # -- the identity parser before the shared product grammar, kept as the
 # reference that the differential test holds the grammar to ----------------
 
