@@ -142,22 +142,27 @@ def _decide_identity(unknowns, covectors, left, right) -> IdentityCheck:
               for t, coeff, slots, names, at in side]
     concrete, unknown_terms = [], []
     for coeff, t, slots, names, at in signed:
-        (unknown_terms if names else concrete).append(
-            (_times(coeff), t, operator.itemgetter(*slots), names, at))
+        pick = operator.itemgetter(*slots)
+        if names:
+            unknown_terms.append((_times(coeff), t, pick, names, at))
+        else:
+            concrete.append((t, pick, _times(coeff), _times(-coeff)))
     _, t, slots, _, at = signed[0]
     k = len(slots) + (at is not None)
     walk = Descriptor(_symmetries(signed, k)).reps(t.chart.dim, k)
 
-    def residual(idx):
+    def known(idx, moved=False):
+        """The sum of the known terms at idx, as they stand, or moved to
+        the right-hand side of the equation."""
         v = ZERO
-        for times, t, pick, _, _ in concrete:
+        for t, pick, times, minus in concrete:
             tv = t.get(pick(idx))
             if not tv.is_zero:
-                v = v + times(tv)
+                v = v + (minus if moved else times)(tv)
         return v
 
     if not unknowns:
-        hit = first_residual(walk, residual)
+        hit = first_residual(walk, known)
         if hit is None:
             return IdentityCheck(True, {}, (), None)
         return IdentityCheck(False, None, (),
@@ -167,7 +172,7 @@ def _decide_identity(unknowns, covectors, left, right) -> IdentityCheck:
         return ([(names[0] if at is None else names[idx[at]],
                   times(t.get(pick(idx))))
                  for times, t, pick, names, at in unknown_terms],
-                -residual(idx))
+                known(idx, moved=True))
 
     result = solve_at(walk, unknowns, equation)
     if result.consistent:
