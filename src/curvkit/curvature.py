@@ -208,8 +208,10 @@ class CurvatureBundle:
 def once(memo: dict, fn, *operands):
     """fn(*operands), computed once per fn and operand objects: the entry
     keeps its operands alive, so that no id in its key is reused.  A tuple
-    operand counts by its items and a name by its text.  fn is passed as a
-    module global, so a wrapper rebound there sees each call."""
+    operand counts by its items, a name by its text and an Expression by
+    its printed form, so that each parse of one coefficient meets the
+    others.  fn is passed as a module global, so a wrapper rebound there
+    sees each call."""
     key = (fn,) + tuple(map(_key, operands))
     got = memo.get(key)
     if got is None:
@@ -220,6 +222,8 @@ def once(memo: dict, fn, *operands):
 def _key(operand):
     if type(operand) is tuple:
         return tuple(map(_key, operand))
+    if type(operand) is Expression:
+        return Expression, str(operand)
     return operand if type(operand) is str else id(operand)
 
 

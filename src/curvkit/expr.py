@@ -739,35 +739,6 @@ class NotDivisible(ExprError):
     pass
 
 
-class _GcdBudgetExceeded(Exception):
-    # internal to poly_gcd; never escapes it
-    pass
-
-
-# Work allowance for one top-level poly_gcd call, in coefficient
-# multiplications weighted by operand bit size. Mixed trig/function inputs
-# can drive the primitive remainder sequence into coefficient blowup; past
-# this budget we settle for the monomial common factor, which keeps
-# fractions correct, just less reduced.
-_GCD_BUDGET = 20_000
-_gcd_budget_left = 0
-_gcd_depth = 0
-
-
-def _charge_gcd(units: int) -> None:
-    global _gcd_budget_left
-    if _gcd_depth:
-        _gcd_budget_left -= units
-        if _gcd_budget_left < 0:
-            raise _GcdBudgetExceeded
-
-
-def _coeff_weight(p: "Poly") -> int:
-    # one sampled coefficient stands in for the operand's bignum size
-    c = next(iter(p.terms.values()))
-    return 1 + (c.numerator.bit_length() + c.denominator.bit_length()) // 256
-
-
 def _poly_divexact(a: Poly, b: Poly) -> Poly:
     """Exact division; raises NotDivisible when b does not divide a."""
     if b.is_zero:
@@ -797,9 +768,6 @@ def _poly_divexact(a: Poly, b: Poly) -> Poly:
         top = max(d for d, layer in layers.items() if layer)
         mr = max(layers[top], key=_lex_key)
         cr = layers[top].pop(mr)
-        _charge_gcd(len(b.terms) *
-                    (1 + (cr.numerator.bit_length() +
-                          cr.denominator.bit_length()) // 256))
         mq = _mono_div(mr, mb)
         if mq is None:
             raise NotDivisible
@@ -831,126 +799,16 @@ def _canon_sign(p: Poly) -> Poly:
     return p.scale(_qdiv(1, c))
 
 
-def _degrees(p: Poly) -> dict[Atom, int]:
-    """Each atom of p with its highest exponent, in one pass over the terms."""
-    out: dict[Atom, int] = {}
-    for m in p.terms:
-        for a, e in m:
-            if e > out.get(a, -1):
-                out[a] = e
-    return out
-
-
-def _pick_var(a: Poly, b: Poly) -> Atom | None:
-    """A variable with positive degree in both, preferring low total degree."""
-    da, db = _degrees(a), _degrees(b)
-    return min(da.keys() & db.keys(), key=lambda x: (da[x] + db[x], x.key),
-               default=None)
-
-
-def _as_univar(p: Poly, x: Atom) -> dict[int, Poly]:
-    out: dict[int, dict] = {}
-    for mono, coeff in p.terms.items():
-        e = 0
-        rest = []
-        for a, k in mono:
-            if a is x:
-                e = k
-            else:
-                rest.append((a, k))
-        out.setdefault(e, {})[tuple(rest)] = coeff
-    return {e: Poly(t) for e, t in out.items()}
-
-
-def _from_univar(co: dict[int, Poly], x: Atom) -> Poly:
-    raw = []
-    for e, p in co.items():
-        xm = ((x, e),) if e else _ONE_MONO
-        for m, c in p.terms.items():
-            raw.append((_mono_mul(m, xm), c))
-    return Poly.make(raw)
-
-
-def _fold_gcd(polys: Iterable[Poly]) -> Poly:
-    g = _P_ZERO
-    for p in polys:
-        g = poly_gcd(g, p)
-        if g == _P_ONE:
-            return g
-    return g
-
-
-def _content_wrt(p: Poly, x: Atom) -> Poly:
-    return _fold_gcd(_as_univar(p, x).values())
-
-
-def _prem(a: Poly, b: Poly, x: Atom) -> Poly:
-    """Pseudo-remainder of a by b with respect to x."""
-    ua = _as_univar(a, x)
-    ub = _as_univar(b, x)
-    db = max(ub)
-    lb = ub[db]
-    r = ua
-    guard = max(r) - db + 2 if r else 0
-    while r and max(r) >= db and guard > 0:
-        guard -= 1
-        dr = max(r)
-        lr = r[dr]
-        # r <- lb*r - lr * x^(dr-db) * b
-        new: dict[int, Poly] = {}
-        wb = _coeff_weight(lb)
-        for e, p in r.items():
-            _charge_gcd(len(lb.terms) * len(p.terms) * (wb + _coeff_weight(p)))
-            new[e] = lb * p
-        wr = _coeff_weight(lr)
-        for e, p in ub.items():
-            _charge_gcd(len(lr.terms) * len(p.terms) * (wr + _coeff_weight(p)))
-            t = lr * p
-            e2 = e + dr - db
-            new[e2] = new.get(e2, _P_ZERO) - t
-        r = {e: p for e, p in new.items() if not p.is_zero}
-    return _from_univar(r, x)
-
-
-def _gcd_core(a: Poly, b: Poly) -> Poly:
-    if a.is_zero:
-        return _canon_sign(b)
-    if b.is_zero:
-        return _canon_sign(a)
-    if a.terms == b.terms:
-        return _canon_sign(a)
-    x = _pick_var(a, b)
-    if x is None:
-        return _P_ONE
-    ca = _content_wrt(a, x)
-    cb = _content_wrt(b, x)
-    d = _gcd_core(ca, cb)
-    pa = _poly_divexact(a, ca)
-    pb = _poly_divexact(b, cb)
-    while True:
-        _charge_gcd(1)
-        da = pa.degree_in(x)
-        db = pb.degree_in(x)
-        if da < db:
-            pa, pb = pb, pa
-        r = _prem(pa, pb, x)
-        if r.is_zero:
-            prim = _poly_divexact(pb, _content_wrt(pb, x))
-            return _canon_sign(d * prim)
-        if r.degree_in(x) == 0:
-            return _canon_sign(d)
-        pa, pb = pb, _poly_divexact(r, _content_wrt(r, x))
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """A common divisor, integer-primitive with positive leading coefficient.
 
     The monomial content is split off first.  A top-level call on cos-free
     input whose remaining parts are proved coprime by values at the point
     returns that monomial at once.  Otherwise the budgeted recursive gcd
-    runs; when it exceeds its budget, or its result fails the division
-    check, the common monomial factor is returned, which can leave a
-    common factor of positive degree in the caller's fraction."""
+    of curvkit.packed_gcd runs; when it exceeds its budget, or its result
+    fails the division check, the common monomial factor is returned,
+    which can leave a common factor of positive degree in the caller's
+    fraction."""
     if a.is_zero:
         return _canon_sign(b)
     if b.is_zero:
@@ -961,23 +819,10 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return mono_poly
     a1 = _poly_divexact(a, mono_poly) if mono else a
     b1 = _poly_divexact(b, mono_poly) if mono else b
-    global _gcd_budget_left, _gcd_depth
-    # nested calls share the top-level call's budget: skipping one would
-    # leave more budget for later steps and could change which fall back
-    if _gcd_depth == 0 and _coprime_at_point(a1, b1):
+    if _coprime_at_point(a1, b1):
         return mono_poly
-    if _gcd_depth == 0:
-        _gcd_budget_left = _GCD_BUDGET
-    _gcd_depth += 1
-    try:
-        g = _gcd_core(_canon_sign(a1), _canon_sign(b1))
-        _poly_divexact(a1, g)
-        _poly_divexact(b1, g)
-    except (NotDivisible, _GcdBudgetExceeded):
-        g = _P_ONE
-    finally:
-        _gcd_depth -= 1
-    return g * mono_poly
+    from curvkit import packed_gcd
+    return packed_gcd.gcd(a1, b1) * mono_poly
 
 
 class Expression:

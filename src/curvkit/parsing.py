@@ -419,12 +419,6 @@ TENSOR_VALENCE = {"R": 4, "S": 2, "C": 4, "P": 4, "W": 4, "K": 4, "G": 4,
 
 _RESERVED = frozenset(TENSOR_VALENCE) | {"Q", "wedge", "nabla"}
 
-# the coefficient of a term with a minus sign and no other factor: one
-# object, as ONE is, so that check_identity's memo, which counts a
-# coefficient by its object, meets a formula's negated terms again
-_MINUS_ONE = -ONE
-
-
 class TName(Record):
     __slots__ = ("name",)
 
@@ -562,7 +556,7 @@ class _IdentityParser(_ExprParser):
                 return terms
 
     def summand(self, sign: int) -> Term | None:
-        coeff = ONE if sign > 0 else _MINUS_ONE
+        coeff = ONE if sign > 0 else -ONE
         unknown, letters = None, []
         if not self._tensor_at(self.cur.pos):
             t = self.cur.peek()

@@ -463,9 +463,22 @@ def test_check_loads_no_classify():
 @pytest.mark.parametrize("argv", [("classify", "sphere2"),
                                   ("compare", "sphere2", "minkowski")])
 def test_classify_loads_every_module(argv):
+    """Every module but the budgeted gcd, which loads on its first call."""
     code, modules = _loaded(*argv)
     assert code == 0
-    assert modules == ALL_MODULES | {"curvkit.cli"}
+    assert modules == ALL_MODULES - {"curvkit.packed_gcd"} | {"curvkit.cli"}
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (("compute", "sphere2", "R"), False),
+    (("compute", "minkowski", "dot:R.R"), False),
+    (("classify", "ludwig-edgar"), True)])
+def test_budgeted_gcd_loads_on_its_first_call(argv, loads):
+    """Only a gcd that the values at the point leave open loads it; the
+    metric inverse of Vaidya or Schwarzschild meets r - 2*m and does."""
+    code, modules = _loaded(*argv)
+    assert code == 0
+    assert ("curvkit.packed_gcd" in modules) == loads
 
 
 def test_package_names_resolve_to_their_defining_modules():

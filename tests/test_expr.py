@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from curvkit import (Atom, CurvatureBundle, Expression, ZERO, ONE,
                      format_expression, parse_metric_file,
                      weakly_ricci_symmetric)
-from curvkit import expr as expr_mod
+from curvkit import expr as expr_mod, packed_gcd
 from curvkit.expr import (DivisionByZeroExpression, PRIME, Poly, gcd_mod_p,
                           poly_gcd)
 from curvkit.chart import Chart, ChartError
@@ -329,23 +329,23 @@ def test_gcd_work_meter_is_pinned(monkeypatch):
     b.tensor("C")
     b.nabla("S")
     meter = {"units": 0, "raises": 0, "calls": 0}
-    charge, gcd = expr_mod._charge_gcd, expr_mod.poly_gcd
+    charge, gcd = packed_gcd._charge_gcd, expr_mod.poly_gcd
 
     def counted_charge(units):
-        if expr_mod._gcd_depth:
+        if packed_gcd._gcd_depth:
             meter["units"] += units
         try:
             charge(units)
-        except expr_mod._GcdBudgetExceeded:
+        except packed_gcd._GcdBudgetExceeded:
             meter["raises"] += 1
             raise
 
     def counted_gcd(a, b):
-        if not expr_mod._gcd_depth:
+        if not packed_gcd._gcd_depth:
             meter["calls"] += 1
         return gcd(a, b)
 
-    monkeypatch.setattr(expr_mod, "_charge_gcd", counted_charge)
+    monkeypatch.setattr(packed_gcd, "_charge_gcd", counted_charge)
     monkeypatch.setattr(expr_mod, "poly_gcd", counted_gcd)
     weakly_ricci_symmetric(b)
     assert meter == {"units": 175_682, "raises": 232, "calls": 47}
@@ -446,7 +446,7 @@ class TestValuesAtPoint:
         x, y = (Poly.atom(Atom.coordinate(c)) for c in "xy")
         p = x * x * y + Poly.const(3)
         q = x * y + x + Poly.const(1)
-        monkeypatch.setattr(expr_mod, "_gcd_core", refuse)
+        monkeypatch.setattr(packed_gcd, "_gcd_core", refuse)
         assert poly_gcd(p * x, q * x) == x
 
     def test_cos_inputs_take_exact_gcd(self, monkeypatch):
@@ -492,11 +492,11 @@ def refuse(a, b):
 
 def spy_gcd_core(monkeypatch):
     calls = []
-    core = expr_mod._gcd_core
+    core = packed_gcd._gcd_core
 
     def spy(a, b):
         calls.append((a, b))
         return core(a, b)
 
-    monkeypatch.setattr(expr_mod, "_gcd_core", spy)
+    monkeypatch.setattr(packed_gcd, "_gcd_core", spy)
     return calls

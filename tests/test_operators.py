@@ -395,9 +395,16 @@ class TestBundleMemo:
         assert check(vaidya, "R.R = L*Q(g,R)") is first
         assert check(vaidya, "R.R = L1*Q(g,R)") is not first
         assert check(vaidya, "R.C = L*Q(g,C)") is not first
-        # a term's minus sign is one coefficient object, as a plus sign is
         signed = "R.R - Q(S,R) = L*Q(g,C)"
         assert check(vaidya, signed) is check(vaidya, signed)
+
+    def test_identity_memo_keys_a_coefficient_by_its_form(self, vaidya):
+        """Each parse builds new coefficient objects; the decision is still
+        made once per printed coefficient."""
+        text = "R.C + C.R = (2*m(u)/r^3)*Q(g,C) + Q(S,C)"
+        first = check(vaidya, text)
+        assert check(vaidya, text) is first
+        assert check(vaidya, text.replace("(2*", "(4*")) is not first
 
     def test_vacuum_twins_are_riemann(self):
         b = load_bundle("schwarzschild")
