@@ -821,7 +821,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     b1 = _poly_divexact(b, mono_poly) if mono else b
     if _coprime_at_point(a1, b1):
         return mono_poly
-    from curvkit import packed_gcd
+    from . import packed_gcd
     return packed_gcd.gcd(a1, b1) * mono_poly
 
 

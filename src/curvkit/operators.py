@@ -99,7 +99,7 @@ def check_identity(ast: IdentityAst, bundle: CurvatureBundle) -> IdentityCheck:
     covectors.
 
     The decision runs once per unknown names, evaluated term tensors and
-    coefficient objects, in the bundle's memo: on a Ricci-flat metric C is
+    printed coefficients, in the bundle's memo: on a Ricci-flat metric C is
     R, so C.C = L*Q(g,C) reads the solve of R.R = L*Q(g,R).
     """
     covectors = dict(ast.covectors)

@@ -21,7 +21,6 @@ So every result and every overrun is the one the tuple code gave.
 from __future__ import annotations
 
 import math
-from heapq import heapify, heappop, heappush
 
 from curvkit.expr import (Atom, DivisionByZeroExpression, NotDivisible, Poly,
                           _P_ONE, _exact, _qdiv)
@@ -285,7 +284,7 @@ def _divexact(a: dict, b: dict) -> dict:
     if not a:
         return {}
     lay = _lay
-    guards = lay.guards
+    guards, ds = lay.guards, lay.ds
     if len(b) == 1:
         (mb, cb), = b.items()
         out = {}
@@ -297,24 +296,22 @@ def _divexact(a: dict, b: dict) -> dict:
         return out
     # every remainder term is below a's leading term, so no field of a
     # product below exceeds a's total degree
-    if max(a) >> lay.ds >= lay.limit:
+    if max(a) >> ds >= lay.limit:
         raise _Widen
     mb = max(b)
     cb = b[mb]
     tail = [(m, c) for m, c in b.items() if m != mb]
     cos = lay.cos_mask
     b_cos = any(m & cos for m in b)
-    # the remainder, reduced in place; the heap may hold monomials that
-    # have since cancelled, and no popped monomial comes back
-    r = dict(a)
-    heap = [-m for m in r]
-    heapify(heap)
+    # the remainder, reduced in place: total degree -> {monomial: coeff}
+    layers: dict[int, dict] = {}
+    for m, c in a.items():
+        layers.setdefault(m >> ds, {})[m] = c
     q = {}
-    while r:
-        mr = -heappop(heap)
-        cr = r.pop(mr, None)
-        if cr is None:
-            continue
+    while any(layers.values()):
+        top = layers[max(d for d, layer in layers.items() if layer)]
+        mr = max(top)
+        cr = top.pop(mr)
         _charge_gcd(len(b) * (1 + (cr.numerator.bit_length() +
                                    cr.denominator.bit_length()) // 256))
         mq = mr - mb
@@ -326,16 +323,12 @@ def _divexact(a: dict, b: dict) -> dict:
         if b_cos and mq & cos:
             step = _reduced(step).items()
         for m, c in step:
-            c2 = r.get(m)
-            if c2 is None:
-                r[m] = c
-                heappush(heap, -m)
-                continue
-            c2 += c
+            layer = layers.setdefault(m >> ds, {})
+            c2 = layer.get(m, 0) + c
             if c2:
-                r[m] = c2
+                layer[m] = c2
             else:
-                del r[m]
+                del layer[m]
     return q
 
 
