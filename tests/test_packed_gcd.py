@@ -270,7 +270,8 @@ def test_packed_gcd_matches_tuple_gcd(budget, p, q, common, plant):
 
 
 def test_budget_overrun_is_covered(monkeypatch):
-    """The small budget above does run out, at the top and when nested."""
+    """The small budget above does run out: the kernel raises where the
+    tuple code does, after the same units, and both give 1."""
     x, c, s = (Poly.atom(a) for a in ATOMS[1:4])
     f = Poly.atom(ATOMS[4])
     p = (x * c + f * s + Poly.const(2)) ** 2 * (f + x)
