@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 
-from curvkit.expr import (Atom, DivisionByZeroExpression, NotDivisible, Poly,
-                          _P_ONE, _exact, _qdiv)
+from .expr import (Atom, DivisionByZeroExpression, NotDivisible, Poly,
+                   _exact, _qdiv)
 
 
 class _GcdBudgetExceeded(Exception):
@@ -110,32 +110,38 @@ def gcd(a: Poly, b: Poly) -> Poly:
     """A common divisor of a and b, which have no common monomial factor,
     integer-primitive with positive leading coefficient; 1 when the work
     budget runs out or the result fails the division check."""
-    global _lay, _gcd_budget_left, _gcd_depth
+    global _lay, _gcd_budget_left
     atoms = a.atoms() | b.atoms()
     atoms |= {Atom.sin(x.name) for x in atoms if x.is_cos}
     width = _WIDTH
     while True:
         _lay = _Layout(sorted(atoms), width)
         _gcd_budget_left = _GCD_BUDGET
-        _gcd_depth += 1
         try:
-            pa, pb = _lay.pack(a), _lay.pack(b)
-            g = _gcd_core(_canon_sign(pa), _canon_sign(pb))
-            _divexact(pa, g)
-            _divexact(pb, g)
-            return _lay.unpack(g)
-        except (NotDivisible, _GcdBudgetExceeded):
-            return _P_ONE
+            return _lay.unpack(_checked_gcd(_lay.pack(a), _lay.pack(b)))
         except _Widen:
             width *= 2
-        finally:
-            _gcd_depth -= 1
+
+
+def _checked_gcd(a: dict, b: dict) -> dict:
+    """The remainder sequence's gcd one level deeper, checked by division;
+    1 past the budget or when the check fails."""
+    global _gcd_depth
+    _gcd_depth += 1
+    try:
+        g = _gcd_core(_canon_sign(a), _canon_sign(b))
+        _divexact(a, g)
+        _divexact(b, g)
+        return g
+    except (NotDivisible, _GcdBudgetExceeded):
+        return _ONE
+    finally:
+        _gcd_depth -= 1
 
 
 def _nested_gcd(a: dict, b: dict) -> dict:
     """gcd inside a running call: the monomial content is split off, and a
     part past the budget or failing the division check gives that alone."""
-    global _gcd_depth
     if not a:
         return _canon_sign(b)
     if not b:
@@ -146,16 +152,7 @@ def _nested_gcd(a: dict, b: dict) -> dict:
         return mono_poly
     a1 = _divexact(a, mono_poly) if mono else a
     b1 = _divexact(b, mono_poly) if mono else b
-    _gcd_depth += 1
-    try:
-        g = _gcd_core(_canon_sign(a1), _canon_sign(b1))
-        _divexact(a1, g)
-        _divexact(b1, g)
-    except (NotDivisible, _GcdBudgetExceeded):
-        g = _ONE
-    finally:
-        _gcd_depth -= 1
-    return _mul(g, mono_poly)
+    return _mul(_checked_gcd(a1, b1), mono_poly)
 
 
 def _gcd_core(a: dict, b: dict) -> dict:
@@ -246,21 +243,6 @@ def _reduced(stack: list) -> dict:
         for t in range(q + 1):
             c2 = coeff * math.comb(q, t) * (-1) ** t
             stack.append((base + 2 * t * sin_unit, c2))
-    return out
-
-
-def _sub(a: dict, b: dict) -> dict:
-    nb = {m: -c for m, c in b.items()}
-    if not a:
-        return nb
-    out = dict(a)
-    for m, c in nb.items():
-        c2 = out.get(m)
-        c2 = c if c2 is None else c2 + c
-        if c2:
-            out[m] = _exact(c2)
-        elif m in out:
-            del out[m]
     return out
 
 
@@ -443,6 +425,6 @@ def _prem(a: dict, b: dict, s: int) -> dict:
             _charge_gcd(len(lr) * len(p) * (wr + _coeff_weight(p)))
             t = _mul(lr, p)
             e2 = e + dr - db
-            new[e2] = _sub(new.get(e2, {}), t)
+            new[e2] = (Poly(new.get(e2, {})) - Poly(t)).terms
         r = {e: p for e, p in new.items() if p}
     return _from_univar(r, s)
