@@ -1,26 +1,31 @@
 """Exact linear solving over the Expression fraction field.
 
-Systems arrive as labelled equations  sum_u coeff_u * u = rhs.  A label is
-the caller's index tuple of the component the equation was taken at, so
-witness and pivot labels name components directly.
+Systems arrive as labelled equations  sum_u coeff_u * u = rhs,  read once,
+in the caller's order, from any iterable.  A label is the caller's index
+tuple of the component the equation was taken at, so witness and pivot
+labels name components directly.
 
 Equations fall into connected components: two equations are in one
 component when a chain of shared unknowns links them.  Elimination never
-mixes components, so each can be decided on its own.  A component whose
-rhs are all zero and whose coefficients' values at the point have full
-column rank has only the zero solution (a minor nonzero at the point is
-exactly nonzero), so its unknowns are settled at 0 with no exact
-arithmetic.  Each is labelled by the equation that took it as pivot in the
-elimination of those values, which follows the exact elimination's rule.
+mixes components, so each can be decided on its own.  The rows of a
+component are held while all of its rhs are zero.  It turns live at its
+first nonzero rhs, or when a row joins it to a live component; its held
+rows then enter the Gauss-Jordan loop, in the caller's order, ahead of the
+row that turned it.  The loop keeps a reduced basis (each pivot appears in
+exactly one row, with coefficient 1) and returns at the first inconsistent
+equation, so no equation past the witness is read.  Pivots are chosen
+deterministically as the earliest unknown in the caller's ordering whose
+coefficient is provably nonzero, and each row is reduced by the pivots in
+the order of their pivot rows, so solution displays are stable and each
+solved form is the one the loop gives on the whole list.
 
-Every other equation goes, in the caller's order, through one Gauss-Jordan
-loop that keeps a reduced basis (each pivot appears in exactly one row,
-with coefficient 1).  Pivots are chosen deterministically as the earliest
-unknown in the caller's ordering whose coefficient is provably nonzero, so
-solution displays are stable across runs.  Settling a component removes
-only equations the loop would have kept apart, so every other step, solved
-form and witness is the one the loop gives on the whole system, and a
-settled unknown is the 0 it would give.
+A component still held at the end, or at the witness, is settled from its
+coefficients' values at the point, eliminated as the loop eliminates.  At
+the end, values of full column rank leave only the zero solution (a minor
+nonzero at the point is exactly nonzero), so its unknowns are 0 with no
+exact arithmetic, each labelled by the equation that took it as pivot;
+otherwise its rows go through the loop.  At the witness the value pivots
+name the equations that fixed those unknowns before it.
 
 The metric inverse (tensor.Metric) and matrix_rank are solves of this one
 loop too; there is no second exact elimination.
@@ -92,11 +97,14 @@ class _Row:
         self.label = label
 
 
-def _settled(rows, order) -> dict:
-    """{unknown: position of its value-pivot equation} for the unknowns of
-    every homogeneous component whose values at the point have full column
-    rank.  rows are (coeffs without zeros, equation) pairs."""
-    parent = {}
+def solve_linear(equations, unknowns) -> SolveResult:
+    unknowns = tuple(unknowns)
+    order = {u: k for k, u in enumerate(unknowns)}
+    rows = []                        # (coeffs without zeros, equation)
+    basis: dict[str, _Row] = {}
+    fixed = {}                       # unknown -> position of its pivot row
+    parent = {}                      # union-find over unknowns
+    held = {}                        # root -> positions; None once live
 
     def find(u):
         while parent[u] != u:
@@ -104,58 +112,11 @@ def _settled(rows, order) -> dict:
             u = parent[u]
         return u
 
-    for coeffs, _ in rows:
-        first = None
-        for u in coeffs:
-            parent.setdefault(u, u)
-            if first is None:
-                first = find(u)
-            else:
-                parent[find(u)] = first
-    components = {}
-    for k, (coeffs, _) in enumerate(rows):
-        if coeffs:
-            components.setdefault(find(next(iter(coeffs))), []).append(k)
-
-    settled = {}
-    for positions in components.values():
-        if any(not rows[k][1].rhs.is_zero for k in positions):
-            continue
-        cols = sorted({u for k in positions for u in rows[k][0]},
-                      key=order.get)
-        pivots = pivots_at_point([[rows[k][0].get(u, ZERO) for u in cols]
-                                  for k in positions])
-        if pivots is not None and len(pivots) == len(cols):
-            settled.update((cols[c], positions[r])
-                           for c, r in pivots.items())
-    return settled
-
-
-def solve_linear(equations, unknowns) -> SolveResult:
-    unknowns = tuple(unknowns)
-    order = {u: k for k, u in enumerate(unknowns)}
-    rows = [({u: c for u, c in eq.coeffs.items() if not c.is_zero}, eq)
-            for eq in equations]
-    settled = _settled(rows, order)
-    basis: dict[str, _Row] = {}
-
-    def labels_before(position) -> dict:
-        out = {u: rows[k][1].label
-               for u, k in settled.items() if k < position}
-        out.update((p, r.label) for p, r in basis.items())
-        return out
-
-    def fixed_so_far() -> dict:
-        out = {u: ZERO for u in unknowns}
-        for p, row in basis.items():
-            out[p] = row.rhs
-        return out
-
-    for position, (coeffs, eq) in enumerate(rows):
-        if coeffs and next(iter(coeffs)) in settled:
-            continue
+    def step(k):
+        """Gauss-Jordan on row k: the residual if it is inconsistent."""
+        coeffs, eq = rows[k]
         rhs = eq.rhs
-        for p in [p for p in basis if p in coeffs]:
+        for p in sorted((p for p in coeffs if p in basis), key=fixed.get):
             c = coeffs.pop(p)
             row = basis[p]
             for u, bc in row.coeffs.items():
@@ -166,12 +127,7 @@ def solve_linear(equations, unknowns) -> SolveResult:
                     coeffs[u] = nc
             rhs = rhs - c * row.rhs
         if not coeffs:
-            if rhs.is_zero:
-                continue
-            return SolveResult("inconsistent", unknowns, None, (),
-                               labels_before(position),
-                               witness_label=eq.label, witness_residual=rhs,
-                               partial=fixed_so_far())
+            return None if rhs.is_zero else rhs
         pivot = min(coeffs, key=order.get)
         pc = coeffs.pop(pivot)
         ncoeffs = {u: v / pc for u, v in coeffs.items()}
@@ -188,22 +144,70 @@ def solve_linear(equations, unknowns) -> SolveResult:
                     row.coeffs[u] = nc
             row.rhs = row.rhs - c2 * nrhs
         basis[pivot] = _Row(ncoeffs, nrhs, eq.label)
+        fixed[pivot] = k
 
-    free = tuple(u for u in unknowns
-                 if u not in basis and u not in settled)
+    def settle(positions, complete):
+        """Fix a held component by its values' pivots: when complete, only
+        if they have full column rank, else its rows go through the loop."""
+        positions.sort()
+        cols = sorted({u for k in positions for u in rows[k][0]},
+                      key=order.get)
+        pivots = pivots_at_point([[rows[k][0].get(u, ZERO) for u in cols]
+                                  for k in positions])
+        if pivots is None or complete and len(pivots) < len(cols):
+            for k in positions:
+                step(k)
+        else:
+            fixed.update((cols[c], positions[r]) for c, r in pivots.items())
+
+    def labels() -> dict:
+        return {u: rows[k][1].label for u, k in fixed.items()}
+
+    for eq in equations:
+        k = len(rows)
+        coeffs = {u: c for u, c in eq.coeffs.items() if not c.is_zero}
+        rows.append((coeffs, eq))
+        roots = {find(parent.setdefault(u, u)) for u in coeffs}
+        live, waiting = not eq.rhs.is_zero, []
+        for r in roots:
+            positions = held.pop(r, [])
+            live = live or positions is None
+            waiting += positions or ()
+        if roots:
+            root = roots.pop()
+            for r in roots:
+                parent[r] = root
+            held[root] = None if live else waiting + [k]
+        if not live:
+            continue
+        for j in sorted(waiting) + [k]:
+            residual = step(j)
+            if residual is not None:
+                for positions in held.values():
+                    if positions:
+                        settle(positions, False)
+                return SolveResult(
+                    "inconsistent", unknowns, None, (), labels(),
+                    witness_label=eq.label, witness_residual=residual,
+                    partial={u: basis[u].rhs if u in basis else ZERO
+                             for u in unknowns})
+    for positions in held.values():
+        if positions:
+            settle(positions, True)
+
+    free = tuple(u for u in unknowns if u not in fixed)
     solution = {}
     for u in unknowns:
         if u in basis:
             row = basis[u]
             solution[u] = AffineForm(row.rhs,
                                      {f: -c for f, c in row.coeffs.items()})
-        elif u in settled:
+        elif u in fixed:
             solution[u] = AffineForm(ZERO)
         else:
             solution[u] = AffineForm(ZERO, {u: ONE})
     status = "unique" if not free else "underdetermined"
-    return SolveResult(status, unknowns, solution, free,
-                       labels_before(len(rows)))
+    return SolveResult(status, unknowns, solution, free, labels())
 
 
 def matrix_rank(rows) -> int:

@@ -69,19 +69,21 @@ def solve_at(walk, unknowns, equation):
     unknown add up and zero ones are dropped; a tuple left with no
     coefficient and a zero rhs gives no equation.  Each equation is labelled
     by its index tuple, so the result's witness and pivot labels name
-    components.
+    components.  The equations are formed in walk order as the solver reads
+    them, so a failing system forms none past its witness.
     """
-    equations = []
-    for idx in walk:
-        terms, rhs = equation(idx)
-        coeffs = {}
-        for u, c in terms:
-            if not c.is_zero:
-                coeffs[u] = coeffs.get(u, ZERO) + c
-        coeffs = {u: c for u, c in coeffs.items() if not c.is_zero}
-        if coeffs or not rhs.is_zero:
-            equations.append(LinearEquation(coeffs, rhs, idx))
-    return solve_linear(equations, unknowns)
+    def equations():
+        for idx in walk:
+            terms, rhs = equation(idx)
+            coeffs = {}
+            for u, c in terms:
+                if not c.is_zero:
+                    coeffs[u] = coeffs.get(u, ZERO) + c
+            coeffs = {u: c for u, c in coeffs.items() if not c.is_zero}
+            if coeffs or not rhs.is_zero:
+                yield LinearEquation(coeffs, rhs, idx)
+
+    return solve_linear(equations(), unknowns)
 
 
 def first_residual(walk, residual):

@@ -285,6 +285,44 @@ class Tensor(Record):
                 f"valence mismatch: {self.valence} vs {other.valence}")
 
 
+class LazyTensor(Tensor):
+    """A Tensor whose canonical components are evaluated on first read:
+    stored and get evaluate one, is_zero stops at the first nonzero one,
+    and a read of comps (iter_nonzero, map, a dump) fills the table in reps
+    order, as Tensor.compute does with the getter."""
+
+    __slots__ = ("getter", "seen", "filled")
+
+    def __init__(self, chart: Chart, valence: int, descriptor: Descriptor,
+                 getter):
+        self.chart, self.valence, self.descriptor = chart, valence, descriptor
+        self.getter = getter
+        self.seen = {}         # representative -> value, zeros included
+        self.filled = None
+
+    @property
+    def comps(self) -> dict:
+        if self.filled is None:
+            self.filled = Tensor.compute(self.chart, self.valence,
+                                         self.descriptor, self.get).comps
+            self.getter = None
+        return self.filled
+
+    def stored(self, idx: tuple) -> tuple[Expression | None, int]:
+        rep, sign = self.descriptor.canon(tuple(idx))
+        if not sign:
+            return None, 0
+        v = self.seen.get(rep)
+        if v is None:
+            v = self.seen[rep] = self.getter(rep)
+        return (None, 0) if v.is_zero else (v, sign)
+
+    @property
+    def is_zero(self) -> bool:
+        return all(self.stored(rep)[0] is None for rep in
+                   self.descriptor.reps(self.chart.dim, self.valence))
+
+
 def common_descriptor(tensors) -> Descriptor:
     """The symmetries shared by every tensor in a non-empty iterable; each
     of them holds for any linear combination of the tensors."""
@@ -475,8 +513,8 @@ def kulkarni_nomizu(a: Tensor, e: Tensor) -> Tensor:
 
 def _times(products: dict, a: Expression, b: Expression) -> Expression:
     """a * b, formed once per pair of stored objects: products is keyed by
-    the operands' identities and lives for one call, whose tables keep
-    both operands alive."""
+    the operands' identities and lives with one product table, whose
+    getter keeps both operands' tables alive."""
     key = (id(a), id(b))
     p = products.get(key)
     if p is None:
@@ -485,14 +523,14 @@ def _times(products: dict, a: Expression, b: Expression) -> Expression:
 
 
 def dot_action(d: Tensor, h: Tensor, g: Metric) -> Tensor:
-    """Act the operator attached to d on h, producing a (0,k+2) tensor.
+    """Act the operator attached to d on h, producing a (0,k+2) LazyTensor.
 
     Component rule: (d.h)[i1..ik, x, y] = -sum over slots s and l of
     d^l[x, y, i_s] * h[.. l at s ..], where the l index is raised with g
     on d's fourth slot.
 
     Each product of a raised entry and a stored component of h is formed
-    once per call and signed after the lookup: total - w*(-v) is written
+    once per table and signed after the lookup: total - w*(-v) is written
     total + w*v.  The bytes are those of multiplying each signed read,
     since w*(-v) is -(w*v) term for term (see raised_last).
     """
@@ -518,18 +556,18 @@ def dot_action(d: Tensor, h: Tensor, g: Metric) -> Tensor:
                     total = total - p if sign == 1 else total + p
         return total
 
-    return Tensor.compute(chart, k + 2, desc, entry)
+    return LazyTensor(chart, k + 2, desc, entry)
 
 
 def tachibana(a: Tensor, h: Tensor) -> Tensor:
-    """Endomorphism action Q(a,h): a (0,k+2) tensor, antisymmetric in the
-    trailing pair.
+    """Endomorphism action Q(a,h): a (0,k+2) LazyTensor, antisymmetric in
+    the trailing pair.
 
     Component rule: Q(a,h)[i1..ik, x, y] = sum over slots s of
     a[x, i_s] * h[.. y at s ..] - a[y, i_s] * h[.. x at s ..].
 
     As in dot_action, each product of two stored components is formed
-    once per call and the sign of the read of h is applied after it.
+    once per table and the sign of the read of h is applied after it.
     """
     if a.valence != 2:
         raise TensorError("endomorphism base must have valence 2")
@@ -555,7 +593,7 @@ def tachibana(a: Tensor, h: Tensor) -> Tensor:
                     total = total + p if sign * h_sign == 1 else total - p
         return total
 
-    return Tensor.compute(chart, k + 2, desc, entry)
+    return LazyTensor(chart, k + 2, desc, entry)
 
 
 def trace2(t: Tensor, g: Metric) -> Expression:

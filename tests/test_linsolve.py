@@ -1,13 +1,16 @@
-"""solve_linear against the plain Gauss-Jordan loop it puts a pre-pass in
-front of: homogeneous components whose values at the point have full
-column rank are settled at zero, and nothing else changes."""
+"""solve_linear against the plain Gauss-Jordan loop and against the batch
+solver it replaces.  It reads its equations in one pass, holds the rows of
+a component while all of them are homogeneous, and settles a component
+that stays homogeneous at zero when its values at the point have full
+column rank; the result is the batch solver's, field by field, and an
+inconsistent system is read no further than its witness."""
 import random
 
 from hypothesis import given, settings, strategies as st
 
 from curvkit import linsolve
 from curvkit.expr import (Atom, Expression, ONE, ZERO, _atom_at_point,
-                          format_expression)
+                          format_expression, pivots_at_point)
 from curvkit.linsolve import (AffineForm, LinearEquation, SolveResult,
                               solve_linear)
 
@@ -78,6 +81,122 @@ def reference_solve(equations, unknowns) -> SolveResult:
     status = "unique" if not free else "underdetermined"
     return SolveResult(status, unknowns, solution, free,
                        {p: r.label for p, r in basis.items()})
+
+
+def _batch_settled(rows, order) -> dict:
+    """The batch solver's pre-pass: {unknown: position of its value-pivot
+    equation} for the unknowns of every homogeneous component, over the
+    whole system, whose values at the point have full column rank."""
+    parent = {}
+
+    def find(u):
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    for coeffs, _ in rows:
+        first = None
+        for u in coeffs:
+            parent.setdefault(u, u)
+            if first is None:
+                first = find(u)
+            else:
+                parent[find(u)] = first
+    components = {}
+    for k, (coeffs, _) in enumerate(rows):
+        if coeffs:
+            components.setdefault(find(next(iter(coeffs))), []).append(k)
+
+    settled = {}
+    for positions in components.values():
+        if any(not rows[k][1].rhs.is_zero for k in positions):
+            continue
+        cols = sorted({u for k in positions for u in rows[k][0]},
+                      key=order.get)
+        pivots = pivots_at_point([[rows[k][0].get(u, ZERO) for u in cols]
+                                  for k in positions])
+        if pivots is not None and len(pivots) == len(cols):
+            settled.update((cols[c], positions[r])
+                           for c, r in pivots.items())
+    return settled
+
+
+def batch_solve(equations, unknowns) -> SolveResult:
+    """solve_linear as it was before it read its equations in one pass: the
+    pre-pass over the whole list, then the loop in list order."""
+    unknowns = tuple(unknowns)
+    order = {u: k for k, u in enumerate(unknowns)}
+    rows = [({u: c for u, c in eq.coeffs.items() if not c.is_zero}, eq)
+            for eq in equations]
+    settled = _batch_settled(rows, order)
+    basis = {}
+
+    def labels_before(position) -> dict:
+        out = {u: rows[k][1].label
+               for u, k in settled.items() if k < position}
+        out.update((p, r.label) for p, r in basis.items())
+        return out
+
+    def fixed_so_far() -> dict:
+        out = {u: ZERO for u in unknowns}
+        for p, row in basis.items():
+            out[p] = row.rhs
+        return out
+
+    for position, (coeffs, eq) in enumerate(rows):
+        if coeffs and next(iter(coeffs)) in settled:
+            continue
+        rhs = eq.rhs
+        for p in [p for p in basis if p in coeffs]:
+            cp = coeffs.pop(p)
+            row = basis[p]
+            for u, bc in row.coeffs.items():
+                nc = coeffs.get(u, ZERO) - cp * bc
+                if nc.is_zero:
+                    coeffs.pop(u, None)
+                else:
+                    coeffs[u] = nc
+            rhs = rhs - cp * row.rhs
+        if not coeffs:
+            if rhs.is_zero:
+                continue
+            return SolveResult("inconsistent", unknowns, None, (),
+                               labels_before(position),
+                               witness_label=eq.label, witness_residual=rhs,
+                               partial=fixed_so_far())
+        pivot = min(coeffs, key=order.get)
+        pc = coeffs.pop(pivot)
+        ncoeffs = {u: v / pc for u, v in coeffs.items()}
+        nrhs = rhs / pc
+        for row in basis.values():
+            c2 = row.coeffs.pop(pivot, None)
+            if c2 is None or c2.is_zero:
+                continue
+            for u, bc in ncoeffs.items():
+                nc = row.coeffs.get(u, ZERO) - c2 * bc
+                if nc.is_zero:
+                    row.coeffs.pop(u, None)
+                else:
+                    row.coeffs[u] = nc
+            row.rhs = row.rhs - c2 * nrhs
+        basis[pivot] = linsolve._Row(ncoeffs, nrhs, eq.label)
+
+    free = tuple(u for u in unknowns
+                 if u not in basis and u not in settled)
+    solution = {}
+    for u in unknowns:
+        if u in basis:
+            row = basis[u]
+            solution[u] = AffineForm(row.rhs,
+                                     {f: -v for f, v in row.coeffs.items()})
+        elif u in settled:
+            solution[u] = AffineForm(ZERO)
+        else:
+            solution[u] = AffineForm(ZERO, {u: ONE})
+    status = "unique" if not free else "underdetermined"
+    return SolveResult(status, unknowns, solution, free,
+                       labels_before(len(rows)))
 
 
 def printed(result: SolveResult):
@@ -168,6 +287,22 @@ def test_matches_the_exact_loop(kinds, rng):
         reference_solve(equations, unknowns))
 
 
+def copied(equations) -> list:
+    """Fresh equations with the same fields: each solver may keep what it
+    builds from one."""
+    return [LinearEquation(dict(e.coeffs), e.rhs, e.label)
+            for e in equations]
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(KINDS), min_size=1, max_size=4),
+       st.randoms(use_true_random=False))
+def test_one_pass_matches_the_batch_solver(kinds, rng):
+    equations, unknowns = system(kinds, rng)
+    got = solve_linear((e for e in copied(equations)), unknowns)
+    assert printed(got) == printed(batch_solve(copied(equations), unknowns))
+
+
 # -- what the values may and may not decide -----------------------------------
 
 def loop_rows(monkeypatch) -> list:
@@ -245,3 +380,77 @@ def test_inconsistent_system_names_the_pivots_fixed_before_it():
     assert result.pivot_labels == {"u": (0,), "w": (1,)}
     assert printed(result) == printed(reference_solve(equations,
                                                       ("u", "v", "w")))
+
+
+# -- one pass: held components, reduction order, the witness -----------------
+
+def test_held_block_merging_with_a_live_one_reduces_in_position_order():
+    """v's homogeneous row (0,) is held until (2,) links it to the live
+    block of u, so its pivot row is built after u's.  (2,) is still reduced
+    by v's row first, as the batch solver does, so its free unknowns keep
+    the batch order: fv before fu in z's solved form."""
+    equations = [eq((0,), v=ONE, fv=X), eq((1,), u=ONE, fu=A, rhs=ONE),
+                 eq((2,), z=ONE, v=Y, u=X)]
+    unknowns = ("z", "u", "v", "fu", "fv")
+    got = solve_linear(iter(copied(equations)), unknowns)
+    want = batch_solve(copied(equations), unknowns)
+    assert printed(got) == printed(want)
+    assert list(got.solution["z"].coeffs) == ["fv", "fu"]
+    assert got.pivot_labels == {"v": (0,), "u": (1,), "z": (2,)}
+
+
+def test_held_blocks_merge_before_they_turn_live():
+    """Two held blocks join through a homogeneous row and stay held; a
+    nonzero rhs then sends all three held rows through the loop, in
+    position order, ahead of the row that turned them live."""
+    equations = [eq((0,), a=ONE, fa=X), eq((1,), b=ONE, fb=A),
+                 eq((2,), a=Y, b=ONE, c=ONE, fc=ONE),
+                 eq((3,), c=X, fa=ONE, fb=Y, rhs=A),
+                 eq((4,), d=ONE, fd=ONE)]
+    unknowns = ("c", "a", "b", "d", "fa", "fb", "fc", "fd")
+    got = solve_linear(iter(copied(equations)), unknowns)
+    assert printed(got) == printed(batch_solve(copied(equations), unknowns))
+    assert got.status == "underdetermined"
+
+
+def test_an_undecided_held_block_goes_through_the_loop_at_the_end(
+        monkeypatch):
+    labels = loop_rows(monkeypatch)
+    equations = [eq((0,), u=X, v=ONE), eq((1,), w=ONE, rhs=c(2)),
+                 eq((2,), u=X * A, v=A)]
+    got = solve_linear(iter(copied(equations)), ("u", "v", "w"))
+    assert labels == [(1,), (0,)]
+    assert printed(got) == printed(
+        batch_solve(copied(equations), ("u", "v", "w")))
+    assert got.free == ("v",)
+
+
+def counted(equations, pulled: list):
+    for e in equations:
+        pulled.append(e.label)
+        yield e
+
+
+def test_inconsistent_system_is_read_no_further_than_its_witness():
+    equations = [eq((0,), u=X, v=ONE), eq((1,), w=ONE, rhs=ONE),
+                 eq((2,), w=X, rhs=ONE), eq((3,), u=ONE, v=A),
+                 eq((4,), v=ONE, rhs=Y)]
+    pulled = []
+    got = solve_linear(counted(copied(equations), pulled), ("u", "v", "w"))
+    assert got.witness_label == (2,)
+    assert pulled == [(0,), (1,), (2,)]
+    assert printed(got) == printed(
+        batch_solve(copied(equations), ("u", "v", "w")))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(KINDS), min_size=1, max_size=4),
+       st.randoms(use_true_random=False))
+def test_no_equation_is_pulled_after_the_witness(kinds, rng):
+    equations, unknowns = system(kinds, rng)
+    pulled = []
+    got = solve_linear(counted(equations, pulled), unknowns)
+    if got.consistent:
+        assert len(pulled) == len(equations)
+    else:
+        assert pulled[-1] == got.witness_label

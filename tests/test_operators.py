@@ -459,6 +459,7 @@ def test_solve_at_builds_labelled_equations(monkeypatch):
     sent = []
 
     def spy(equations, unknowns):
+        equations = list(equations)
         sent.extend(equations)
         return solve_linear(equations, unknowns)
 

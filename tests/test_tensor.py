@@ -9,7 +9,7 @@ from curvkit import Tensor, Metric, TensorError, covariant_derivative, \
     kulkarni_nomizu, endo_square, format_dump, classify, CurvatureBundle
 from curvkit.chart import Chart
 from curvkit.expr import Expression, ZERO, ONE, format_expression
-from curvkit.parsing import parse_expression, parse_metric_file
+from curvkit.parsing import parse_expression, parse_identity, parse_metric_file
 from curvkit.tensor import (
     Descriptor, D_SYM2, D_RIEMANN, D_ANTI2, D_NONE2, RIEMANN, SYM2,
     trace2, divergence_first, format_component_lines, raised_last,
@@ -547,6 +547,107 @@ class TestReuseMatchesReference:
                 assert row == ()
             elif x > y:
                 assert [(l, -v) for l, v in row] == list(table[(y, x, z)])
+
+
+class TestLazyProducts:
+    """dot_action and tachibana return tables that evaluate a component on
+    its first read; read in any order, they print as a table built in full
+    by Tensor.compute with the same getter, and a failing identity reads
+    only the components up to its witness."""
+
+    PRODUCTS = (("dot", "R", "R"), ("dot", "R", "C"), ("dot", "C", "R"),
+                ("dot", "C", "C"), ("dot", "R", "S"), ("Q", "g", "R"),
+                ("Q", "g", "C"), ("Q", "S", "R"), ("Q", "S", "C"))
+
+    @staticmethod
+    def product(b, kind, left, right):
+        d, h = b.tensor(left), b.tensor(right)
+        if kind == "dot":
+            return tensor_mod.dot_action(d, h, b.metric)
+        return tensor_mod.tachibana(d, h)
+
+    @pytest.mark.parametrize("path", METRIC_FILES, ids=lambda p: p.stem)
+    def test_read_in_full_prints_as_computed(self, path):
+        b = CurvatureBundle(parse_metric_file(path.read_text()))
+        for kind, left, right in self.PRODUCTS:
+            if b.dim == 2 and "C" in (left, right):
+                continue   # C is undefined on the 2-sphere
+            lazy = self.product(b, kind, left, right)
+            fresh = self.product(b, kind, left, right)
+            want = Tensor.compute(fresh.chart, fresh.valence,
+                                  fresh.descriptor, fresh.getter)
+            # single reads, last representative first, then the whole
+            reps = lazy.descriptor.reps(b.dim, lazy.valence)
+            for idx in reversed(reps):
+                assert lazy.get(idx) == want.get(idx)
+            assert lazy.is_zero == want.is_zero
+            assert list(lazy.comps) == list(want.comps), (kind, left, right)
+            for idx, v in want.comps.items():
+                assert str(lazy.comps[idx]) == str(v)
+                assert _terms(lazy.comps[idx]) == _terms(v), (
+                    kind, left, right, idx)
+            assert format_dump("T", lazy) == format_dump("T", want)
+
+    def test_bundle_tensors_are_built_in_full(self, vaidya):
+        for name in "RSCPWKGTg":
+            assert type(vaidya.tensor(name)) is Tensor, name
+        assert type(vaidya.nabla("C")) is Tensor
+        assert type(vaidya.connection) is tensor_mod.Connection
+
+    def test_unread_table_fills_on_iteration(self, vaidya):
+        lazy = self.product(vaidya, "dot", "R", "R")
+        want = Tensor.compute(lazy.chart, lazy.valence, lazy.descriptor,
+                              self.product(vaidya, "dot", "R", "R").getter)
+        assert list(lazy.iter_nonzero()) == list(want.iter_nonzero())
+        assert lazy.getter is None   # the products memo is released
+
+    @staticmethod
+    def evaluations(monkeypatch) -> list:
+        """(table, entries evaluated) of every product the bundle memo
+        builds."""
+        from curvkit import curvature
+        made = []
+
+        def spy(fn):
+            def wrapped(*operands):
+                t = fn(*operands)
+                getter, count = t.getter, [0]
+
+                def counted(idx):
+                    count[0] += 1
+                    return getter(idx)
+
+                t.getter = counted
+                made.append((t, count))
+                return t
+            return wrapped
+
+        for name in ("dot_action", "tachibana"):
+            monkeypatch.setattr(curvature, name,
+                                spy(getattr(curvature, name)))
+        return made
+
+    def test_failing_pseudosymmetry_stops_at_its_witness(self, monkeypatch):
+        path = CATALOG.parent / "bench" / "metrics" / "warped5.metric"
+        b = CurvatureBundle(parse_metric_file(path.read_text()))
+        made = self.evaluations(monkeypatch)
+        check = operators.check_identity(
+            parse_identity("R.R = L*Q(g,R)", b.chart), b)
+        assert not check.holds
+        assert len(made) == 2
+        for t, count in made:
+            # 550 with every component built before the solve
+            assert len(t.descriptor.reps(b.dim, t.valence)) == 550
+            assert count[0] <= 15
+
+    def test_failing_zero_check_stops_at_its_residual(self, monkeypatch,
+                                                      capsys):
+        from curvkit import cli
+        made = self.evaluations(monkeypatch)
+        assert cli.main(["check", "vaidya", "R.R = 0"]) != 0
+        assert "verdict: fails" in capsys.readouterr().out
+        (t, count), = made
+        assert 0 < count[0] < len(t.descriptor.reps(4, 6))
 
 
 class TestCovariantDerivative:
