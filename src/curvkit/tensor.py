@@ -291,13 +291,14 @@ class LazyTensor(Tensor):
     and a read of comps (iter_nonzero, map, a dump) fills the table in reps
     order, as Tensor.compute does with the getter."""
 
-    __slots__ = ("getter", "seen", "filled")
+    __slots__ = ("getter", "seen", "unread", "filled")
 
     def __init__(self, chart: Chart, valence: int, descriptor: Descriptor,
                  getter):
         self.chart, self.valence, self.descriptor = chart, valence, descriptor
         self.getter = getter
-        self.seen = {}         # representative -> value, zeros included
+        self.seen = {}         # representative -> value, None if zero
+        self.unread = len(descriptor.reps(chart.dim, valence))
         self.filled = None
 
     @property
@@ -305,17 +306,21 @@ class LazyTensor(Tensor):
         if self.filled is None:
             self.filled = Tensor.compute(self.chart, self.valence,
                                          self.descriptor, self.get).comps
-            self.getter = None
         return self.filled
 
     def stored(self, idx: tuple) -> tuple[Expression | None, int]:
         rep, sign = self.descriptor.canon(tuple(idx))
         if not sign:
             return None, 0
-        v = self.seen.get(rep)
-        if v is None:
-            v = self.seen[rep] = self.getter(rep)
-        return (None, 0) if v.is_zero else (v, sign)
+        v = self.seen.get(rep, self)
+        if v is self:
+            v = self.getter(rep)
+            v = self.seen[rep] = None if v.is_zero else v
+            self.unread -= 1
+            if not self.unread:
+                # all read: release the getter, its product memo and operands
+                self.getter = None
+        return (None, 0) if v is None else (v, sign)
 
     @property
     def is_zero(self) -> bool:
