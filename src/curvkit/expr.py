@@ -735,100 +735,50 @@ def _coprime_at_point(a: Poly, b: Poly) -> bool:
     return True
 
 
-class NotDivisible(ExprError):
-    pass
-
-
-def _poly_divexact(a: Poly, b: Poly) -> Poly:
-    """Exact division; raises NotDivisible when b does not divide a."""
-    if b.is_zero:
-        raise DivisionByZeroExpression("polynomial division by zero")
-    if a.is_zero:
-        return _P_ZERO
-    if len(b.terms) == 1:
-        (mb, cb), = b.terms.items()
-        out = {}
-        for m, c in a.terms.items():
-            mq = _mono_div(m, mb)
-            if mq is None:
-                raise NotDivisible
-            out[mq] = _qdiv(c, cb)
-        return Poly(out)
-    mb, cb = b.leading()
-    db = _mono_deg(mb)
-    # b's other terms, each with its degree less mb's
-    tail = [(m, c, _mono_deg(m) - db) for m, c in b.terms.items() if m != mb]
-    b_cos = b.has_cos()
-    # the remainder, reduced in place: total degree -> {monomial: coeff}
-    layers: dict[int, dict] = {}
-    for m, c in a.terms.items():
-        layers.setdefault(_mono_deg(m), {})[m] = c
-    q: dict[Monomial, int | Fraction] = {}
-    while any(layers.values()):
-        top = max(d for d, layer in layers.items() if layer)
-        mr = max(layers[top], key=_lex_key)
-        cr = layers[top].pop(mr)
-        mq = _mono_div(mr, mb)
-        if mq is None:
-            raise NotDivisible
-        q[mq] = cq = _qdiv(cr, cb)
-        # r -= cq*mq*(b - cb*mb); cos^2 can only arise when both hold cos
-        if b_cos and any(x.is_cos for x, _ in mq):
-            step = [(m, c, _mono_deg(m)) for m, c in _reduced_terms(
-                (_mono_mul(mq, m), -cq * c) for m, c, _ in tail).items()]
-        else:
-            step = [(_mono_mul(mq, m), -cq * c, top + d) for m, c, d in tail]
-        for m, c, d in step:
-            layer = layers.setdefault(d, {})
-            c2 = layer.get(m, 0) + c
-            if c2:
-                layer[m] = c2
-            else:
-                del layer[m]
-    return Poly(q)
-
-
-def _canon_sign(p: Poly) -> Poly:
-    """Scale to integer-primitive with positive leading coefficient."""
-    if p.is_zero:
-        return p
+def _sign_content(p: Poly) -> int | Fraction:
+    """The rational c for which p/c is integer-primitive with positive
+    leading coefficient."""
     c = p.rational_content()
     _, lead = p.leading()
-    if lead < 0:
-        c = -c
-    return p.scale(_qdiv(1, c))
+    return -c if lead < 0 else c
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """A common divisor, integer-primitive with positive leading coefficient.
+def poly_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
+    """A common divisor g, integer-primitive with positive leading
+    coefficient, with the cofactors a/g and b/g; all three are zero when
+    a and b are.
 
-    The monomial content is split off first.  A top-level call on cos-free
-    input whose remaining parts are proved coprime by values at the point
-    returns that monomial at once.  Otherwise the budgeted recursive gcd
-    of curvkit.packed_gcd runs; when it exceeds its budget, or its result
-    fails the division check, the common monomial factor is returned,
-    which can leave a common factor of positive degree in the caller's
-    fraction."""
-    if a.is_zero:
-        return _canon_sign(b)
-    if b.is_zero:
-        return _canon_sign(a)
+    The monomial content is split off first.  A single-term part, or a
+    top-level call on cos-free input whose parts are proved coprime by
+    values at the point, gives that monomial, with the parts as the
+    cofactors.  Otherwise the budgeted recursive gcd of curvkit.packed_gcd
+    runs and hands back the quotients of its division check; when it
+    exceeds its budget, or its result fails that check, the common
+    monomial factor is returned, which can leave a common factor of
+    positive degree in the caller's fraction."""
+    if a.is_zero or b.is_zero:
+        p = b if a.is_zero else a
+        if p.is_zero:
+            return p, p, p
+        c = _sign_content(p)
+        g, q = p.scale(_qdiv(1, c)), Poly.const(c)
+        return (g, a, q) if a.is_zero else (g, q, b)
     mono = _mono_gcd(a.monomial_content(), b.monomial_content())
+    if mono:
+        a = Poly({_mono_div(m, mono): c for m, c in a.terms.items()})
+        b = Poly({_mono_div(m, mono): c for m, c in b.terms.items()})
     mono_poly = Poly({mono: 1})
-    if len(a.terms) == 1 or len(b.terms) == 1:
-        return mono_poly
-    a1 = _poly_divexact(a, mono_poly) if mono else a
-    b1 = _poly_divexact(b, mono_poly) if mono else b
-    if _coprime_at_point(a1, b1):
-        return mono_poly
+    if len(a.terms) == 1 or len(b.terms) == 1 or _coprime_at_point(a, b):
+        return mono_poly, a, b
     from . import packed_gcd
-    return packed_gcd.gcd(a1, b1) * mono_poly
+    g, a, b = packed_gcd.gcd(a, b)
+    return g * mono_poly, a, b
 
 
 class Expression:
     """Normalized fraction of two Polys (see the module docstring for what
-    normalized guarantees).  Immutable; all arithmetic returns new
-    normalized values."""
+    normalized guarantees): numerator and denominator are poly_gcd's
+    cofactors.  Immutable; all arithmetic returns new normalized values."""
 
     __slots__ = ("num", "den")
 
@@ -840,21 +790,11 @@ class Expression:
             self.den = _P_ONE
             return
         if den != _P_ONE:
-            g = poly_gcd(num, den)
-            if g != _P_ONE:
-                try:
-                    num2 = _poly_divexact(num, g)
-                    den2 = _poly_divexact(den, g)
-                    num, den = num2, den2
-                except NotDivisible:
-                    pass
-        c = den.rational_content()
-        _, lead = den.leading()
-        if lead < 0:
-            c = -c
+            _, num, den = poly_gcd(num, den)
+        c = _sign_content(den)
         if c != 1:
-            den = den.scale(_qdiv(1, c))
-            num = num.scale(_qdiv(1, c))
+            c = _qdiv(1, c)
+            num, den = num.scale(c), den.scale(c)
         self.num = num
         self.den = den
 
@@ -905,12 +845,7 @@ class Expression:
             return self
         if self.den == other.den:
             return Expression(self.num + other.num, self.den)
-        g = poly_gcd(self.den, other.den)
-        if g == _P_ONE:
-            return Expression(self.num * other.den + other.num * self.den,
-                              self.den * other.den)
-        db = _poly_divexact(other.den, g)
-        da = _poly_divexact(self.den, g)
+        _, da, db = poly_gcd(self.den, other.den)
         return Expression(self.num * db + other.num * da, self.den * db)
 
     __radd__ = __add__

@@ -15,15 +15,21 @@ The primitive remainder sequence is expr's former tuple-monomial one, loop
 for loop: every dict is built in the same insertion order (_coeff_weight
 samples the first coefficient), every _charge_gcd charges the same units,
 and a nested gcd past the budget still falls back to its monomial content.
-So every result and every overrun is the one the tuple code gave.
+So every result and every overrun is the one the tuple code gave.  The
+quotients of the top-level division check are the cofactors that
+expr.poly_gcd hands on, so a reduced fraction is divided once.
 """
 
 from __future__ import annotations
 
 import math
 
-from .expr import (Atom, DivisionByZeroExpression, NotDivisible, Poly,
-                   _exact, _qdiv)
+from .expr import (Atom, DivisionByZeroExpression, ExprError, Poly, _exact,
+                   _qdiv)
+
+
+class NotDivisible(ExprError):
+    pass
 
 
 class _GcdBudgetExceeded(Exception):
@@ -106,10 +112,11 @@ _lay: _Layout   # the layout of the running top-level call
 _ONE = {0: 1}
 
 
-def gcd(a: Poly, b: Poly) -> Poly:
-    """A common divisor of a and b, which have no common monomial factor,
-    integer-primitive with positive leading coefficient; 1 when the work
-    budget runs out or the result fails the division check."""
+def gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
+    """A common divisor g of a and b, which have no common monomial factor,
+    integer-primitive with positive leading coefficient, and the cofactors
+    a/g and b/g.  When g is 1, the work budget runs out or g fails the
+    division check, this is 1 with a and b themselves."""
     global _lay, _gcd_budget_left
     atoms = a.atoms() | b.atoms()
     atoms |= {Atom.sin(x.name) for x in atoms if x.is_cos}
@@ -118,23 +125,28 @@ def gcd(a: Poly, b: Poly) -> Poly:
         _lay = _Layout(sorted(atoms), width)
         _gcd_budget_left = _GCD_BUDGET
         try:
-            return _lay.unpack(_checked_gcd(_lay.pack(a), _lay.pack(b)))
+            g, qa, qb = _checked_gcd(_lay.pack(a), _lay.pack(b))
         except _Widen:
             width *= 2
+            continue
+        if g == _ONE:
+            # the caller's own operands: unpacked copies would double the
+            # memory its fraction holds
+            return _lay.unpack(g), a, b
+        return _lay.unpack(g), _lay.unpack(qa), _lay.unpack(qb)
 
 
-def _checked_gcd(a: dict, b: dict) -> dict:
-    """The remainder sequence's gcd one level deeper, checked by division;
-    1 past the budget or when the check fails."""
+def _checked_gcd(a: dict, b: dict) -> tuple[dict, dict, dict]:
+    """The remainder sequence's gcd g one level deeper with a/g and b/g,
+    the quotients that check it; 1, a and b past the budget or when the
+    check fails."""
     global _gcd_depth
     _gcd_depth += 1
     try:
         g = _gcd_core(_canon_sign(a), _canon_sign(b))
-        _divexact(a, g)
-        _divexact(b, g)
-        return g
+        return g, _divexact(a, g), _divexact(b, g)
     except (NotDivisible, _GcdBudgetExceeded):
-        return _ONE
+        return _ONE, a, b
     finally:
         _gcd_depth -= 1
 
@@ -152,7 +164,7 @@ def _nested_gcd(a: dict, b: dict) -> dict:
         return mono_poly
     a1 = _divexact(a, mono_poly) if mono else a
     b1 = _divexact(b, mono_poly) if mono else b
-    return _mul(_checked_gcd(a1, b1), mono_poly)
+    return _mul(_checked_gcd(a1, b1)[0], mono_poly)
 
 
 def _gcd_core(a: dict, b: dict) -> dict:

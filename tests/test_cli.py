@@ -2,6 +2,7 @@
 catalog resolution."""
 import collections
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -130,6 +131,15 @@ class TestCompute:
                            "-o", str(target))
         assert code == 0 and out == ""
         assert target.read_text() == ""
+
+    def test_kerr_riemann_dump_is_pinned(self, capsys):
+        """Kerr's gcds divide by factors that hold cos(theta), which no
+        catalog metric reaches; the bytes of its Riemann dump are pinned."""
+        path = Path(__file__).resolve().parent / "kerr.metric"
+        code, out, err = run(capsys, "compute", str(path), "R")
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "6858cd34366890674a995da1ec3e29d75928d218acc2235d710659039c38a5ae")
 
     def test_metric_by_path(self, capsys):
         code, out, _ = run(capsys, "compute",

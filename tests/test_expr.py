@@ -12,8 +12,9 @@ from curvkit import (Atom, CurvatureBundle, Expression, ZERO, ONE,
                      format_expression, parse_metric_file,
                      weakly_ricci_symmetric)
 from curvkit import expr as expr_mod, packed_gcd
-from curvkit.expr import (DivisionByZeroExpression, PRIME, Poly, gcd_mod_p,
-                          poly_gcd)
+from curvkit.expr import (DivisionByZeroExpression, PRIME, Poly, _exact,
+                          _lex_key, _mono_deg, _mono_div, _mono_mul, _qdiv,
+                          _reduced_terms, gcd_mod_p, poly_gcd)
 from curvkit.chart import Chart, ChartError
 from curvkit.linsolve import AffineForm
 from curvkit.parsing import (TDot, TName, TNabla, TQ, TWedge,
@@ -239,7 +240,7 @@ class TestCoefficients:
                    e1.subst({Atom.coordinate("y"): e2})]
         if not e2.is_zero:
             results.append(e1 / e2)
-        _assert_exact_coefficients(poly_gcd(e1.num, e2.num), *results)
+        _assert_exact_coefficients(*gcd_checked(e1.num, e2.num), *results)
         for e in results:
             assert parse_expression(format_expression(e), CHART) == e
 
@@ -400,8 +401,8 @@ class TestValuesAtPoint:
             p, q = p * common, q * common
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(expr_mod, "_coprime_at_point", lambda a, b: False)
-            exact = poly_gcd(p, q)
-        assert poly_gcd(p, q) == exact
+            exact = gcd_checked(p, q)
+        assert gcd_checked(p, q) == exact
 
     # images of degree 1: every atom to the power 0 or 1
     lin_term = st.tuples(st.integers(-3, 3).filter(bool),
@@ -447,14 +448,14 @@ class TestValuesAtPoint:
         p = x * x * y + Poly.const(3)
         q = x * y + x + Poly.const(1)
         monkeypatch.setattr(packed_gcd, "_gcd_core", refuse)
-        assert poly_gcd(p * x, q * x) == x
+        assert gcd_checked(p * x, q * x)[0] == x
 
     def test_cos_inputs_take_exact_gcd(self, monkeypatch):
         x, c = Poly.atom(Atom.coordinate("x")), Poly.atom(Atom.cos("x"))
         p, q = c * x + Poly.const(1), c + Poly.const(2)
         calls = spy_gcd_core(monkeypatch)
         assert not expr_mod._coprime_at_point(p, q)
-        assert poly_gcd(p, q) == Poly.const(1)
+        assert gcd_checked(p, q)[0] == Poly.const(1)
         assert calls
 
     def test_vanishing_leading_coefficient_refuses(self, monkeypatch):
@@ -467,7 +468,7 @@ class TestValuesAtPoint:
         q = y + Poly.const(2)
         calls = spy_gcd_core(monkeypatch)
         assert not expr_mod._coprime_at_point(p, q)
-        assert poly_gcd(p, q) == Poly.const(1)
+        assert gcd_checked(p, q)[0] == Poly.const(1)
         assert calls
 
 
@@ -500,3 +501,114 @@ def spy_gcd_core(monkeypatch):
 
     monkeypatch.setattr(packed_gcd, "_gcd_core", spy)
     return calls
+
+
+def gcd_checked(a: Poly, b: Poly):
+    """poly_gcd(a, b), after checking that its cofactors give a and b back."""
+    g, qa, qb = poly_gcd(a, b)
+    assert g * qa == a and g * qb == b
+    return g, qa, qb
+
+
+def test_zero_operand_gcd_is_the_other_normalized():
+    x = Poly.atom(Atom.coordinate("x"))
+    p = Poly.const(Fraction(-3, 2)) * x + Poly.const(3)
+    zero = Poly({})
+    g = p.scale(Fraction(-2, 3))    # x - 2
+    assert gcd_checked(zero, p) == (g, zero, Poly.const(Fraction(-3, 2)))
+    assert gcd_checked(p, zero) == (g, Poly.const(Fraction(-3, 2)), zero)
+    assert poly_gcd(zero, zero) == (zero, zero, zero)
+
+
+class NotDivisible(Exception):
+    pass
+
+
+def _divexact_reference(a: Poly, b: Poly) -> Poly:
+    """Exact division as Expression did it before poly_gcd returned the
+    cofactors: the remainder kept in layers by total degree, each step
+    subtracting cq*mq*(b - cb*mb) from it."""
+    if a.is_zero:
+        return a
+    if len(b.terms) == 1:
+        (mb, cb), = b.terms.items()
+        out = {}
+        for m, c in a.terms.items():
+            mq = _mono_div(m, mb)
+            if mq is None:
+                raise NotDivisible
+            out[mq] = _qdiv(c, cb)
+        return Poly(out)
+    mb, cb = b.leading()
+    db = _mono_deg(mb)
+    tail = [(m, c, _mono_deg(m) - db) for m, c in b.terms.items() if m != mb]
+    b_cos = b.has_cos()
+    layers: dict[int, dict] = {}
+    for m, c in a.terms.items():
+        layers.setdefault(_mono_deg(m), {})[m] = c
+    q = {}
+    while any(layers.values()):
+        top = max(d for d, layer in layers.items() if layer)
+        mr = max(layers[top], key=_lex_key)
+        cr = layers[top].pop(mr)
+        mq = _mono_div(mr, mb)
+        if mq is None:
+            raise NotDivisible
+        q[mq] = cq = _qdiv(cr, cb)
+        if b_cos and any(x.is_cos for x, _ in mq):
+            step = [(m, c, _mono_deg(m)) for m, c in _reduced_terms(
+                (_mono_mul(mq, m), -cq * c) for m, c, _ in tail).items()]
+        else:
+            step = [(_mono_mul(mq, m), -cq * c, top + d) for m, c, d in tail]
+        for m, c, d in step:
+            layer = layers.setdefault(d, {})
+            c2 = layer.get(m, 0) + c
+            if c2:
+                layer[m] = c2
+            else:
+                del layer[m]
+    return Poly(q)
+
+
+def _reduced_reference(num: Poly, den: Poly):
+    """num/den reduced by poly_gcd's gcd and the reference division, with
+    the denominator normalized as Expression does."""
+    if num.is_zero:
+        return num, Poly.const(1)
+    if den != Poly.const(1):
+        g = poly_gcd(num, den)[0]
+        num, den = _divexact_reference(num, g), _divexact_reference(den, g)
+    c = den.rational_content()
+    if den.leading()[1] < 0:
+        c = -c
+    c = _qdiv(1, c)
+    return (Poly({m: _exact(k * c) for m, k in num.terms.items()}),
+            Poly({m: _exact(k * c) for m, k in den.terms.items()}))
+
+
+def _sum_reference(a: Expression, b: Expression):
+    if a.den == b.den:
+        return _reduced_reference(a.num + b.num, a.den)
+    g = poly_gcd(a.den, b.den)[0]
+    da, db = _divexact_reference(a.den, g), _divexact_reference(b.den, g)
+    return _reduced_reference(a.num * db + b.num * da, a.den * db)
+
+
+def _terms(num: Poly, den: Poly):
+    return list(num.terms.items()), list(den.terms.items())
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(exprs, exprs, exprs)
+def test_cofactors_match_reference_division(e1, e2, e3):
+    """Expression reduces by poly_gcd's cofactors to the very terms, in the
+    very order, that dividing by the gcd gave; e3's numerator is planted as
+    a common factor, so multi-term gcds, with cos in them, are divided."""
+    pairs = [(e1.num * e3.num, e2.num * e3.num), (e1.num * e2.den, e1.den)]
+    for num, den in pairs:
+        if not den.is_zero:
+            e = Expression(num, den)
+            assert _terms(e.num, e.den) == _terms(*_reduced_reference(num, den))
+    if not (e1.is_zero or e2.is_zero):
+        s = e1 + e2
+        assert _terms(s.num, s.den) == _terms(*_sum_reference(e1, e2))

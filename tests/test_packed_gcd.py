@@ -1,15 +1,21 @@
 """The packed-monomial gcd against the tuple-monomial primitive remainder
-sequence it replaced: same terms in the same insertion order, the same
-charged units and the same overruns."""
+sequence it replaced: same terms in the same insertion order, for the gcd
+and its cofactors, the same charged units and the same overruns."""
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from curvkit import expr, packed_gcd
-from curvkit.expr import (Atom, NotDivisible, Poly, _canon_sign, _lex_key,
-                          _mono_deg, _mono_div, _mono_gcd, _mono_mul,
-                          _P_ONE, _P_ZERO, _qdiv, _reduced_terms)
+from curvkit import packed_gcd
+from curvkit.expr import (Atom, Poly, _lex_key, _mono_deg, _mono_div,
+                          _mono_gcd, _mono_mul, _P_ONE, _P_ZERO, _qdiv,
+                          _reduced_terms, _sign_content)
+from curvkit.packed_gcd import NotDivisible
+
+
+def _canon_sign(p: Poly) -> Poly:
+    """Scale to integer-primitive with positive leading coefficient."""
+    return p.scale(_qdiv(1, _sign_content(p))) if p.terms else p
 
 
 class _Overrun(Exception):
@@ -221,11 +227,12 @@ def _budgeted_inputs(p: Poly, q: Poly):
     if p.is_zero or q.is_zero or len(p.terms) == 1 or len(q.terms) == 1:
         return None
     mono = Poly({_mono_gcd(p.monomial_content(), q.monomial_content()): 1})
-    return expr._poly_divexact(p, mono), expr._poly_divexact(q, mono)
+    return TupleGcd(0)._divexact(p, mono), TupleGcd(0)._divexact(q, mono)
 
 
 def _packed(monkeypatch, a1: Poly, b1: Poly):
-    """The kernel's result with its charged units and overruns."""
+    """The kernel's gcd and cofactors with its charged units and
+    overruns."""
     meter = {"units": 0, "raises": 0}
     charge = packed_gcd._charge_gcd
 
@@ -264,14 +271,18 @@ def test_packed_gcd_matches_tuple_gcd(budget, p, q, common, plant):
     want = ref.top(*parts)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(packed_gcd, "_GCD_BUDGET", budget)
-        got, meter = _packed(mp, *parts)
+        (got, *cofactors), meter = _packed(mp, *parts)
     assert list(got.terms.items()) == list(want.terms.items())
     assert meter == {"units": ref.units, "raises": ref.raises}
+    for part, cofactor in zip(parts, cofactors):
+        assert (list(cofactor.terms.items())
+                == list(ref._divexact(part, want).terms.items()))
 
 
 def test_budget_overrun_is_covered(monkeypatch):
     """The small budget above does run out: the kernel raises where the
-    tuple code does, after the same units, and both give 1."""
+    tuple code does, after the same units, and both give 1; the kernel's
+    cofactors are the operands themselves, not copies."""
     x, c, s = (Poly.atom(a) for a in ATOMS[1:4])
     f = Poly.atom(ATOMS[4])
     p = (x * c + f * s + Poly.const(2)) ** 2 * (f + x)
@@ -279,8 +290,9 @@ def test_budget_overrun_is_covered(monkeypatch):
     monkeypatch.setattr(packed_gcd, "_GCD_BUDGET", 200)
     ref = TupleGcd(200)
     want = ref.top(p, q)
-    got, meter = _packed(monkeypatch, p, q)
+    (got, qp, qq), meter = _packed(monkeypatch, p, q)
     assert ref.raises and got == want == _P_ONE
+    assert qp is p and qq is q
     assert meter == {"units": ref.units, "raises": ref.raises}
 
 
@@ -306,7 +318,8 @@ def test_overflowing_fields_widen(monkeypatch, case):
     monkeypatch.setattr(packed_gcd, "_WIDTH", 3)
     monkeypatch.setattr(packed_gcd, "_Layout", spy)
     want = TupleGcd(packed_gcd._GCD_BUDGET).top(p, q)
-    got = packed_gcd.gcd(p, q)
+    got, qp, qq = packed_gcd.gcd(p, q)
     assert widths[0] == 3 and len(widths) > 1
     assert list(got.terms.items()) == list(want.terms.items())
     assert got == _canon_sign(common)
+    assert got * qp == p and got * qq == q
