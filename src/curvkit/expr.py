@@ -743,6 +743,43 @@ def _sign_content(p: Poly) -> int | Fraction:
     return -c if lead < 0 else c
 
 
+# Work allowance for one call of packed_gcd.gcd, the budgeted branch of
+# poly_gcd, in coefficient multiplications weighted by operand bit size.
+# Mixed trig/function inputs can drive its remainder sequence into
+# coefficient blowup; past this budget poly_gcd settles for the monomial
+# common factor, which keeps fractions correct, just less reduced.
+_GCD_BUDGET = 20_000
+
+
+def _proportional_gcd(a: Poly, b: Poly):
+    """packed_gcd.gcd's result for parts equal up to a constant factor:
+    a made integer-primitive with positive leading coefficient, in a's
+    term order, and the constant cofactors its division checks find.  None
+    for other parts, and for parts whose checks, charged term count times
+    leading-coefficient weight, would overrun the budget."""
+    ta, tb = a.terms, b.terms
+    if len(ta) != len(tb):
+        return None
+    m0, ca0 = next(iter(ta.items()))
+    cb0 = tb.get(m0)
+    if cb0 is None:
+        return None
+    for m, ca in ta.items():
+        cb = tb.get(m)
+        if cb is None or ca * cb0 != cb * ca0:
+            return None
+    lead, la = a.leading()
+    lb = tb[lead]
+    weight = 2 + sum((c.numerator.bit_length() + c.denominator.bit_length())
+                     // 256 for c in (la, lb))
+    if len(ta) * weight > _GCD_BUDGET:
+        return None
+    g = a.scale(_qdiv(1, _sign_content(a)))
+    lg = g.terms[lead]
+    return (g, Poly({_ONE_MONO: _qdiv(la, lg)}),
+            Poly({_ONE_MONO: _qdiv(lb, lg)}))
+
+
 def poly_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     """A common divisor g, integer-primitive with positive leading
     coefficient, with the cofactors a/g and b/g; all three are zero when
@@ -751,11 +788,13 @@ def poly_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     The monomial content is split off first.  A single-term part, or a
     top-level call on cos-free input whose parts are proved coprime by
     values at the point, gives that monomial, with the parts as the
-    cofactors.  Otherwise the budgeted recursive gcd of curvkit.packed_gcd
-    runs and hands back the quotients of its division check; when it
-    exceeds its budget, or its result fails that check, the common
-    monomial factor is returned, which can leave a common factor of
-    positive degree in the caller's fraction."""
+    cofactors.  Parts equal up to a constant factor, such as r - 2*m and
+    2*m - r, give what the budgeted gcd would, without loading it.
+    Otherwise the budgeted recursive gcd of curvkit.packed_gcd runs and
+    hands back the quotients of its division check; when it exceeds its
+    budget, or its result fails that check, the common monomial factor is
+    returned, which can leave a common factor of positive degree in the
+    caller's fraction."""
     if a.is_zero or b.is_zero:
         p = b if a.is_zero else a
         if p.is_zero:
@@ -770,8 +809,11 @@ def poly_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     mono_poly = Poly({mono: 1})
     if len(a.terms) == 1 or len(b.terms) == 1 or _coprime_at_point(a, b):
         return mono_poly, a, b
-    from . import packed_gcd
-    g, a, b = packed_gcd.gcd(a, b)
+    shared = _proportional_gcd(a, b)
+    if shared is None:
+        from . import packed_gcd
+        shared = packed_gcd.gcd(a, b)
+    g, a, b = shared
     return g * mono_poly, a, b
 
 

@@ -11,13 +11,21 @@ mixes components, so each can be decided on its own.  The rows of a
 component are held while all of its rhs are zero.  It turns live at its
 first nonzero rhs, or when a row joins it to a live component; its held
 rows then enter the Gauss-Jordan loop, in the caller's order, ahead of the
-row that turned it.  The loop keeps a reduced basis (each pivot appears in
-exactly one row, with coefficient 1) and returns at the first inconsistent
-equation, so no equation past the witness is read.  Pivots are chosen
-deterministically as the earliest unknown in the caller's ordering whose
-coefficient is provably nonzero, and each row is reduced by the pivots in
-the order of their pivot rows, so solution displays are stable and each
-solved form is the one the loop gives on the whole list.
+row that turned it.  The loop keeps a basis whose rows are reduced when
+read: each pivot appears, with coefficient 1, in its own row and in no
+row read since it was taken.  A new pivot row is logged with its
+coefficients and rhs as taken, and an earlier row eliminates the logged
+pivots, in order, only when a later row is reduced by it, when a
+consistent solve builds its solution, or when an inconsistent result's
+partial values are first read; every form is still the one eager
+back-substitution gives, from the same operations in the same order, and
+a failing solve never reduces a row it does not read.  The loop returns at
+the first inconsistent equation, so no equation past the witness is read.
+Pivots are chosen deterministically as the earliest unknown in the
+caller's ordering whose coefficient is provably nonzero, and each row is
+reduced by the pivots in the order of their pivot rows, so solution
+displays are stable and each solved form is the one the loop gives on the
+whole list.
 
 A component still held at the end, or at the witness, is settled from its
 coefficients' values at the point, eliminated as the loop eliminates.  At
@@ -32,6 +40,8 @@ loop too; there is no second exact elimination.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 from .expr import (Expression, ONE, Record, ZERO, full_rank_at_point,
                    pivots_at_point)
@@ -55,7 +65,13 @@ class AffineForm(Record):
         self.coeffs = {} if coeffs is None else coeffs
 
 
-class SolveResult(Record):
+class _PartialBuilder(Record):
+    # holds the function that builds SolveResult.partial on its first read,
+    # outside the fields SolveResult compares and shows
+    __slots__ = ("_build_partial",)
+
+
+class SolveResult(_PartialBuilder):
     __slots__ = ("status", "unknowns", "solution", "free", "pivot_labels",
                  "witness_label", "witness_residual", "partial")
 
@@ -63,7 +79,7 @@ class SolveResult(Record):
                  solution: dict | None, free: tuple[str, ...],
                  pivot_labels: dict, witness_label: tuple = (),
                  witness_residual: Expression = ZERO,
-                 partial: dict | None = None):
+                 partial: dict | Callable[[], dict] | None = None):
         self.status = status   # unique | underdetermined | inconsistent
         self.unknowns = unknowns
         # unknown -> AffineForm (None if inconsistent)
@@ -74,8 +90,19 @@ class SolveResult(Record):
         # index tuple of the inconsistent equation
         self.witness_label = witness_label
         self.witness_residual = witness_residual
-        # best-effort particular values on failure
-        self.partial = partial
+        # best-effort particular values on failure: a dict, or a function
+        # that builds it when partial is first read
+        if callable(partial):
+            self._build_partial = partial
+        else:
+            self.partial = partial
+
+    def __getattr__(self, name):
+        # reached only while a slot is unset: partial, before its first read
+        if name != "partial":
+            raise AttributeError(name)
+        self.partial = self._build_partial()
+        return self.partial
 
     @property
     def consistent(self) -> bool:
@@ -89,12 +116,13 @@ class SolveResult(Record):
 
 
 class _Row:
-    __slots__ = ("coeffs", "rhs", "label")
+    __slots__ = ("coeffs", "rhs", "label", "seen")
 
     def __init__(self, coeffs: dict, rhs: Expression, label: tuple):
         self.coeffs = coeffs   # excludes the pivot itself (implicit 1)
         self.rhs = rhs
         self.label = label
+        self.seen = 0          # log entries already eliminated from it
 
 
 def solve_linear(equations, unknowns) -> SolveResult:
@@ -102,6 +130,7 @@ def solve_linear(equations, unknowns) -> SolveResult:
     order = {u: k for k, u in enumerate(unknowns)}
     rows = []                        # (coeffs without zeros, equation)
     basis: dict[str, _Row] = {}
+    log = []                         # (pivot, its row's coeffs and rhs)
     fixed = {}                       # unknown -> position of its pivot row
     parent = {}                      # union-find over unknowns
     held = {}                        # root -> positions; None once live
@@ -112,6 +141,24 @@ def solve_linear(equations, unknowns) -> SolveResult:
             u = parent[u]
         return u
 
+    def catch_up(row):
+        """Eliminate from row, in order, the pivots logged since it was
+        last read; each read tests row.seen < len(log) first."""
+        coeffs = row.coeffs
+        for k in range(row.seen, len(log)):
+            pivot, ncoeffs, nrhs = log[k]
+            c2 = coeffs.pop(pivot, None)
+            if c2 is None or c2.is_zero:
+                continue
+            for u, bc in ncoeffs.items():
+                nc = coeffs.get(u, ZERO) - c2 * bc
+                if nc.is_zero:
+                    coeffs.pop(u, None)
+                else:
+                    coeffs[u] = nc
+            row.rhs = row.rhs - c2 * nrhs
+        row.seen = len(log)
+
     def step(k):
         """Gauss-Jordan on row k: the residual if it is inconsistent."""
         coeffs, eq = rows[k]
@@ -119,6 +166,8 @@ def solve_linear(equations, unknowns) -> SolveResult:
         for p in sorted((p for p in coeffs if p in basis), key=fixed.get):
             c = coeffs.pop(p)
             row = basis[p]
+            if row.seen < len(log):
+                catch_up(row)
             for u, bc in row.coeffs.items():
                 nc = coeffs.get(u, ZERO) - c * bc
                 if nc.is_zero:
@@ -132,18 +181,11 @@ def solve_linear(equations, unknowns) -> SolveResult:
         pc = coeffs.pop(pivot)
         ncoeffs = {u: v / pc for u, v in coeffs.items()}
         nrhs = rhs / pc
-        for row in basis.values():
-            c2 = row.coeffs.pop(pivot, None)
-            if c2 is None or c2.is_zero:
-                continue
-            for u, bc in ncoeffs.items():
-                nc = row.coeffs.get(u, ZERO) - c2 * bc
-                if nc.is_zero:
-                    row.coeffs.pop(u, None)
-                else:
-                    row.coeffs[u] = nc
-            row.rhs = row.rhs - c2 * nrhs
-        basis[pivot] = _Row(ncoeffs, nrhs, eq.label)
+        if basis:
+            # a snapshot: catch_up changes the row's own dict
+            log.append((pivot, dict(ncoeffs), nrhs))
+        row = basis[pivot] = _Row(ncoeffs, nrhs, eq.label)
+        row.seen = len(log)
         fixed[pivot] = k
 
     def settle(positions, complete):
@@ -162,6 +204,12 @@ def solve_linear(equations, unknowns) -> SolveResult:
 
     def labels() -> dict:
         return {u: rows[k][1].label for u, k in fixed.items()}
+
+    def partial() -> dict:
+        for row in basis.values():
+            if row.seen < len(log):
+                catch_up(row)
+        return {u: basis[u].rhs if u in basis else ZERO for u in unknowns}
 
     for eq in equations:
         k = len(rows)
@@ -189,8 +237,7 @@ def solve_linear(equations, unknowns) -> SolveResult:
                 return SolveResult(
                     "inconsistent", unknowns, None, (), labels(),
                     witness_label=eq.label, witness_residual=residual,
-                    partial={u: basis[u].rhs if u in basis else ZERO
-                             for u in unknowns})
+                    partial=partial)
     for positions in held.values():
         if positions:
             settle(positions, True)
@@ -200,6 +247,8 @@ def solve_linear(equations, unknowns) -> SolveResult:
     for u in unknowns:
         if u in basis:
             row = basis[u]
+            if row.seen < len(log):
+                catch_up(row)
             solution[u] = AffineForm(row.rhs,
                                      {f: -c for f, c in row.coeffs.items()})
         elif u in fixed:

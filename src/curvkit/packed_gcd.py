@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import math
 
-from .expr import (Atom, DivisionByZeroExpression, ExprError, Poly, _exact,
-                   _qdiv)
+from .expr import (Atom, DivisionByZeroExpression, ExprError, Poly,
+                   _GCD_BUDGET, _exact, _qdiv)
 
 
 class NotDivisible(ExprError):
@@ -42,13 +42,8 @@ class _Widen(Exception):
     pass
 
 
-# Work allowance for one call of gcd below, the budgeted branch of
-# expr.poly_gcd, in coefficient multiplications weighted by operand bit
-# size; the nested gcds of its remainder sequence share it. Mixed
-# trig/function inputs can drive the sequence into coefficient blowup;
-# past this budget expr.poly_gcd settles for the monomial common factor,
-# which keeps fractions correct, just less reduced.
-_GCD_BUDGET = 20_000
+# _GCD_BUDGET (expr) is the work allowance of one call of gcd below; the
+# nested gcds of its remainder sequence share it.
 _gcd_budget_left = 0
 _gcd_depth = 0
 

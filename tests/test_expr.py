@@ -3,6 +3,7 @@ values at the fixed point."""
 import copy
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from curvkit import (Atom, CurvatureBundle, Expression, ZERO, ONE,
                      format_expression, parse_metric_file,
                      weakly_ricci_symmetric)
-from curvkit import expr as expr_mod, packed_gcd
+from curvkit import expr as expr_mod, operators, packed_gcd
 from curvkit.expr import (DivisionByZeroExpression, PRIME, Poly, _exact,
                           _lex_key, _mono_deg, _mono_div, _mono_mul, _qdiv,
                           _reduced_terms, gcd_mod_p, poly_gcd)
@@ -22,6 +23,7 @@ from curvkit.parsing import (TDot, TName, TNabla, TQ, TWedge,
 from curvkit.tensor import D_SYM2, Tensor
 
 from conftest import CATALOG as CATALOG_DIR
+from eager_linsolve import eager_solve
 
 CHART = Chart(coords=("x", "y"), functions={"f": ("x",), "w": ("x", "y")},
               constants=("a", "b"))
@@ -321,35 +323,67 @@ class TestRecord:
         assert f1.coeffs == {} and f1.coeffs is not f2.coeffs
 
 
-def test_gcd_work_meter_is_pinned(monkeypatch):
-    """The gcd budget decisions of warped-5-D weakly_ricci_symmetric: units
-    charged inside poly_gcd, budget overruns and top-level calls.  Any
-    change to term order, coefficient sizes or the gcd itself moves them."""
+def metered_gcds(monkeypatch, solver=None) -> list:
+    """[operands' terms, units, overruns, result's terms] of each top-level
+    poly_gcd call of warped-5-D weakly_ricci_symmetric on a fresh bundle
+    (C and nabla S forced first), solved by solver if one is given."""
     path = CATALOG_DIR.parent / "bench" / "metrics" / "warped5.metric"
     b = CurvatureBundle(parse_metric_file(path.read_text()))
     b.tensor("C")
     b.nabla("S")
-    meter = {"units": 0, "raises": 0, "calls": 0}
+    calls = []
     charge, gcd = packed_gcd._charge_gcd, expr_mod.poly_gcd
 
     def counted_charge(units):
         if packed_gcd._gcd_depth:
-            meter["units"] += units
+            calls[-1][1] += units
         try:
             charge(units)
         except packed_gcd._GcdBudgetExceeded:
-            meter["raises"] += 1
+            calls[-1][2] += 1
             raise
 
     def counted_gcd(a, b):
-        if not packed_gcd._gcd_depth:
-            meter["calls"] += 1
-        return gcd(a, b)
+        if packed_gcd._gcd_depth:
+            return gcd(a, b)
+        calls.append([(tuple(a.terms.items()), tuple(b.terms.items())),
+                      0, 0, None])
+        out = gcd(a, b)
+        calls[-1][3] = tuple(tuple(p.terms.items()) for p in out)
+        return out
 
-    monkeypatch.setattr(packed_gcd, "_charge_gcd", counted_charge)
-    monkeypatch.setattr(expr_mod, "poly_gcd", counted_gcd)
-    weakly_ricci_symmetric(b)
-    assert meter == {"units": 175_682, "raises": 232, "calls": 47}
+    with monkeypatch.context() as mp:
+        mp.setattr(packed_gcd, "_charge_gcd", counted_charge)
+        mp.setattr(expr_mod, "poly_gcd", counted_gcd)
+        if solver is not None:
+            mp.setattr(operators, "solve_linear", solver)
+        weakly_ricci_symmetric(b)
+    return calls
+
+
+def test_gcd_work_meter_is_pinned(monkeypatch):
+    """The gcd budget decisions of warped-5-D weakly_ricci_symmetric: units
+    charged inside poly_gcd, budget overruns and top-level calls.  Any
+    change to term order, coefficient sizes or the gcd itself moves them."""
+    calls = metered_gcds(monkeypatch)
+    meter = {"units": sum(c[1] for c in calls),
+             "raises": sum(c[2] for c in calls), "calls": len(calls)}
+    assert meter == {"units": 120_985, "raises": 189, "calls": 43}
+
+
+def test_deferred_rows_make_only_gcds_of_the_eager_solve(monkeypatch):
+    """Each top-level gcd of the failing solve is one that eager back-
+    substitution makes too, on the same terms, with the same units,
+    overruns and result; the eager solve's extra calls reduce rows the
+    witness never reads."""
+    deferred = Counter(map(tuple, metered_gcds(monkeypatch)))
+    eager = Counter(map(tuple, metered_gcds(monkeypatch, eager_solve)))
+    assert deferred <= eager
+    assert (deferred.total(), eager.total()) == (43, 47)
+    past_budget = [sum(n for (_, units, _, _), n in calls.items()
+                       if units > expr_mod._GCD_BUDGET)
+                   for calls in (deferred, eager)]
+    assert past_budget == [5, 7]
 
 
 def test_seeded_generator_bulk():

@@ -1,18 +1,23 @@
-"""solve_linear against the plain Gauss-Jordan loop and against the batch
-solver it replaces.  It reads its equations in one pass, holds the rows of
-a component while all of them are homogeneous, and settles a component
-that stays homogeneous at zero when its values at the point have full
-column rank; the result is the batch solver's, field by field, and an
-inconsistent system is read no further than its witness."""
+"""solve_linear against the plain Gauss-Jordan loop, the batch solver it
+replaces and its own eager back-substitution.  It reads its equations in
+one pass, holds the rows of a component while all of them are homogeneous,
+and settles a component that stays homogeneous at zero when its values at
+the point have full column rank; the result is the batch solver's, field
+by field, and an inconsistent system is read no further than its witness.
+A basis row is reduced by later pivots only when read, so a failing solve
+never reduces a row that its witness does not read."""
 import random
+from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from curvkit import linsolve
+from curvkit import expr, linsolve
 from curvkit.expr import (Atom, Expression, ONE, ZERO, _atom_at_point,
                           format_expression, pivots_at_point)
 from curvkit.linsolve import (AffineForm, LinearEquation, SolveResult,
                               solve_linear)
+from eager_linsolve import eager_solve
 
 X = Expression.from_atom(Atom.coordinate("x"))
 Y = Expression.from_atom(Atom.coordinate("y"))
@@ -454,3 +459,79 @@ def test_no_equation_is_pulled_after_the_witness(kinds, rng):
         assert len(pulled) == len(equations)
     else:
         assert pulled[-1] == got.witness_label
+
+
+# -- back-substitution deferred until a row is read ---------------------------
+
+def gcd_calls(monkeypatch) -> list:
+    """The operands of every poly_gcd call, as term lists."""
+    calls = []
+    gcd = expr.poly_gcd
+
+    def spy(a, b):
+        calls.append((tuple(a.terms.items()), tuple(b.terms.items())))
+        return gcd(a, b)
+
+    monkeypatch.setattr(expr, "poly_gcd", spy)
+    return calls
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(KINDS), min_size=1, max_size=4),
+       st.randoms(use_true_random=False))
+def test_deferred_rows_match_eager_back_substitution(kinds, rng):
+    """Every printed field, partial read last, is the eager solver's; once
+    every row is read, the gcds are the eager solver's too, on the same
+    operands, so every row took the same operations."""
+    equations, unknowns = system(kinds, rng)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = gcd_calls(mp)
+        got = printed(solve_linear((e for e in copied(equations)),
+                                   unknowns))
+        deferred = Counter(calls)
+        calls.clear()
+        want = printed(eager_solve((e for e in copied(equations)),
+                                   unknowns))
+    assert got == want
+    assert deferred == Counter(calls)
+
+
+def test_a_row_read_early_leaves_its_logged_form_to_earlier_rows():
+    """(3,) reads v's row after w is taken, so that row drops w while u's
+    row has not yet eliminated v; u's row must still eliminate v's row as
+    it was when v was taken, w included."""
+    equations = [eq((0,), u=ONE, v=ONE, w=ONE, rhs=ONE),
+                 eq((1,), v=ONE, w=ONE, rhs=X), eq((2,), w=ONE, rhs=Y),
+                 eq((3,), v=ONE, w=c(2), rhs=X + Y)]
+    got = solve_linear(iter(copied(equations)), ("u", "v", "w"))
+    assert [got.solution[u].const for u in ("u", "v", "w")] == [
+        ONE - X, X - Y, Y]
+    assert printed(got) == printed(
+        eager_solve(iter(copied(equations)), ("u", "v", "w")))
+
+
+def test_failing_solve_never_reduces_a_row_its_witness_skips(monkeypatch):
+    """v's pivot row comes after u's.  The witness (2,) reads v's row only,
+    so v is never eliminated from u's row until partial is read; that read
+    makes exactly the eager solve's missing gcd calls, and gives its
+    values."""
+    equations = [eq((0,), u=ONE, v=X, rhs=ONE), eq((1,), v=X + A, rhs=Y),
+                 eq((2,), v=ONE, rhs=ONE)]
+    calls = gcd_calls(monkeypatch)
+    want = eager_solve(iter(copied(equations)), ("u", "v"))
+    eager = Counter(calls)
+    calls.clear()
+    got = solve_linear(iter(copied(equations)), ("u", "v"))
+    deferred = calls[:]
+    assert got.witness_label == want.witness_label == (2,)
+    nrhs = Y / (X + A)
+    calls.clear()
+    _ = ONE - X * nrhs          # u's rhs less x times v's
+    back_substitution = calls[:]
+    assert back_substitution
+    assert Counter(deferred) + Counter(back_substitution) == eager
+    calls.clear()
+    partial = got.partial
+    assert calls == back_substitution
+    assert got.partial is partial and len(calls) == len(back_substitution)
+    assert printed(got) == printed(want)

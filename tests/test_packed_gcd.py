@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from curvkit import packed_gcd
+from curvkit import expr, packed_gcd
 from curvkit.expr import (Atom, Poly, _lex_key, _mono_deg, _mono_div,
                           _mono_gcd, _mono_mul, _P_ONE, _P_ZERO, _qdiv,
-                          _reduced_terms, _sign_content)
+                          _reduced_terms, _sign_content, poly_gcd)
 from curvkit.packed_gcd import NotDivisible
 
 
@@ -323,3 +323,48 @@ def test_overflowing_fields_widen(monkeypatch, case):
     assert list(got.terms.items()) == list(want.terms.items())
     assert got == _canon_sign(common)
     assert got * qp == p and got * qq == q
+
+
+def _terms(*polys) -> list:
+    return [list(p.terms.items()) for p in polys]
+
+
+def _refuse(a, b):
+    raise AssertionError("the budgeted gcd ran")
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(p=polys, scale=st.fractions(min_value=-5, max_value=5,
+                                   max_denominator=4).filter(bool),
+       reverse=st.booleans())
+def test_proportional_parts_give_the_budgeted_gcd_without_it(p, scale,
+                                                              reverse):
+    """Parts equal up to a constant factor: poly_gcd returns the budgeted
+    gcd's part and cofactors, the same terms in the same order, and never
+    calls it."""
+    q = p.scale(scale)
+    if reverse:
+        q = Poly(dict(reversed(q.terms.items())))
+    parts = _budgeted_inputs(p, q)
+    assume(parts is not None)
+    g, qp, qq = packed_gcd.gcd(*parts)
+    mono = Poly({_mono_gcd(p.monomial_content(), q.monomial_content()): 1})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(packed_gcd, "gcd", _refuse)
+        assert _terms(*poly_gcd(p, q)) == _terms(g * mono, qp, qq)
+
+
+@pytest.mark.parametrize("budget, shortcut", [(4, True), (3, False)])
+def test_proportional_parts_past_the_budget_run_it(monkeypatch, budget,
+                                                   shortcut):
+    """The two division checks of a two-term part charge 2 units each; a
+    budget below their 4 makes the budgeted gcd give 1, and poly_gcd then
+    runs it rather than return a part it would not."""
+    x, f = Poly.atom(X), Poly.atom(ATOMS[4])
+    p, q = x - f, (f - x).scale(3)
+    monkeypatch.setattr(expr, "_GCD_BUDGET", budget)
+    monkeypatch.setattr(packed_gcd, "_GCD_BUDGET", budget)
+    g, qp, qq = packed_gcd.gcd(p, q)
+    assert (g != _P_ONE) == shortcut
+    assert (expr._proportional_gcd(p, q) is not None) == shortcut
+    assert _terms(*poly_gcd(p, q)) == _terms(g * _P_ONE, qp, qq)
