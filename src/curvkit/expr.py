@@ -668,33 +668,36 @@ def full_rank_at_point(rows) -> bool:
         len(rows), len(rows[0]) if rows else 0)
 
 
-def _term_values(p: Poly) -> list[int] | None:
-    """The value at the point of each term of p, in term order; None when
-    a coefficient has no residue."""
-    out = []
+def _images(p: Poly, shared: set, powers: dict) -> dict | None:
+    """p's image in each atom x of shared with x scaled by its own value v,
+    from one pass over p's terms: the coefficient of x^e sums the values of
+    the terms of degree e in x, and is v^e times _image_in's.  For v != 0,
+    x -> v*x is a change of variable that keeps each image's degree and
+    the degree of their gcd, so coprimality is decided alike.  powers maps
+    (atom, e) to its value; None when a coefficient has no residue."""
+    sums = {x: {} for x in shared}
+    total = 0
     for mono, c in p.terms.items():
         v = _residue(c)
         if v is None:
             return None
-        for a, k in mono:
-            v = v * pow(_atom_at_point(a), k, PRIME) % PRIME
-        out.append(v)
-    return out
-
-
-def _image_from(p: Poly, values: list[int], x: Atom) -> list[int]:
-    """p's image in x with x scaled by its own value v: the coefficient of
-    x^e sums the values of the terms of degree e in x, and is v^e times
-    _image_in's.  For v != 0, x -> v*x is a change of variable that keeps
-    each image's degree and the degree of their gcd, so coprimality is
-    decided alike; for v = 0 this rescans p with _image_in."""
-    if not _atom_at_point(x):
-        return _image_in(p, x)
-    coeffs = [0] * (p.degree_in(x) + 1)
-    for mono, v in zip(p.terms, values):
-        e = next((k for a, k in mono if a is x), 0)
-        coeffs[e] = (coeffs[e] + v) % PRIME
-    return coeffs
+        for ae in mono:
+            w = powers.get(ae)
+            if w is None:
+                w = powers[ae] = pow(_atom_at_point(ae[0]), ae[1], PRIME)
+            v = v * w % PRIME
+        total += v
+        for a, e in mono:
+            s = sums.get(a)
+            if s is not None:
+                s[e] = s.get(e, 0) + v
+    images = {}
+    for x, s in sums.items():
+        f = images[x] = [0] * (max(s) + 1)
+        f[0] = (total - sum(s.values())) % PRIME
+        for e, v in s.items():
+            f[e] = v % PRIME
+    return images
 
 
 def _eval_mod_p(f: list[int], t: int) -> int:
@@ -717,11 +720,15 @@ def _coprime_at_point(a: Poly, b: Poly) -> bool:
     shared = atoms_a & atoms_b
     if not shared:
         return True
-    values_a, values_b = _term_values(a), _term_values(b)
-    if values_a is None or values_b is None:
+    powers = {}
+    images_a, images_b = _images(a, shared, powers), _images(b, shared, powers)
+    if images_a is None or images_b is None:
         return False
     for x in shared:
-        fa, fb = _image_from(a, values_a, x), _image_from(b, values_b, x)
+        if _atom_at_point(x):
+            fa, fb = images_a[x], images_b[x]
+        else:   # x valued 0 is no change of variable: rescan
+            fa, fb = _image_in(a, x), _image_in(b, x)
         if not (fa[-1] and fb[-1]):
             return False
         if len(fb) == 2:
@@ -814,7 +821,7 @@ def poly_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
         from . import packed_gcd
         shared = packed_gcd.gcd(a, b)
     g, a, b = shared
-    return g * mono_poly, a, b
+    return (g * mono_poly if mono else g), a, b
 
 
 class Expression:

@@ -257,11 +257,14 @@ def _canon_sign(p: dict) -> dict:
     """Scale to integer-primitive with positive leading coefficient."""
     if not p:
         return p
-    c = Poly(p).rational_content()
+    ints = all(type(k) is int for k in p.values())
+    c = math.gcd(*p.values()) if ints else Poly(p).rational_content()
     if p[max(p)] < 0:
         c = -c
     if c == 1:
         return p
+    if ints:
+        return {m: k // c for m, k in p.items()}
     c = _qdiv(1, c)
     return {m: _exact(k * c) for m, k in p.items()}
 
@@ -432,6 +435,16 @@ def _prem(a: dict, b: dict, s: int) -> dict:
             _charge_gcd(len(lr) * len(p) * (wr + _coeff_weight(p)))
             t = _mul(lr, p)
             e2 = e + dr - db
-            new[e2] = (Poly(new.get(e2, {})) - Poly(t)).terms
+            d = new.get(e2)
+            if d is None:
+                new[e2] = {m: -c for m, c in t.items()}
+                continue
+            # d is _mul's own dict: subtract in place, in Poly.__sub__'s order
+            for m, c in t.items():
+                c = d.get(m, 0) - c
+                if c:
+                    d[m] = _exact(c)
+                else:
+                    del d[m]
         r = {e: p for e, p in new.items() if p}
     return _from_univar(r, s)

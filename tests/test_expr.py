@@ -24,6 +24,7 @@ from curvkit.tensor import D_SYM2, Tensor
 
 from conftest import CATALOG as CATALOG_DIR
 from eager_linsolve import eager_solve
+import gcd_replay
 
 CHART = Chart(coords=("x", "y"), functions={"f": ("x",), "w": ("x", "y")},
               constants=("a", "b"))
@@ -386,6 +387,17 @@ def test_deferred_rows_make_only_gcds_of_the_eager_solve(monkeypatch):
     assert past_budget == [5, 7]
 
 
+def test_solve_stress_gcds_are_pinned():
+    """Every top-level poly_gcd call of one solve-stress pass, and what it
+    returns (tests/gcd_replay.py): the count and the digest were recorded
+    before the one-pass images and the integer contents, so a faster gcd
+    layer must do the same work on the same inputs."""
+    calls = gcd_replay.record()
+    assert len(calls) == 749
+    assert gcd_replay.digest(out for _, out in calls) == (
+        "994eeb4e891b75ee7b36baa1e9d4111e76fd10a940f23688407f4bd9f8df8d87")
+
+
 def test_seeded_generator_bulk():
     """The seeded generator exercises the same laws deterministically."""
     rng = random.Random(20190601)
@@ -454,6 +466,32 @@ class TestValuesAtPoint:
             p, q = p * common, q * common
         assert (expr_mod._coprime_at_point(p, q)
                 == _coprime_at_point_reference(p, q))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(some_polys, some_polys, some_polys, st.booleans(),
+           st.sampled_from((None,) + GCD_ATOMS), st.sampled_from(GCD_ATOMS),
+           st.booleans())
+    def test_one_pass_images_match_reference(self, p, q, common, plant, zero,
+                                             lead, vanish):
+        """The images of one pass over each operand decide as a rescan per
+        atom: with three or more shared atoms (the term a^3*x^3*y^3 in both),
+        one atom valued 0 at the point, and an image in y whose leading
+        coefficient lead - value(lead) vanishes there."""
+        ya = self.GCD_ATOMS[2]
+        a, x, y = (Poly.atom(t) for t in self.GCD_ATOMS[:3])
+        spine = (a * x * y) ** 3
+        p, q = p + spine, q + spine.scale(2)
+        if plant:
+            p, q = p * common, q * common
+        with pytest.MonkeyPatch.context() as mp:
+            if zero is not None:
+                mp.setitem(expr_mod._point, zero, 0)
+            if vanish and lead is not ya:
+                r = Poly.const(expr_mod._atom_at_point(lead))
+                p = p + (Poly.atom(lead) - r) * y ** (p.degree_in(ya) + 1)
+            assert len(p.atoms() & q.atoms()) >= 3
+            assert (expr_mod._coprime_at_point(p, q)
+                    == _coprime_at_point_reference(p, q))
 
     def test_degree_one_images_decide_by_root(self, monkeypatch):
         x, y = (Poly.atom(Atom.coordinate(c)) for c in "xy")

@@ -267,6 +267,12 @@ def test_packed_gcd_matches_tuple_gcd(budget, p, q, common, plant):
         p, q = p * common, q * common
     parts = _budgeted_inputs(p, q)
     assume(parts is not None)
+    _check_against_tuple_gcd(budget, parts)
+
+
+def _check_against_tuple_gcd(budget: int, parts) -> None:
+    """The kernel's gcd and cofactors have the tuple gcd's terms in order,
+    after the same charged units and overruns."""
     ref = TupleGcd(budget)
     want = ref.top(*parts)
     with pytest.MonkeyPatch.context() as mp:
@@ -277,6 +283,41 @@ def test_packed_gcd_matches_tuple_gcd(budget, p, q, common, plant):
     for part, cofactor in zip(parts, cofactors):
         assert (list(cofactor.terms.items())
                 == list(ref._divexact(part, want).terms.items()))
+
+
+int_term = st.tuples(st.integers(-3, 3).filter(bool),
+                     st.tuples(*[st.integers(0, 2)] * 5))
+int_polys = st.lists(int_term, min_size=2, max_size=4).map(
+    lambda ts: Poly.make((tuple((a, e) for a, e in zip(ATOMS, exps) if e), c)
+                         for c, exps in ts)).filter(lambda p: p.terms)
+
+
+def _negated_content(p: Poly, content: int) -> Poly:
+    """p scaled so its content is content and its leading coefficient
+    negative."""
+    return p.scale(-content if p.leading()[1] > 0 else content)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(p=int_polys, q=int_polys, common=int_polys,
+       contents=st.tuples(*[st.integers(2, 6)] * 3))
+def test_int_canon_sign_matches_tuple_gcd(p, q, common, contents):
+    """Integer coefficients take math.gcd and exact floor division in
+    _canon_sign: with a negative leading coefficient and a content above 1
+    on every operand, it gives the rational path's terms in order, and the
+    kernel still gives the tuple gcd's."""
+    p, q, common = (_negated_content(f, c)
+                    for f, c in zip((p, q, common), contents))
+    lay = packed_gcd._Layout(sorted(ATOMS), packed_gcd._WIDTH)
+    for f in (p, q, common):
+        packed = lay.pack(f)
+        assert all(type(c) is int for c in packed.values())
+        got = lay.unpack(packed_gcd._canon_sign(packed))
+        assert list(got.terms.items()) == list(_canon_sign(f).terms.items())
+        assert all(type(c) is int for c in got.terms.values())
+    parts = _budgeted_inputs(p * common, q * common)
+    assume(parts is not None)
+    _check_against_tuple_gcd(packed_gcd._GCD_BUDGET, parts)
 
 
 def test_budget_overrun_is_covered(monkeypatch):
@@ -348,10 +389,12 @@ def test_proportional_parts_give_the_budgeted_gcd_without_it(p, scale,
     parts = _budgeted_inputs(p, q)
     assume(parts is not None)
     g, qp, qq = packed_gcd.gcd(*parts)
-    mono = Poly({_mono_gcd(p.monomial_content(), q.monomial_content()): 1})
+    mono = _mono_gcd(p.monomial_content(), q.monomial_content())
+    if mono:
+        g = g * Poly({mono: 1})
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(packed_gcd, "gcd", _refuse)
-        assert _terms(*poly_gcd(p, q)) == _terms(g * mono, qp, qq)
+        assert _terms(*poly_gcd(p, q)) == _terms(g, qp, qq)
 
 
 @pytest.mark.parametrize("budget, shortcut", [(4, True), (3, False)])
@@ -367,4 +410,4 @@ def test_proportional_parts_past_the_budget_run_it(monkeypatch, budget,
     g, qp, qq = packed_gcd.gcd(p, q)
     assert (g != _P_ONE) == shortcut
     assert (expr._proportional_gcd(p, q) is not None) == shortcut
-    assert _terms(*poly_gcd(p, q)) == _terms(g * _P_ONE, qp, qq)
+    assert _terms(*poly_gcd(p, q)) == _terms(g, qp, qq)
