@@ -293,8 +293,8 @@ int_polys = st.lists(int_term, min_size=2, max_size=4).map(
 
 
 def _negated_content(p: Poly, content: int) -> Poly:
-    """p scaled so its content is content and its leading coefficient
-    negative."""
+    """p scaled by content, with the sign that makes its leading
+    coefficient negative."""
     return p.scale(-content if p.leading()[1] > 0 else content)
 
 
