@@ -17,8 +17,8 @@ from .curvature import CurvatureBundle, once
 from .tensor import TensorError, endo_square
 from .operators import (
     ONE_FORM_RECURRENT, TWO_FORM_RECURRENT, WEAKLY_RICCI_SYMMETRIC,
-    check_identity, compatibility_check, compatible_space, only_zero,
-    pure_radiation, recurrent_formula, ricci_decompose)
+    check_identity, compatibility_check, compatible_space, first_residual,
+    only_zero, pure_radiation, recurrent_formula, ricci_decompose)
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -141,13 +141,10 @@ class _Evaluator:
             return HOLDS, (("beta", "0"),)
         return FAILS, ()
 
-    def endo_square_zero(self):
-        sq = endo_square(self.bundle.ricci, self.bundle.metric)
-        return _verdict(next(sq.iter_nonzero(), None))
-
-    def divergence_free(self, name: str):
-        div = self.bundle.divergence(name)
-        return _verdict(next(div.iter_nonzero(), None))
+    def vanishes(self, t):
+        """t = 0, read in (lex-ordered) reps up to its first nonzero."""
+        return _verdict(first_residual(
+            t.descriptor.reps(t.chart.dim, t.valence), t.get))
 
     def ricci_compatible(self, name: str):
         b = self.bundle
@@ -203,15 +200,16 @@ _CATALOG = (
      lambda ev: ev.ricci_simple()),
     _identity_row("s-wedge-s-zero", "wedge(S,S) = 0"),
     ("s-squared-zero", "S^2 = 0 as an endomorphism",
-     lambda ev: ev.endo_square_zero()),
+     lambda ev: ev.vanishes(endo_square(ev.bundle.ricci,
+                                        ev.bundle.metric))),
     _identity_row("ricci-symmetric", "nabla S = 0"),
     _identity_row("codazzi-ricci", "nabla S[y,z,x] = nabla S[x,z,y]"),
     _identity_row("cyclic-parallel-ricci",
                   "nabla S[y,z,x] + nabla S[z,x,y] + nabla S[x,y,z] = 0"),
     ("harmonic", "div R = 0",
-     lambda ev: ev.divergence_free("R")),
+     lambda ev: ev.vanishes(ev.bundle.divergence("R"))),
     ("conformal-harmonic", "div C = 0",
-     lambda ev: ev.divergence_free("C")),
+     lambda ev: ev.vanishes(ev.bundle.divergence("C"))),
     _identity_row("riemann-equals-projective", "R = P"),
     _identity_row("riemann-equals-concircular", "R = W"),
     _identity_row("riemann-equals-weyl", "R = C"),

@@ -26,12 +26,17 @@ class Record:
     order, as __slots__ and sets them in its __init__.  Two records are
     equal when they are of one type with equal fields, a record hashes
     over its type and fields, and it shows as Name(field=value, ...).
-    Immutable by convention, as Expression is."""
+    Immutable by convention, as Expression is.  A subclass whose fields
+    are not its slots names them as the class attribute _fields."""
 
     __slots__ = ()
 
+    @property
+    def _fields(self) -> tuple:
+        return self.__slots__
+
     def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
+        return tuple(getattr(self, f) for f in self._fields)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -43,7 +48,7 @@ class Record:
 
     def __repr__(self):
         return f"{type(self).__qualname__}(" + ", ".join(
-            f"{f}={getattr(self, f)!r}" for f in self.__slots__) + ")"
+            f"{f}={getattr(self, f)!r}" for f in self._fields) + ")"
 
 
 class ExprError(Exception):

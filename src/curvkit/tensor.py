@@ -169,20 +169,32 @@ D_NONE2 = Descriptor(())
 D_SYM2 = Descriptor(SYM2)
 D_RIEMANN = Descriptor(RIEMANN)
 D_ANTI2 = Descriptor((("anti", 0, 1),))
+_UNREAD = object()      # a getter table's representative not yet read
 
 
 class Tensor(Record):
     """Immutable (0,k) component table storing nonzero canonical
-    representatives only."""
+    representatives only.  A table built with a getter evaluates each on
+    its first read and keeps the value, a zero too; a read of comps fills
+    it in reps order.  Once all are read, the getter, with any product
+    memo and the operands it holds, is released."""
 
-    __slots__ = ("chart", "valence", "descriptor", "comps")
+    __slots__ = ("chart", "valence", "descriptor", "_comps", "getter",
+                 "_unread")
+    _fields = ("chart", "valence", "descriptor", "comps")
 
     def __init__(self, chart: Chart, valence: int, descriptor: Descriptor,
-                 comps: dict | None = None):
+                 comps: dict | None = None, getter=None):
         self.chart = chart
         self.valence = valence
         self.descriptor = descriptor
-        self.comps = {} if comps is None else comps
+        self._comps = {} if comps is None else comps
+        self.getter = getter
+        if getter is not None:
+            # representative -> _UNREAD, then its value, None if zero
+            self._comps = dict.fromkeys(descriptor.reps(chart.dim, valence),
+                                        _UNREAD)
+            self._unread = len(self._comps)
 
     @staticmethod
     def from_reps(chart: Chart, valence: int, descriptor: Descriptor,
@@ -216,13 +228,39 @@ class Tensor(Record):
     # the next change to the benchmark
     from_dense = compute
 
+    @property
+    def comps(self) -> dict:
+        """{representative: value} over the nonzero representatives."""
+        if self.getter is not None:
+            # the last representative read releases the getter
+            Tensor.compute(self.chart, self.valence, self.descriptor,
+                           self.get)
+        return self._comps
+
     def stored(self, idx: tuple) -> tuple[Expression | None, int]:
         """(v, sign) with value(idx) = sign * v, v the stored object of
         idx's canonical representative; (None, 0) when the symmetries
-        force the component to zero or no value is stored."""
+        force the component to zero or its value is zero."""
         rep, sign = self.descriptor.canon(tuple(idx))
-        v = self.comps.get(rep) if sign else None
-        return (None, 0) if v is None else (v, sign)
+        v = self._comps.get(rep) if sign else None
+        if v is None:
+            return None, 0
+        if v is _UNREAD:
+            v = self._read(rep)
+            if v is None:
+                return None, 0
+        return v, sign
+
+    def _read(self, rep: tuple) -> Expression | None:
+        """rep's value, evaluated on its first read; None if zero."""
+        v = self.getter(rep)
+        v = self._comps[rep] = None if v.is_zero else v
+        self._unread -= 1
+        if not self._unread:
+            self._comps = {r: w for r, w in self._comps.items()
+                           if w is not None}
+            self.getter = None
+        return v
 
     def get(self, idx: tuple) -> Expression:
         v, sign = self.stored(idx)
@@ -241,7 +279,7 @@ class Tensor(Record):
 
     @property
     def is_zero(self) -> bool:
-        return not self.comps
+        return all(self.stored(rep)[0] is None for rep in self._comps)
 
     def map(self, f) -> "Tensor":
         out = {}
@@ -283,49 +321,6 @@ class Tensor(Record):
         if self.valence != other.valence:
             raise TensorError(
                 f"valence mismatch: {self.valence} vs {other.valence}")
-
-
-class LazyTensor(Tensor):
-    """A Tensor whose canonical components are evaluated on first read:
-    stored and get evaluate one, is_zero stops at the first nonzero one,
-    and a read of comps (iter_nonzero, map, a dump) fills the table in reps
-    order, as Tensor.compute does with the getter."""
-
-    __slots__ = ("getter", "seen", "unread", "filled")
-
-    def __init__(self, chart: Chart, valence: int, descriptor: Descriptor,
-                 getter):
-        self.chart, self.valence, self.descriptor = chart, valence, descriptor
-        self.getter = getter
-        self.seen = {}         # representative -> value, None if zero
-        self.unread = len(descriptor.reps(chart.dim, valence))
-        self.filled = None
-
-    @property
-    def comps(self) -> dict:
-        if self.filled is None:
-            self.filled = Tensor.compute(self.chart, self.valence,
-                                         self.descriptor, self.get).comps
-        return self.filled
-
-    def stored(self, idx: tuple) -> tuple[Expression | None, int]:
-        rep, sign = self.descriptor.canon(tuple(idx))
-        if not sign:
-            return None, 0
-        v = self.seen.get(rep, self)
-        if v is self:
-            v = self.getter(rep)
-            v = self.seen[rep] = None if v.is_zero else v
-            self.unread -= 1
-            if not self.unread:
-                # all read: release the getter, its product memo and operands
-                self.getter = None
-        return (None, 0) if v is None else (v, sign)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(self.stored(rep)[0] is None for rep in
-                   self.descriptor.reps(self.chart.dim, self.valence))
 
 
 def common_descriptor(tensors) -> Descriptor:
@@ -528,7 +523,7 @@ def _times(products: dict, a: Expression, b: Expression) -> Expression:
 
 
 def dot_action(d: Tensor, h: Tensor, g: Metric) -> Tensor:
-    """Act the operator attached to d on h, producing a (0,k+2) LazyTensor.
+    """Act the operator attached to d on h: a (0,k+2) getter table.
 
     Component rule: (d.h)[i1..ik, x, y] = -sum over slots s and l of
     d^l[x, y, i_s] * h[.. l at s ..], where the l index is raised with g
@@ -561,12 +556,12 @@ def dot_action(d: Tensor, h: Tensor, g: Metric) -> Tensor:
                     total = total - p if sign == 1 else total + p
         return total
 
-    return LazyTensor(chart, k + 2, desc, entry)
+    return Tensor(chart, k + 2, desc, getter=entry)
 
 
 def tachibana(a: Tensor, h: Tensor) -> Tensor:
-    """Endomorphism action Q(a,h): a (0,k+2) LazyTensor, antisymmetric in
-    the trailing pair.
+    """Endomorphism action Q(a,h): a (0,k+2) getter table, antisymmetric
+    in the trailing pair.
 
     Component rule: Q(a,h)[i1..ik, x, y] = sum over slots s of
     a[x, i_s] * h[.. y at s ..] - a[y, i_s] * h[.. x at s ..].
@@ -598,7 +593,7 @@ def tachibana(a: Tensor, h: Tensor) -> Tensor:
                     total = total + p if sign * h_sign == 1 else total - p
         return total
 
-    return LazyTensor(chart, k + 2, desc, entry)
+    return Tensor(chart, k + 2, desc, getter=entry)
 
 
 def trace2(t: Tensor, g: Metric) -> Expression:
@@ -610,18 +605,19 @@ def trace2(t: Tensor, g: Metric) -> Expression:
 
 def endo_square(e: Tensor, g: Metric) -> Tensor:
     """(0,2) tensor of the squared endomorphism: (E^2)(X,Y) = g(EEX, Y),
-    componentwise sum_{k,l} E_ik g^kl E_lj."""
+    componentwise sum_{k,l} E_ik g^kl E_lj, as a getter table."""
     def entry(idx):
         i, j = idx
         return g.contract(lambda k, l: e.get((i, k)) * e.get((l, j)))
 
-    return Tensor.compute(e.chart, 2, D_SYM2, entry)
+    return Tensor(e.chart, 2, D_SYM2, getter=entry)
 
 
 def divergence_first(nt: Tensor, g: Metric) -> Tensor:
     """g^{im} (nabla T)[i, rest..., m]: contract the first slot of a
     covariant derivative nabla T with its derivative slot, the last.  The
-    result keeps the symmetries of T among the slots after the first."""
+    getter table keeps the symmetries of T among the slots after the
+    first."""
     k = nt.valence - 1
     desc = Descriptor(op[:1] + tuple(a - 1 for a in op[1:])
                       for op in nt.descriptor.ops
@@ -630,7 +626,7 @@ def divergence_first(nt: Tensor, g: Metric) -> Tensor:
     def entry(rest):
         return g.contract(lambda i, m: nt.get((i,) + rest + (m,)))
 
-    return Tensor.compute(nt.chart, k - 1, desc, entry)
+    return Tensor(nt.chart, k - 1, desc, getter=entry)
 
 
 # ---------------------------------------------------------------------------

@@ -383,13 +383,14 @@ def test_benchmark_tracer_still_wraps_every_name(tmp_path):
     that bypasses the wrapped module global drops out of the trace."""
     out, spans, counts = _traced(
         tmp_path, ["compute", "vaidya", "R"], ["compute", "vaidya", "dot:R.R"],
-        ["check", "vaidya", "R.R = L*Q(g,R)"])
+        ["check", "vaidya", "R.R = L*Q(g,R)"], ["classify", "vaidya"])
     assert out.startswith("R[1][2][1][2] = ")
-    assert out.endswith("\ncodes 0 0 1\n")
+    assert out.endswith("\ncodes 0 0 1 0\n")
     assert counts["compute_calls"] > 0 and counts["entries_evaluated"] > 0
     assert counts["eval_lookups"] > 0
     assert {"operators.dot_action", "operators.tachibana",
-            "operators.check_identity"} <= {s["name"] for s in spans}
+            "operators.check_identity",
+            "tensor.divergence"} <= {s["name"] for s in spans}
 
 
 def test_benchmark_tracer_sees_each_classify_product_once(tmp_path):

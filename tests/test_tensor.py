@@ -550,17 +550,23 @@ class TestReuseMatchesReference:
 
 
 class TestLazyProducts:
-    """dot_action and tachibana return tables that evaluate a component on
-    its first read; read in any order, they print as a table built in full
-    by Tensor.compute with the same getter, and a failing identity reads
-    only the components up to its witness."""
+    """dot_action, tachibana, divergence_first and endo_square return
+    tables that evaluate a component on its first read; read in any order,
+    they print as a table built in full by Tensor.compute with the same
+    getter, and a failing identity or zero check reads only the components
+    up to its witness."""
 
     PRODUCTS = (("dot", "R", "R"), ("dot", "R", "C"), ("dot", "C", "R"),
                 ("dot", "C", "C"), ("dot", "R", "S"), ("Q", "g", "R"),
-                ("Q", "g", "C"), ("Q", "S", "R"), ("Q", "S", "C"))
+                ("Q", "g", "C"), ("Q", "S", "R"), ("Q", "S", "C"),
+                ("div", "R", None), ("div", "C", None), ("sq", "S", None))
 
     @staticmethod
     def product(b, kind, left, right):
+        if kind == "div":
+            return divergence_first(b.nabla(left), b.metric)
+        if kind == "sq":
+            return endo_square(b.tensor(left), b.metric)
         d, h = b.tensor(left), b.tensor(right)
         if kind == "dot":
             return tensor_mod.dot_action(d, h, b.metric)
@@ -588,11 +594,40 @@ class TestLazyProducts:
                     kind, left, right, idx)
             assert format_dump("T", lazy) == format_dump("T", want)
 
+    def test_compares_and_prints_by_components(self, vaidya):
+        lazy = self.product(vaidya, "dot", "R", "R")
+        fresh = self.product(vaidya, "dot", "R", "R")
+        want = Tensor.compute(fresh.chart, fresh.valence, fresh.descriptor,
+                              fresh.getter)
+        assert lazy == fresh == want
+        assert repr(lazy) == repr(want)
+        assert repr(want).startswith("Tensor(chart=")
+        assert lazy != self.product(vaidya, "dot", "R", "C")
+
+    @staticmethod
+    def evaluated(t) -> int:
+        """How many of t's representatives a read in full evaluates."""
+        count = [0]
+        if t.getter is not None:
+            getter = t.getter
+
+            def counted(idx):
+                count[0] += 1
+                return getter(idx)
+
+            t.getter = counted
+        len(t.comps)
+        return count[0]
+
     def test_bundle_tensors_are_built_in_full(self, vaidya):
-        for name in "RSCPWKGTg":
-            assert type(vaidya.tensor(name)) is Tensor, name
-        assert type(vaidya.nabla("C")) is Tensor
+        # solve-stress builds these in its set-up and forks per operation
+        for t in [vaidya.tensor(name) for name in "RSCPWKGTg"] + [
+                vaidya.nabla("C")]:
+            assert self.evaluated(t) == 0, t.descriptor
         assert type(vaidya.connection) is tensor_mod.Connection
+        for kind, left, right in (("dot", "R", "C"), ("div", "C", None)):
+            t = self.product(vaidya, kind, left, right)
+            assert self.evaluated(t) == len(t.descriptor.reps(4, t.valence))
 
     def test_unread_table_fills_on_iteration(self, vaidya):
         lazy = self.product(vaidya, "dot", "R", "R")
@@ -602,9 +637,9 @@ class TestLazyProducts:
         assert lazy.getter is None   # the products memo is released
 
     @staticmethod
-    def evaluations(monkeypatch) -> list:
-        """(table, entries evaluated) of every product the bundle memo
-        builds."""
+    def evaluations(monkeypatch, names=("dot_action", "tachibana")) -> list:
+        """(table, entries evaluated) of every table the bundle memo
+        builds through the named builders."""
         from curvkit import curvature
         made = []
 
@@ -622,7 +657,7 @@ class TestLazyProducts:
                 return t
             return wrapped
 
-        for name in ("dot_action", "tachibana"):
+        for name in names:
             monkeypatch.setattr(curvature, name,
                                 spy(getattr(curvature, name)))
         return made
@@ -648,6 +683,20 @@ class TestLazyProducts:
         assert "verdict: fails" in capsys.readouterr().out
         (t, count), = made
         assert 0 < count[0] < len(t.descriptor.reps(4, 6))
+
+    def test_failing_divergence_stops_at_its_residual(self, monkeypatch):
+        from curvkit.classify import _CATALOG, FAILS, _Evaluator, _label
+        b = load_bundle("vaidya")
+        made = self.evaluations(monkeypatch, ("divergence_first",))
+        harmonic = {name: row for name, _, row in _CATALOG}["harmonic"]
+        verdict, witnesses = harmonic(_Evaluator(b))
+        assert verdict == FAILS
+        (t, count), = made
+        assert 0 < count[0] < len(t.descriptor.reps(4, t.valence))
+        # the witness a sorted walk of the table in full meets first
+        idx, v = next(self.product(b, "div", "R", None).iter_nonzero())
+        assert witnesses == ((f"residual_{_label(idx)}",
+                              format_expression(v)),)
 
 
 class TestCovariantDerivative:
