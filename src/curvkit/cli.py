@@ -78,20 +78,19 @@ def _brackets(component) -> str:
 
 def _parse_compute_name(name: str):
     """Map a compute argument to a display name and a tensor AST node."""
-    from .parsing import (TENSOR_VALENCE, TDot, TName, TNabla, TQ,
-                          tensor_ast_str)
+    from .parsing import TENSOR_VALENCE, TNode, tensor_ast_str
     if name.startswith("nabla:"):
         if name[6:] not in TENSOR_VALENCE:
             raise CliError(f"unknown tensor in {name!r}")
-        node = TNabla(TName(name[6:]))
+        node = TNode("nabla", TNode(name[6:]))
     elif name.startswith(("dot:", "Q:")):
         op, _, operands = name.partition(":")
         parts = operands.split(".")
         if len(parts) != 2 or not all(p in TENSOR_VALENCE for p in parts):
             raise CliError(f"malformed {op} operand {name!r}")
-        node = (TDot if op == "dot" else TQ)(TName(parts[0]), TName(parts[1]))
+        node = TNode(op, *map(TNode, parts))
     elif name in TENSOR_VALENCE:
-        node = TName(name)
+        node = TNode(name)
     else:
         raise CliError(f"unknown tensor name {name!r}")
     return tensor_ast_str(node), node

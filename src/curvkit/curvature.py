@@ -27,10 +27,11 @@ from functools import cached_property
 
 from .chart import Chart
 from .expr import Atom, Expression, ONE, ZERO
-from .parsing import MetricSpec, TDot, TName, TNabla, TQ, TWedge
+from .parsing import MetricSpec
 from .tensor import (Connection, D_ANTI2, D_RIEMANN, D_SYM2, Metric, Tensor,
                      TensorError, covariant_derivative, divergence_first,
-                     dot_action, kulkarni_nomizu, tachibana, trace2)
+                     dot_action, endo_square, kulkarni_nomizu, tachibana,
+                     trace2)
 
 
 def christoffel(g: Metric) -> Connection:
@@ -200,10 +201,6 @@ class CurvatureBundle:
         return once(self.memo, covariant_derivative, self.tensor(name),
                     self.connection)
 
-    def divergence(self, name: str) -> Tensor:
-        return once(self.memo, divergence_first, self.nabla(name),
-                    self.metric)
-
 
 def once(memo: dict, fn, *operands):
     """fn(*operands), computed once per fn and operand objects: the entry
@@ -228,24 +225,19 @@ def _key(operand):
 
 
 def evaluate_tensor_ast(node, bundle: CurvatureBundle, memo: dict) -> Tensor:
-    """Evaluate a tensor AST node against a bundle; memo is bundle.memo."""
-    if isinstance(node, TName):
-        return bundle.tensor(node.name)
-    if isinstance(node, TDot):
-        return once(memo, dot_action,
-                    evaluate_tensor_ast(node.left, bundle, memo),
-                    evaluate_tensor_ast(node.right, bundle, memo),
-                    bundle.metric)
-    if isinstance(node, TQ):
-        return once(memo, tachibana,
-                    evaluate_tensor_ast(node.metric_like, bundle, memo),
-                    evaluate_tensor_ast(node.operand, bundle, memo))
-    if isinstance(node, TWedge):
-        return once(memo, kulkarni_nomizu,
-                    evaluate_tensor_ast(node.left, bundle, memo),
-                    evaluate_tensor_ast(node.right, bundle, memo))
-    if isinstance(node, TNabla):
-        return once(memo, covariant_derivative,
-                    evaluate_tensor_ast(node.operand, bundle, memo),
-                    bundle.connection)
-    raise TensorError(f"unsupported tensor node {node!r}")
+    """Evaluate a tensor AST node against a bundle; memo is bundle.memo.
+    div T is divergence_first of nabla T, and each operation is read as a
+    module global at the call (see once)."""
+    if not node.args:
+        return bundle.tensor(node.op)
+    op = node.op
+    args = [evaluate_tensor_ast(a, bundle, memo) for a in node.args]
+    if op in ("nabla", "div"):
+        args = [once(memo, covariant_derivative, *args, bundle.connection)]
+        if op == "nabla":
+            return args[0]
+    if op in ("dot", "div", "^2"):
+        args.append(bundle.metric)
+    fn = {"dot": dot_action, "Q": tachibana, "wedge": kulkarni_nomizu,
+          "div": divergence_first, "^2": endo_square}[op]
+    return once(memo, fn, *args)

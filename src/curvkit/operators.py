@@ -144,7 +144,9 @@ def _decide_identity(unknowns, covectors, left, right) -> IdentityCheck:
               for t, coeff, slots, names, at in side]
     concrete, unknown_terms = [], []
     for coeff, t, slots, names, at in signed:
-        pick = operator.itemgetter(*slots)
+        # itemgetter of one position returns the entry, not a 1-tuple
+        pick = (operator.itemgetter(*slots) if len(slots) > 1 else
+                operator.itemgetter(slice(slots[0], slots[0] + 1)))
         if names:
             unknown_terms.append((_times(coeff), t, pick, names, at))
         else:

@@ -23,13 +23,17 @@ Identity grammar, one side of the '=':
     slots   := '[' NAME (',' NAME)* ']'
     tensor  := basic ('.' basic)*
     basic   := '(' tensor ')' | 'Q' '(' tensor ',' tensor ')'
-             | 'wedge' '(' tensor ',' tensor ')' | 'nabla' basic | NAME
+             | 'wedge' '(' tensor ',' tensor ')' | 'nabla' basic
+             | 'div' basic | NAME ['^' '2']
 
-The tensor names and Q, wedge, nabla are reserved: past any '(' they start
-the tensor, and a coefficient's term ends before the '*' they follow. Inside
-a coefficient's parentheses nothing is reserved: a parenthesised factor is a
-chart expression. A summand without a tensor must be a zero scalar and
-contributes nothing.
+Each operation's printed form and valence rule is in OPERATIONS: div
+contracts the first slot of nabla T with its derivative slot and needs
+valence 2 or more, and E^2, the squared endomorphism, needs a (0,2) E.
+The tensor names and Q, wedge, nabla, div are reserved: past any '(' they
+start the tensor, and a coefficient's term ends before the '*' they
+follow. Inside a coefficient's parentheses nothing is reserved: a
+parenthesised factor is a chart expression. A summand without a tensor
+must be a zero scalar and contributes nothing.
 
 Slots give each slot of a tensor an index letter; a covector is an unknown
 1-form taken at one letter. Either every term has slots or none has, each
@@ -417,44 +421,34 @@ def parse_metric_file(text: str) -> MetricSpec:
 TENSOR_VALENCE = {"R": 4, "S": 2, "C": 4, "P": 4, "W": 4, "K": 4, "G": 4,
                   "g": 2, "T": 2}
 
-_RESERVED = frozenset(TENSOR_VALENCE) | {"Q", "wedge", "nabla"}
-
-class TName(Record):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
+_RESERVED = frozenset(TENSOR_VALENCE) | {"Q", "wedge", "nabla", "div"}
 
 
-class TDot(Record):
-    __slots__ = ("left", "right")
+class TNode(Record):
+    """A tensor expression: op is a tensor name, with no args, or a key
+    of OPERATIONS applied to the tensor expressions in args."""
+    __slots__ = ("op", "args")
 
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-
-
-class TQ(Record):
-    __slots__ = ("metric_like", "operand")
-
-    def __init__(self, metric_like, operand):
-        self.metric_like = metric_like
-        self.operand = operand
+    def __init__(self, op: str, *args):
+        self.op = op
+        self.args = args
 
 
-class TWedge(Record):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-
-
-class TNabla(Record):
-    __slots__ = ("operand",)
-
-    def __init__(self, operand):
-        self.operand = operand
+# op -> (printed form, the result's valence from the operands' valences or
+# None where they do not fit, the error then)
+OPERATIONS = {
+    "dot": ("{}.{}", lambda d, h: h + 2 if d == 4 else None,
+            "dot action needs a (0,4) tensor on the left"),
+    "Q": ("Q({},{})", lambda a, h: h + 2 if a == 2 else None,
+          "Q needs a (0,2) tensor as first argument"),
+    "wedge": ("wedge({},{})", lambda a, e: 4 if a == e == 2 else None,
+              "wedge needs two (0,2) tensors"),
+    "nabla": ("nabla {}", lambda t: t + 1, ""),
+    "div": ("div {}", lambda t: t - 1 if t >= 2 else None,
+            "div needs a tensor of valence 2 or more"),
+    "^2": ("{}^2", lambda e: 2 if e == 2 else None,
+           "^2 needs a (0,2) tensor"),
+}
 
 
 class Term(Record):
@@ -486,38 +480,19 @@ class IdentityAst(Record):
 
 
 def tensor_ast_str(node) -> str:
-    if isinstance(node, TName):
-        return node.name
-    if isinstance(node, TDot):
-        return f"{tensor_ast_str(node.left)}.{tensor_ast_str(node.right)}"
-    if isinstance(node, TQ):
-        return f"Q({tensor_ast_str(node.metric_like)},{tensor_ast_str(node.operand)})"
-    if isinstance(node, TWedge):
-        return f"wedge({tensor_ast_str(node.left)},{tensor_ast_str(node.right)})"
-    if isinstance(node, TNabla):
-        return f"nabla {tensor_ast_str(node.operand)}"
-    raise ExprError(f"unknown tensor node {node!r}")
+    if not node.args:
+        return node.op
+    return OPERATIONS[node.op][0].format(*map(tensor_ast_str, node.args))
 
 
 def tensor_ast_valence(node) -> int:
-    if isinstance(node, TName):
-        return TENSOR_VALENCE[node.name]
-    if isinstance(node, TDot):
-        if tensor_ast_valence(node.left) != 4:
-            raise ExprError("dot action needs a (0,4) tensor on the left")
-        return tensor_ast_valence(node.right) + 2
-    if isinstance(node, TQ):
-        if tensor_ast_valence(node.metric_like) != 2:
-            raise ExprError("Q needs a (0,2) tensor as first argument")
-        return tensor_ast_valence(node.operand) + 2
-    if isinstance(node, TWedge):
-        if (tensor_ast_valence(node.left) != 2
-                or tensor_ast_valence(node.right) != 2):
-            raise ExprError("wedge needs two (0,2) tensors")
-        return 4
-    if isinstance(node, TNabla):
-        return tensor_ast_valence(node.operand) + 1
-    raise ExprError(f"unknown tensor node {node!r}")
+    if not node.args:
+        return TENSOR_VALENCE[node.op]
+    _, rule, error = OPERATIONS[node.op]
+    valence = rule(*map(tensor_ast_valence, node.args))
+    if valence is None:
+        raise ExprError(error)
+    return valence
 
 
 def _is_unknown_name(name: str) -> bool:
@@ -641,7 +616,7 @@ class _IdentityParser(_ExprParser):
     def tensor_atom(self):
         node = self.tensor_basic()
         while self.cur.accept("."):
-            node = TDot(node, self.tensor_basic())
+            node = TNode("dot", node, self.tensor_basic())
         return node
 
     def tensor_basic(self):
@@ -659,11 +634,15 @@ class _IdentityParser(_ExprParser):
             self.cur.expect(",")
             b = self.tensor_atom()
             self.cur.expect(")")
-            return TQ(a, b) if t.text == "Q" else TWedge(a, b)
-        if t.text == "nabla":
-            return TNabla(self.tensor_basic())
+            return TNode(t.text, a, b)
+        if t.text in ("nabla", "div"):
+            return TNode(t.text, self.tensor_basic())
         if t.text in TENSOR_VALENCE:
-            return TName(t.text)
+            node = TNode(t.text)
+            if self.cur.accept("^"):
+                self.cur.expect("2")
+                node = TNode("^2", node)
+            return node
         raise ParseError(f"unknown tensor name {t.text!r}", t.line, t.col)
 
 

@@ -172,6 +172,13 @@ class TestCheck:
             "verdict: fails\n"
             "witness: component [1][2][1][3][1][3] = -2*m(u)*m'(u)/r^3\n")
 
+    def test_divergence_witness(self, capsys):
+        code, out, _ = run(capsys, "check", "vaidya", "div R = 0")
+        assert code == 1
+        assert out == ("identity: div R = 0\n"
+                       "verdict: fails\n"
+                       "witness: component [1][1][2] = -4*m'(u)/r^3\n")
+
     def test_free_unknown_reported(self, capsys):
         code, out, _ = run(capsys, "check", "minkowski", "R.R = L*Q(g,R)")
         assert code == 0
@@ -244,6 +251,17 @@ class TestErrors:
         code, _, err = run(capsys, "compute", "vaidya", "bogus")
         assert code == 2
         assert err == "error: unknown tensor name 'bogus'\n"
+
+    @pytest.mark.parametrize("name", ["div:R", "S^2", "div R"])
+    def test_compute_keeps_its_names(self, capsys, name):
+        code, _, err = run(capsys, "compute", "vaidya", name)
+        assert code == 2
+        assert err == f"error: unknown tensor name {name!r}\n"
+
+    def test_square_of_a_four_tensor(self, capsys):
+        code, _, err = run(capsys, "check", "vaidya", "R^2 = 0")
+        assert code == 2
+        assert err == "error: ^2 needs a (0,2) tensor\n"
 
     def test_dimension_guard(self, capsys):
         code, _, err = run(capsys, "compute", "sphere2", "C")

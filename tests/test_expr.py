@@ -18,8 +18,7 @@ from curvkit.expr import (DivisionByZeroExpression, PRIME, Poly, _exact,
                           _reduced_terms, gcd_mod_p, poly_gcd)
 from curvkit.chart import Chart, ChartError
 from curvkit.linsolve import AffineForm
-from curvkit.parsing import (TDot, TName, TNabla, TQ, TWedge,
-                             parse_expression)
+from curvkit.parsing import TNode, parse_expression
 from curvkit.tensor import D_SYM2, Tensor
 
 from conftest import CATALOG as CATALOG_DIR
@@ -284,22 +283,24 @@ class TestRecord:
     prints as the frozen dataclasses it replaced did."""
 
     def test_equal_within_one_type_only(self):
-        r, s = TName("R"), TName("S")
-        assert TDot(r, s) == TDot(TName("R"), TName("S"))
-        assert hash(TDot(r, s)) == hash(TDot(TName("R"), TName("S")))
-        assert TDot(r, s) != TDot(s, r)
-        assert TDot(r, s) != TQ(r, s)
-        assert TDot(r, s) != TWedge(r, s)
-        assert TName("R") != "R"
+        r, s = TNode("R"), TNode("S")
+        assert TNode("dot", r, s) == TNode("dot", TNode("R"), TNode("S"))
+        assert hash(TNode("dot", r, s)) == hash(
+            TNode("dot", TNode("R"), TNode("S")))
+        assert TNode("dot", r, s) != TNode("dot", s, r)
+        assert TNode("dot", r, s) != TNode("Q", r, s)
+        assert TNode("dot", r, s) != TNode("wedge", r, s)
+        assert TNode("R") != "R"
 
     def test_repr_names_every_field(self):
-        assert repr(TName("R")) == "TName(name='R')"
-        assert repr(TNabla(TWedge(TName("g"), TName("S")))) == (
-            "TNabla(operand=TWedge(left=TName(name='g'), "
-            "right=TName(name='S')))")
+        assert repr(TNode("R")) == "TNode(op='R', args=())"
+        node = TNode("nabla", TNode("wedge", TNode("g"), TNode("S")))
+        assert repr(node) == (
+            "TNode(op='nabla', args=(TNode(op='wedge', args=("
+            "TNode(op='g', args=()), TNode(op='S', args=()))),))")
 
     def test_pickle_round_trip(self):
-        node = TQ(TName("g"), TNabla(TName("R")))
+        node = TNode("Q", TNode("g"), TNode("nabla", TNode("R")))
         assert pickle.loads(pickle.dumps(node)) == node
 
     @pytest.mark.parametrize("kwargs", [

@@ -862,6 +862,50 @@ def frw() -> CurvatureBundle:
         (BENCH_METRICS / "frw.metric").read_text()))
 
 
+ALL_METRICS = (sorted(CATALOG.glob("*.metric"))
+               + sorted(BENCH_METRICS.glob("*.metric")))
+
+
+class TestDivergenceIdentities:
+    """div T = g^{im} (nabla T)[i, .., m] in the identity language: a
+    one-slot term, and the contracted second Bianchi identity."""
+
+    @pytest.mark.parametrize("name", ["vaidya", "schwarzschild",
+                                      "ludwig-edgar"])
+    def test_div_ricci_vanishes_with_kappa(self, name):
+        # div S = (1/2) d kappa
+        b = load_bundle(name)
+        assert b.kappa.is_zero
+        res = check(b, "div S = 0")
+        assert res.holds and res.witness is None
+
+    def test_div_ricci_is_half_d_kappa_on_frw(self):
+        b = frw()
+        res = check(b, "div S = 0")
+        assert not res.holds and res.witness.kind == "component"
+        assert res.witness.component == (0,)
+        assert res.witness.value == b.kappa.derivative("t") / 2
+
+    @pytest.mark.parametrize("path", ALL_METRICS, ids=lambda p: p.stem)
+    def test_contracted_bianchi_identity(self, path):
+        """div R[j,k,l] = nabla S[j,k,l] - nabla S[j,l,k], so the metric is
+        harmonic exactly where its Ricci tensor is Codazzi; the cyclic sum
+        of nabla R it is contracted from vanishes."""
+        b = CurvatureBundle(parse_metric_file(path.read_text()))
+        assert check(b, "div R[j,k,l] = nabla S[j,k,l] - nabla S[j,l,k]"
+                     ).holds
+        assert check(b, "nabla R[j,k,x,y,i] + nabla R[k,i,x,y,j] + "
+                        "nabla R[i,j,x,y,k] = 0").holds
+        report = classify(b)
+        assert (report.result("harmonic").verdict
+                == report.result("codazzi-ricci").verdict)
+
+    def test_div_weyl_is_half_div_riemann(self, vaidya):
+        # n = 4 and kappa = 0: div C = (n-3)/(n-2) div R
+        assert check(vaidya, "div C = (1/2)*div R").holds
+        assert not check(vaidya, "div C = div R").holds
+
+
 class TestQuasiEinsteinRoot:
     """The last resort builds two exact minors chosen by their values and
     lets the rank-one factorization certify their one common root; it

@@ -10,7 +10,7 @@ from curvkit import parse_metric_file, parse_identity, ParseError, \
 from curvkit.chart import Chart
 from curvkit.expr import ExprError, ONE
 from curvkit.parsing import (
-    parse_expression, TENSOR_VALENCE, TName, TDot, TQ, TWedge, TNabla,
+    parse_expression, TENSOR_VALENCE, TNode,
     tensor_ast_valence, tensor_ast_str, Term, IdentityAst,
     _Cursor, _ExprParser, _tokenize,
 )
@@ -182,7 +182,7 @@ class TestIdentityLanguage:
         assert ast.valence == 3
         assert ast.unknowns == ()
         (term,) = ast.left
-        assert term.tensor == TNabla(TName("S"))
+        assert term.tensor == TNode("nabla", TNode("S"))
         assert term.coeff.is_one
 
     def test_unknown_coefficient(self):
@@ -191,7 +191,7 @@ class TestIdentityLanguage:
         assert ast.valence == 6
         (term,) = ast.right
         assert term.unknown == "L"
-        assert term.tensor == TQ(TName("g"), TName("R"))
+        assert term.tensor == TNode("Q", TNode("g"), TNode("R"))
 
     def test_numbered_unknowns(self):
         ast = parse_identity("L1 * Q(g,R) + L2 * Q(S,R) = Q(g,C)", CHART)
@@ -203,7 +203,7 @@ class TestIdentityLanguage:
         assert term.unknown is None
         two = parse_expression("2", CHART)
         assert term.coeff * two == parse_expression("1", CHART)
-        assert term.tensor == TWedge(TName("g"), TName("g"))
+        assert term.tensor == TNode("wedge", TNode("g"), TNode("g"))
 
     def test_chart_scalar_coefficient(self):
         ast = parse_identity("nabla S = h(x) * nabla g", CHART)
@@ -220,7 +220,8 @@ class TestIdentityLanguage:
     def test_dot_grouping(self):
         ast = parse_identity("R.(R.S) = 0", CHART)
         (term,) = ast.left
-        assert term.tensor == TDot(TName("R"), TDot(TName("R"), TName("S")))
+        assert term.tensor == TNode("dot", TNode("R"),
+                                    TNode("dot", TNode("R"), TNode("S")))
         # unparenthesized chains associate left, so R.R.S puts a (0,6)
         # tensor in the left slot of the outer dot
         with pytest.raises(ExprError, match="dot action"):
@@ -229,13 +230,45 @@ class TestIdentityLanguage:
     def test_valence_table(self):
         assert TENSOR_VALENCE["R"] == 4
         assert TENSOR_VALENCE["S"] == 2
-        assert tensor_ast_valence(TNabla(TName("C"))) == 5
-        assert tensor_ast_valence(TQ(TName("S"), TName("W"))) == 6
+        assert tensor_ast_valence(TNode("nabla", TNode("C"))) == 5
+        assert tensor_ast_valence(TNode("Q", TNode("S"), TNode("W"))) == 6
+        assert tensor_ast_valence(TNode("div", TNode("R"))) == 3
+        assert tensor_ast_valence(TNode("div", TNode("S"))) == 1
+        assert tensor_ast_valence(TNode("^2", TNode("T"))) == 2
+
+    @pytest.mark.parametrize("node,msg", [
+        (TNode("^2", TNode("R")), "\\^2 needs a \\(0,2\\) tensor"),
+        (TNode("div", TNode("div", TNode("S"))), "div needs a tensor"),
+        (TNode("wedge", TNode("g"), TNode("R")), "wedge needs"),
+    ])
+    def test_valence_rule_rejects(self, node, msg):
+        with pytest.raises(ExprError, match=msg):
+            tensor_ast_valence(node)
 
     def test_str_forms(self):
-        assert tensor_ast_str(TDot(TName("C"), TName("S"))) == "C.S"
-        assert tensor_ast_str(TQ(TName("g"), TName("R"))) == "Q(g,R)"
-        assert tensor_ast_str(TNabla(TName("S"))) == "nabla S"
+        assert tensor_ast_str(TNode("dot", TNode("C"), TNode("S"))) == "C.S"
+        assert tensor_ast_str(TNode("Q", TNode("g"), TNode("R"))) == "Q(g,R)"
+        assert tensor_ast_str(TNode("nabla", TNode("S"))) == "nabla S"
+        assert tensor_ast_str(TNode("div", TNode("R"))) == "div R"
+        assert tensor_ast_str(TNode("^2", TNode("S"))) == "S^2"
+
+    def test_div_and_square(self):
+        ast = parse_identity("div R[x,y,z] = nabla S[x,y,z] - nabla S[x,z,y]",
+                             CHART)
+        assert ast.valence == 3
+        assert ast.left[0].tensor == TNode("div", TNode("R"))
+        ast = parse_identity("S^2 = L*g^2 + div(nabla g)", CHART)
+        assert [t.tensor for t in ast.left + ast.right] == [
+            TNode("^2", TNode("S")), TNode("^2", TNode("g")),
+            TNode("div", TNode("nabla", TNode("g")))]
+        # ^2 binds to the name before div takes it
+        assert parse_identity("div S^2 = 0", CHART).left[0].tensor == TNode(
+            "div", TNode("^2", TNode("S")))
+        for text in ("R^2 = 0", "div div S = 0", "(div R).S = 0"):
+            with pytest.raises(ExprError, match="needs"):
+                parse_identity(text, CHART)
+        with pytest.raises(ParseError, match="expected '2'"):
+            parse_identity("S^3 = 0", CHART)
 
     @pytest.mark.parametrize("text,msg", [
         ("S = R", "valence mismatch"),
@@ -317,6 +350,24 @@ class TestIdentityGrammar:
         assert [t.coeff for t in ast.right] == [
             parse_expression(c, CHART) for c in coeffs]
 
+    @pytest.mark.parametrize("text,coeffs", [
+        # a chart symbol named div is the scalar where no tensor follows
+        # it, and the operation where one does
+        ("S = (div)*S", ["div"]),
+        ("S = div*S", ["div"]),
+        ("S = 2*div*S", ["2*div"]),
+        ("S = (x*div - 1)*S", ["x*div - 1"]),
+        ("div S = (div + 1)*div S - div S", ["div + 1", "-1"]),
+    ])
+    def test_chart_symbol_named_div(self, text, coeffs):
+        chart = Chart(coords=("x", "y"), constants=("div",))
+        ast = parse_identity(text, chart)
+        want = _parse_or_none(reference_parse_identity, text, chart)
+        assert want is None or ast == want
+        assert [t.coeff for t in ast.right] == [
+            parse_expression(c, chart) for c in coeffs]
+        assert ast.valence == (1 if text.startswith("div") else 2)
+
     @pytest.mark.parametrize("text,msg", [
         ("x = S", "expected '\\*'"),
         ("R.x = 0", "unknown tensor name 'x'"),
@@ -344,7 +395,7 @@ class TestIndexNotation:
             ("a", "x", ("y", "z"))
         assert (second.unknown, second.letter) == ("b", "y")
         (term,) = ast.right
-        assert term.tensor == TNabla(TName("S"))
+        assert term.tensor == TNode("nabla", TNode("S"))
         assert (term.unknown, term.letter, term.slots) == \
             (None, None, ("y", "z", "x"))
 
@@ -394,6 +445,9 @@ class TestIndexNotation:
 
 # -- the identity parser before the shared product grammar, kept as the
 # reference that the differential test holds the grammar to ----------------
+
+_REFERENCE_OPERATORS = ("Q", "wedge", "nabla", "div")
+
 
 def _reference_is_unknown_name(name: str) -> bool:
     return name.startswith("L") and name[1:].isdigit() or name == "L"
@@ -454,7 +508,7 @@ class _ReferenceIdentityParser:
                         return nxt.kind == "PUNCT" and nxt.text == "*"
             return False
         if t.kind == "NAME":
-            if t.text in TENSOR_VALENCE or t.text in ("Q", "wedge", "nabla"):
+            if t.text in TENSOR_VALENCE or t.text in _REFERENCE_OPERATORS:
                 return False
             return True
         return False
@@ -485,7 +539,7 @@ class _ReferenceIdentityParser:
             if t.kind == "PUNCT" and t.text == "*":
                 nxt = self.cur.tokens[self.cur.pos + 1]
                 if nxt.kind == "NAME" and (nxt.text in TENSOR_VALENCE
-                                           or nxt.text in ("Q", "wedge", "nabla")):
+                                           or nxt.text in _REFERENCE_OPERATORS):
                     return e
                 self.cur.next()
                 e = e * p.unary()
@@ -497,7 +551,7 @@ class _ReferenceIdentityParser:
     def tensor_atom(self):
         node = self.tensor_basic()
         while self.cur.accept("."):
-            node = TDot(node, self.tensor_basic())
+            node = TNode("dot", node, self.tensor_basic())
         return node
 
     def tensor_basic(self):
@@ -515,22 +569,25 @@ class _ReferenceIdentityParser:
             self.cur.expect(",")
             h = self.tensor_atom()
             self.cur.expect(")")
-            return TQ(a, h)
+            return TNode("Q", a, h)
         if t.text == "wedge":
             self.cur.expect("(")
             a = self.tensor_atom()
             self.cur.expect(",")
             b = self.tensor_atom()
             self.cur.expect(")")
-            return TWedge(a, b)
-        if t.text == "nabla":
+            return TNode("wedge", a, b)
+        if t.text in ("nabla", "div"):
             if self.cur.accept("("):
                 node = self.tensor_atom()
                 self.cur.expect(")")
-                return TNabla(node)
-            return TNabla(self.tensor_basic())
+                return TNode(t.text, node)
+            return TNode(t.text, self.tensor_basic())
         if t.text in TENSOR_VALENCE:
-            return TName(t.text)
+            if self.cur.accept("^"):
+                self.cur.expect("2")
+                return TNode("^2", TNode(t.text))
+            return TNode(t.text)
         raise ParseError(f"unknown tensor name {t.text!r}", t.line, t.col)
 
 
@@ -566,11 +623,12 @@ def _pair(children, fmt):
 
 
 TENSOR_TEXT = st.recursive(
-    st.sampled_from(sorted(TENSOR_VALENCE) + ["bogus"]),
+    st.sampled_from(sorted(TENSOR_VALENCE) + ["bogus", "S^2", "g^2", "T^2"]),
     lambda kids: st.one_of(
         _pair(kids, "{}.{}"), _pair(kids, "Q({},{})"),
         _pair(kids, "wedge({},{})"), kids.map("nabla {}".format),
-        kids.map("nabla({})".format), kids.map("({})".format)),
+        kids.map("nabla({})".format), kids.map("div {}".format),
+        kids.map("div({})".format), kids.map("({})".format)),
     max_leaves=3)
 
 # ints, chart atoms (with the built-ins G, c, pi), unknowns and the
