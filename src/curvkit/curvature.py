@@ -27,7 +27,7 @@ from functools import cached_property
 
 from .chart import Chart
 from .expr import Atom, Expression, ONE, ZERO
-from .parsing import MetricSpec
+from .parsing import MetricSpec, TNode
 from .tensor import (Connection, D_ANTI2, D_RIEMANN, D_SYM2, Metric, Tensor,
                      TensorError, covariant_derivative, divergence_first,
                      dot_action, endo_square, kulkarni_nomizu, tachibana,
@@ -198,8 +198,8 @@ class CurvatureBundle:
         return getattr(self, attr)
 
     def nabla(self, name: str) -> Tensor:
-        return once(self.memo, covariant_derivative, self.tensor(name),
-                    self.connection)
+        return evaluate_tensor_ast(TNode("nabla", TNode(name)), self,
+                                   self.memo)
 
 
 def once(memo: dict, fn, *operands):

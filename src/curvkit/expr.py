@@ -802,11 +802,11 @@ def poly_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     values at the point, gives that monomial, with the parts as the
     cofactors.  Parts equal up to a constant factor, such as r - 2*m and
     2*m - r, give what the budgeted gcd would, without loading it.
-    Otherwise the budgeted recursive gcd of curvkit.packed_gcd runs and
-    hands back the quotients of its division check; when it exceeds its
-    budget, or its result fails that check, the common monomial factor is
-    returned, which can leave a common factor of positive degree in the
-    caller's fraction."""
+    Otherwise curvkit.packed_gcd runs its divisor step, then its budgeted
+    recursive gcd, each handing back the quotients of its division check;
+    when the gcd exceeds its budget, or its result fails that check, the
+    common monomial factor is returned, which can leave a common factor
+    of positive degree in the caller's fraction."""
     if a.is_zero or b.is_zero:
         p = b if a.is_zero else a
         if p.is_zero:
@@ -824,7 +824,7 @@ def poly_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     shared = _proportional_gcd(a, b)
     if shared is None:
         from . import packed_gcd
-        shared = packed_gcd.gcd(a, b)
+        shared = packed_gcd.divisor_gcd(a, b) or packed_gcd.gcd(a, b)
     g, a, b = shared
     return (g * mono_poly if mono else g), a, b
 

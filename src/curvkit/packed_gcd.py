@@ -18,6 +18,11 @@ and a nested gcd past the budget still falls back to its monomial content.
 So every result and every overrun is the one the tuple code gave.  The
 quotients of the top-level division check are the cofactors that
 expr.poly_gcd hands on, so a reduced fraction is divided once.
+
+divisor_gcd runs before gcd on cos-free operands: when one operand, its
+own monomial content stripped, divides the other, that part is the gcd,
+and the same division check gives gcd's cofactors without the remainder
+sequence.
 """
 
 from __future__ import annotations
@@ -42,8 +47,8 @@ class _Widen(Exception):
     pass
 
 
-# _GCD_BUDGET (expr) is the work allowance of one call of gcd below; the
-# nested gcds of its remainder sequence share it.
+# _GCD_BUDGET (expr) is the work allowance of one call of gcd or of
+# divisor_gcd below; the nested gcds of gcd's remainder sequence share it.
 _gcd_budget_left = 0
 _gcd_depth = 0
 
@@ -129,6 +134,47 @@ def gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
             # memory its fraction holds
             return _lay.unpack(g), a, b
         return _lay.unpack(g), _lay.unpack(qa), _lay.unpack(qb)
+
+
+def divisor_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly] | None:
+    """gcd's result when a or b, stripped of its own monomial content,
+    divides the other operand.  a and b have no common monomial factor, so
+    that part p is then their gcd: it is returned integer-primitive with
+    positive leading coefficient, with a/p and b/p from the division check
+    gcd makes, so the cofactors are the ones gcd gives when it completes.
+    The checks are charged against the same budget.  None for cos input,
+    when no part divides, past the budget, or when a quotient would have
+    more terms than its dividend; gcd then runs with its whole budget."""
+    global _lay, _gcd_budget_left, _gcd_depth
+    atoms = a.atoms() | b.atoms()
+    if any(x.is_cos for x in atoms):
+        return None
+    _lay = _Layout(sorted(atoms), _WIDTH)
+    guards = _lay.guards
+    _gcd_budget_left = _GCD_BUDGET
+    _gcd_depth += 1
+    try:
+        pa, pb = _lay.pack(a), _lay.pack(b)
+        for p, other in ((pa, pb), (pb, pa)):
+            mono = _mono_content(p)
+            part = _divexact(p, {mono: 1}) if mono else p
+            # the leading and the trailing monomial of a product are the
+            # products of its factors' own
+            if (max(other) - max(part)) & guards or \
+                    (min(other) - min(part)) & guards:
+                continue
+            g = _canon_sign(part)
+            try:
+                qa = _divexact(pa, g, len(pa))
+                qb = _divexact(pb, g, len(pb))
+            except NotDivisible:
+                continue
+            return _lay.unpack(g), _lay.unpack(qa), _lay.unpack(qb)
+    except (_GcdBudgetExceeded, _Widen):
+        pass
+    finally:
+        _gcd_depth -= 1
+    return None
 
 
 def _checked_gcd(a: dict, b: dict) -> tuple[dict, dict, dict]:
@@ -269,8 +315,9 @@ def _canon_sign(p: dict) -> dict:
     return {m: _exact(k * c) for m, k in p.items()}
 
 
-def _divexact(a: dict, b: dict) -> dict:
-    """Exact division; raises NotDivisible when b does not divide a."""
+def _divexact(a: dict, b: dict, most: int | None = None) -> dict:
+    """Exact division; raises NotDivisible when b does not divide a, or
+    when the quotient would have more than most terms."""
     if not b:
         raise DivisionByZeroExpression("polynomial division by zero")
     if not a:
@@ -307,7 +354,7 @@ def _divexact(a: dict, b: dict) -> dict:
         _charge_gcd(len(b) * (1 + (cr.numerator.bit_length() +
                                    cr.denominator.bit_length()) // 256))
         mq = mr - mb
-        if mq & guards:
+        if mq & guards or len(q) == most:
             raise NotDivisible
         q[mq] = cq = _qdiv(cr, cb)
         # r -= cq*mq*(b - cb*mb); cos^2 can only arise when both hold cos
@@ -334,12 +381,12 @@ def _ge_mask(g: int, m: int, lay: _Layout) -> int:
     return ge * lay.fmask
 
 
-def _mono_content(a: dict, b: dict) -> int:
-    """The greatest monomial dividing every term of a and of b."""
+def _mono_content(*polys: dict) -> int:
+    """The greatest monomial dividing every term of every poly."""
     lay = _lay
     low = (1 << lay.ds) - 1
     g = None
-    for p in (a, b):
+    for p in polys:
         for m in p:
             m &= low
             if g is None:

@@ -482,7 +482,14 @@ class IdentityAst(Record):
 def tensor_ast_str(node) -> str:
     if not node.args:
         return node.op
-    return OPERATIONS[node.op][0].format(*map(tensor_ast_str, node.args))
+    args = [tensor_ast_str(a) for a in node.args]
+    # a dot product is no basic: where the grammar reads one, it is
+    # printed in parentheses
+    if node.op in ("nabla", "div") and node.args[0].op == "dot":
+        return f"{node.op}({args[0]})"
+    if node.op == "dot" and node.args[1].op == "dot":
+        args[1] = f"({args[1]})"
+    return OPERATIONS[node.op][0].format(*args)
 
 
 def tensor_ast_valence(node) -> int:

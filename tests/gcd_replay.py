@@ -10,13 +10,15 @@ order and the gcd's terms sorted, so two versions of the layer that do the
 same work on the same inputs hash alike.
 
 Run as a script, it replays the recorded inputs through poly_gcd once to
-collect what poly_gcd hands to expr._coprime_at_point and to
-packed_gcd.gcd, then times each kernel on its own inputs:
+collect what poly_gcd hands to expr._coprime_at_point, to
+packed_gcd.divisor_gcd and to packed_gcd.gcd, then times each kernel on
+its own inputs:
 
     PYTHONPATH=src python3 tests/gcd_replay.py [--repeats N]
 
-It prints the call counts, each kernel's best time over N replays, and the
-digest, which must equal the recorded one.
+It prints the call count, how many calls each stage of poly_gcd settles,
+each kernel's best time over N replays, and the digest, which must equal
+the recorded one.
 """
 from __future__ import annotations
 
@@ -76,25 +78,58 @@ def digest(results) -> str:
     return h.hexdigest()
 
 
-def kernel_inputs(calls) -> tuple[list, list, list]:
-    """poly_gcd's results on the recorded inputs, and the inputs it hands
-    to _coprime_at_point and to packed_gcd.gcd."""
-    from curvkit import expr, packed_gcd
-    coprime, gcd = expr._coprime_at_point, packed_gcd.gcd
-    seen = {coprime: [], gcd: []}
+# poly_gcd's stages in the order it tries them
+STAGES = ("zero or monomial", "certificate", "proportional", "divisor step",
+          "budgeted kernel", "overrun")
 
-    def capture(fn):
+
+def kernel_inputs(calls) -> tuple[list, dict, dict]:
+    """poly_gcd's results on the recorded inputs, the inputs it hands to
+    each kernel (by name), and how many calls each stage settles."""
+    from curvkit import expr, packed_gcd
+    kernels = {"_coprime_at_point": (expr, "_coprime_at_point"),
+               "_proportional_gcd": (expr, "_proportional_gcd"),
+               "divisor_gcd": (packed_gcd, "divisor_gcd"),
+               "gcd": (packed_gcd, "gcd")}
+    saved = {name: getattr(*where) for name, where in kernels.items()}
+    seen = {name: [] for name in kernels}
+    ran = []   # the stages the current call reached, with their results
+
+    def capture(name):
+        fn = saved[name]
+
         def spy(a, b):
-            seen[fn].append((a, b))
-            return fn(a, b)
+            seen[name].append((a, b))
+            out = fn(a, b)
+            ran.append((name, out))
+            return out
         return spy
 
-    expr._coprime_at_point, packed_gcd.gcd = capture(coprime), capture(gcd)
+    for name, (module, attr) in kernels.items():
+        setattr(module, attr, capture(name))
+    stages = dict.fromkeys(STAGES, 0)
+    results = []
     try:
-        results = [expr.poly_gcd(a, b) for (a, b), _ in calls]
+        for (a, b), _ in calls:
+            ran.clear()
+            results.append(expr.poly_gcd(a, b))
+            name, out = ran[-1] if ran else (None, None)
+            if name is None:
+                stage = "zero or monomial"
+            elif name == "_coprime_at_point":
+                stage = "certificate"
+            elif name == "_proportional_gcd":
+                stage = "proportional"
+            elif name == "divisor_gcd":
+                stage = "divisor step"
+            else:
+                stage = ("overrun" if packed_gcd._gcd_budget_left < 0
+                         else "budgeted kernel")
+            stages[stage] += 1
     finally:
-        expr._coprime_at_point, packed_gcd.gcd = coprime, gcd
-    return results, seen[coprime], seen[gcd]
+        for name, (module, attr) in kernels.items():
+            setattr(module, attr, saved[name])
+    return results, seen, stages
 
 
 def best_time(fn, inputs, repeats: int) -> float:
@@ -114,14 +149,16 @@ def main(argv=None) -> int:
     from curvkit import expr, packed_gcd
     calls = record()
     recorded = digest(out for _, out in calls)
-    results, coprime_in, gcd_in = kernel_inputs(calls)
+    results, inputs, stages = kernel_inputs(calls)
     replayed = digest(results)
     print(f"poly_gcd calls: {len(calls)}")
-    for name, fn, inputs in (("_coprime_at_point", expr._coprime_at_point,
-                              coprime_in),
-                             ("packed_gcd.gcd", packed_gcd.gcd, gcd_in)):
-        t = best_time(fn, inputs, args.repeats)
-        print(f"{name}: {len(inputs)} calls, {t:.4f} s "
+    for stage, n in stages.items():
+        print(f"  settled by {stage}: {n}")
+    for name, fn in (("_coprime_at_point", expr._coprime_at_point),
+                     ("divisor_gcd", packed_gcd.divisor_gcd),
+                     ("gcd", packed_gcd.gcd)):
+        t = best_time(fn, inputs[name], args.repeats)
+        print(f"{name}: {len(inputs[name])} calls, {t:.4f} s "
               f"(best of {args.repeats})")
     print(f"sha256: {replayed}")
     if replayed != recorded:

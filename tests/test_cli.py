@@ -263,6 +263,16 @@ class TestErrors:
         assert code == 2
         assert err == "error: ^2 needs a (0,2) tensor\n"
 
+    @pytest.mark.parametrize("op", ["div", "nabla"])
+    def test_slot_count_names_the_parenthesised_operand(self, capsys, op):
+        slots = "a,b" if op == "div" else "a,b,c,d"
+        code, _, err = run(capsys, "check", "vaidya",
+                           f"{op}(R.S)[{slots}] = 0")
+        assert code == 2
+        want = 3 if op == "div" else 5
+        assert err == (f"error: line 1, column {len(op) + 6}: {op}(R.S) has "
+                       f"{want} slots, not {len(slots) // 2 + 1}\n")
+
     def test_dimension_guard(self, capsys):
         code, _, err = run(capsys, "compute", "sphere2", "C")
         assert code == 2

@@ -411,3 +411,100 @@ def test_proportional_parts_past_the_budget_run_it(monkeypatch, budget,
     assert (g != _P_ONE) == shortcut
     assert (expr._proportional_gcd(p, q) is not None) == shortcut
     assert _terms(*poly_gcd(p, q)) == _terms(g, qp, qq)
+
+
+COS_FREE = ATOMS[:2] + ATOMS[3:]
+
+
+def _cos_free(coefficients, min_size=1):
+    terms = st.tuples(coefficients, st.tuples(*[st.integers(0, 2)] * 4))
+    return st.lists(terms, min_size=min_size, max_size=4).map(
+        lambda ts: Poly.make((tuple((a, e) for a, e in zip(COS_FREE, exps)
+                                    if e), c) for c, exps in ts))
+
+
+_INTS = st.integers(-3, 3).filter(bool)
+_FRACTIONS = st.fractions(min_value=-3, max_value=3,
+                          max_denominator=3).filter(bool)
+_MONOMIALS = st.tuples(*[st.integers(0, 2)] * 4).map(
+    lambda exps: Poly({tuple((a, e) for a, e in zip(COS_FREE, exps) if e): 1}))
+
+
+def _reversed(p: Poly) -> Poly:
+    return Poly(dict(reversed(p.terms.items())))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data(), ints=st.booleans(), mono=_MONOMIALS,
+       reverse=st.booleans(), swap=st.booleans())
+def test_divisor_parts_give_the_budgeted_gcd(data, ints, mono, reverse,
+                                             swap):
+    """A divisor planted in both operands, one of them only a monomial
+    times it: wherever the budgeted gcd completes, divisor_gcd finds the
+    same gcd and the same cofactors, term for term.  The gcd's own term
+    order follows the remainder sequence's path; poly_gcd's callers never
+    read it and tests/gcd_replay.py hashes its terms sorted."""
+    coefficients = _INTS if ints else _FRACTIONS
+    d = data.draw(_cos_free(coefficients, min_size=2))
+    q = data.draw(_cos_free(coefficients))
+    p, q = d * mono, d * q
+    if reverse:
+        p, q = _reversed(p), _reversed(q)
+    if swap:
+        p, q = q, p
+    parts = _budgeted_inputs(p, q)
+    assume(parts is not None)
+    with pytest.MonkeyPatch.context() as mp:
+        (want, *cofactors), meter = _packed(mp, *parts)
+    got = packed_gcd.divisor_gcd(*parts)
+    if got is None:
+        # only the bound on a quotient's terms declines a planted divisor
+        assert any(len(c.terms) > len(part.terms)
+                   for c, part in zip(cofactors, parts))
+        return
+    assert got[0] == want or meter["raises"]
+    if not meter["raises"]:
+        assert _terms(*got[1:]) == _terms(*cofactors)
+    assert got[0] * got[1] == parts[0] and got[0] * got[2] == parts[1]
+
+
+def test_divisor_step_declines_cos():
+    """cos input is left to the budgeted gcd, which finds the divisor."""
+    x, c = Poly.atom(X), Poly.atom(ATOMS[2])
+    d = x * c + Poly.const(1)
+    p, q = d * x, d * (x + Poly.const(2))
+    assert packed_gcd.divisor_gcd(p, q) is None
+    g, qp, qq = packed_gcd.gcd(p, q)
+    assert g == d
+    assert _terms(*poly_gcd(p, q)) == _terms(g, qp, qq)
+
+
+def test_divisor_step_bounds_the_quotient():
+    """x + f divides x^3 + f^3 by a quotient of three terms, more than the
+    dividend's two: the step declines and the budgeted gcd finds it."""
+    x, f, a = (Poly.atom(t) for t in (X, ATOMS[4], ATOMS[0]))
+    p, q = (x + f) * a, x ** 3 + f ** 3
+    assert packed_gcd.divisor_gcd(p, q) is None
+    g, qp, qq = packed_gcd.gcd(p, q)
+    assert g == x + f
+    assert _terms(*poly_gcd(p, q)) == _terms(g, qp, qq)
+
+
+@pytest.mark.parametrize("budget, found", [(6, True), (5, False)])
+def test_divisor_checks_past_the_budget_run_it(monkeypatch, budget, found):
+    """The step's two checks for x - f charge 2 and 4 units, and the
+    budgeted gcd 32.  Within 6 units the step returns x - f where the
+    budgeted gcd alone runs out and gives 1, a more reduced fraction;
+    past them it declines, and poly_gcd runs the budgeted gcd."""
+    x, f, a = (Poly.atom(t) for t in (X, ATOMS[4], ATOMS[0]))
+    p, q = (x - f) * a, (x - f) * (x + Poly.const(1))
+    monkeypatch.setattr(packed_gcd, "_GCD_BUDGET", budget)
+    kernel, meter = _packed(monkeypatch, p, q)
+    assert kernel[0] == _P_ONE and meter["raises"]
+    step = packed_gcd.divisor_gcd(p, q)
+    assert (step is not None) == found
+    want = step if found else kernel
+    assert _terms(*poly_gcd(p, q)) == _terms(*want)
+    if found:
+        assert step[0] == x - f
+        assert _terms(*step[1:]) == _terms(a, x + Poly.const(1))

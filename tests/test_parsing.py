@@ -12,7 +12,7 @@ from curvkit.expr import ExprError, ONE
 from curvkit.parsing import (
     parse_expression, TENSOR_VALENCE, TNode,
     tensor_ast_valence, tensor_ast_str, Term, IdentityAst,
-    _Cursor, _ExprParser, _tokenize,
+    _Cursor, _ExprParser, _IdentityParser, _tokenize,
 )
 from conftest import CATALOG
 
@@ -251,6 +251,13 @@ class TestIdentityLanguage:
         assert tensor_ast_str(TNode("nabla", TNode("S"))) == "nabla S"
         assert tensor_ast_str(TNode("div", TNode("R"))) == "div R"
         assert tensor_ast_str(TNode("^2", TNode("S"))) == "S^2"
+        rs = TNode("dot", TNode("R"), TNode("S"))
+        assert tensor_ast_str(TNode("div", rs)) == "div(R.S)"
+        assert tensor_ast_str(TNode("nabla", rs)) == "nabla(R.S)"
+        assert tensor_ast_str(TNode("dot", TNode("R"), rs)) == "R.(R.S)"
+        assert tensor_ast_str(TNode("dot", TNode("dot", TNode("R"),
+                                                 TNode("R")),
+                                        TNode("S"))) == "R.R.S"
 
     def test_div_and_square(self):
         ast = parse_identity("div R[x,y,z] = nabla S[x,y,z] - nabla S[x,z,y]",
@@ -695,6 +702,25 @@ def _parse_or_none(parse, text, chart):
         return parse(text, chart)
     except ExprError:
         return None
+
+
+def _parse_tensor(text: str) -> TNode:
+    parser = _IdentityParser(_Cursor(_tokenize(text)), CHART)
+    node = parser.tensor_atom()
+    parser.cur.expect_end()
+    return node
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(text=TENSOR_TEXT)
+def test_printed_tensor_parses_back(text):
+    """Every tensor expression the grammar reads prints as text that
+    parses back to the same node, valence or not."""
+    try:
+        node = _parse_tensor(text)
+    except ExprError:
+        return
+    assert _parse_tensor(tensor_ast_str(node)) == node, text
 
 
 @pytest.mark.parametrize("chart", [CHART, CHART_S], ids=["chart", "chart_S"])
