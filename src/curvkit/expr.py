@@ -755,8 +755,8 @@ def _sign_content(p: Poly) -> int | Fraction:
     return -c if lead < 0 else c
 
 
-# Work allowance for one call of packed_gcd.gcd, the budgeted branch of
-# poly_gcd, in coefficient multiplications weighted by operand bit size.
+# Work allowance for one call of packed_gcd.gcd or of its divisor step, in
+# coefficient multiplications weighted by operand bit size.
 # Mixed trig/function inputs can drive its remainder sequence into
 # coefficient blowup; past this budget poly_gcd settles for the monomial
 # common factor, which keeps fractions correct, just less reduced.

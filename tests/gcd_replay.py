@@ -78,58 +78,49 @@ def digest(results) -> str:
     return h.hexdigest()
 
 
-# poly_gcd's stages in the order it tries them
-STAGES = ("zero or monomial", "certificate", "proportional", "divisor step",
-          "budgeted kernel", "overrun")
+# poly_gcd's stages in the order it tries them, by the kernel that settles
+# a call (none for a zero or single-term part); a call past the budget of
+# packed_gcd.gcd counts as "overrun"
+STAGES = {None: "zero or monomial", "_coprime_at_point": "certificate",
+          "_proportional_gcd": "proportional", "divisor_gcd": "divisor step",
+          "gcd": "budgeted kernel"}
 
 
 def kernel_inputs(calls) -> tuple[list, dict, dict]:
     """poly_gcd's results on the recorded inputs, the inputs it hands to
     each kernel (by name), and how many calls each stage settles."""
     from curvkit import expr, packed_gcd
-    kernels = {"_coprime_at_point": (expr, "_coprime_at_point"),
-               "_proportional_gcd": (expr, "_proportional_gcd"),
-               "divisor_gcd": (packed_gcd, "divisor_gcd"),
-               "gcd": (packed_gcd, "gcd")}
-    saved = {name: getattr(*where) for name, where in kernels.items()}
+    kernels = {"_coprime_at_point": expr, "_proportional_gcd": expr,
+               "divisor_gcd": packed_gcd, "gcd": packed_gcd}
+    saved = {name: getattr(module, name) for name, module in kernels.items()}
     seen = {name: [] for name in kernels}
-    ran = []   # the stages the current call reached, with their results
+    ran = []   # the kernels the current call reached
 
     def capture(name):
         fn = saved[name]
 
         def spy(a, b):
             seen[name].append((a, b))
-            out = fn(a, b)
-            ran.append((name, out))
-            return out
+            ran.append(name)
+            return fn(a, b)
         return spy
 
-    for name, (module, attr) in kernels.items():
-        setattr(module, attr, capture(name))
-    stages = dict.fromkeys(STAGES, 0)
+    for name, module in kernels.items():
+        setattr(module, name, capture(name))
+    settled = dict.fromkeys([*STAGES.values(), "overrun"], 0)
     results = []
     try:
         for (a, b), _ in calls:
             ran.clear()
             results.append(expr.poly_gcd(a, b))
-            name, out = ran[-1] if ran else (None, None)
-            if name is None:
-                stage = "zero or monomial"
-            elif name == "_coprime_at_point":
-                stage = "certificate"
-            elif name == "_proportional_gcd":
-                stage = "proportional"
-            elif name == "divisor_gcd":
-                stage = "divisor step"
-            else:
-                stage = ("overrun" if packed_gcd._gcd_budget_left < 0
-                         else "budgeted kernel")
-            stages[stage] += 1
+            stage = STAGES[ran[-1] if ran else None]
+            if stage == "budgeted kernel" and packed_gcd._gcd_budget_left < 0:
+                stage = "overrun"
+            settled[stage] += 1
     finally:
-        for name, (module, attr) in kernels.items():
-            setattr(module, attr, saved[name])
-    return results, seen, stages
+        for name, module in kernels.items():
+            setattr(module, name, saved[name])
+    return results, seen, settled
 
 
 def best_time(fn, inputs, repeats: int) -> float:
@@ -154,11 +145,12 @@ def main(argv=None) -> int:
     print(f"poly_gcd calls: {len(calls)}")
     for stage, n in stages.items():
         print(f"  settled by {stage}: {n}")
-    for name, fn in (("_coprime_at_point", expr._coprime_at_point),
-                     ("divisor_gcd", packed_gcd.divisor_gcd),
-                     ("gcd", packed_gcd.gcd)):
-        t = best_time(fn, inputs[name], args.repeats)
-        print(f"{name}: {len(inputs[name])} calls, {t:.4f} s "
+    for label, module, name in (
+            ("_coprime_at_point", expr, "_coprime_at_point"),
+            ("packed_gcd.divisor_gcd", packed_gcd, "divisor_gcd"),
+            ("packed_gcd.gcd", packed_gcd, "gcd")):
+        t = best_time(getattr(module, name), inputs[name], args.repeats)
+        print(f"{label}: {len(inputs[name])} calls, {t:.4f} s "
               f"(best of {args.repeats})")
     print(f"sha256: {replayed}")
     if replayed != recorded:

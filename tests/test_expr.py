@@ -396,12 +396,17 @@ def test_deferred_rows_make_only_gcds_of_the_eager_solve(monkeypatch):
 def test_solve_stress_gcds_are_pinned():
     """Every top-level poly_gcd call of one solve-stress pass, and what it
     returns (tests/gcd_replay.py): the count and the digest were recorded
-    before the one-pass images and the integer contents, so a faster gcd
-    layer must do the same work on the same inputs."""
+    before the one-pass images, the integer contents and the divisor step,
+    so a faster gcd layer must do the same work on the same inputs.  The
+    replay also pins how many calls each stage of poly_gcd settles."""
     calls = gcd_replay.record()
     assert len(calls) == 749
     assert gcd_replay.digest(out for _, out in calls) == (
         "994eeb4e891b75ee7b36baa1e9d4111e76fd10a940f23688407f4bd9f8df8d87")
+    _, _, settled = gcd_replay.kernel_inputs(calls)
+    assert settled == {"zero or monomial": 476, "certificate": 196,
+                       "proportional": 16, "divisor step": 45,
+                       "budgeted kernel": 11, "overrun": 5}
 
 
 def test_seeded_generator_bulk():

@@ -1,6 +1,8 @@
 """The packed-monomial gcd against the tuple-monomial primitive remainder
 sequence it replaced: same terms in the same insertion order, for the gcd
-and its cofactors, the same charged units and the same overruns."""
+and its cofactors, the same charged units and the same overruns.  The
+shortcuts poly_gcd takes before it, proportional parts and the divisor
+step, against the packed gcd itself."""
 from fractions import Fraction
 
 import pytest
