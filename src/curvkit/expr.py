@@ -112,13 +112,8 @@ class Atom:
         return self
 
     def __reduce__(self):
+        # copy, deepcopy and pickle rebuild the atom through __new__
         return Atom, (self.kind, self.name, self.sub, self.orders, self.args)
-
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
 
     @staticmethod
     def constant(name: str) -> "Atom":
@@ -632,15 +627,19 @@ def matrix_at_point(rows) -> list[list[int]] | None:
 
 
 def pivots_at_point(rows) -> dict[int, int] | None:
-    """Eliminate the values of a matrix of Expressions at the point modulo
-    PRIME row by row, as linsolve eliminates exactly: each row is reduced
-    by the earlier pivot rows and takes its first nonzero column as pivot.
-    Returns {column: row that took it}, or None when an entry is undefined
-    at the point.  The pivot rows' values are independent, so the exact
-    pivot rows are too: a minor nonzero at the point is exactly nonzero."""
+    """pivots_mod_p of the values of a matrix of Expressions at the point,
+    or None when an entry is undefined there."""
     m = matrix_at_point(rows)
-    if m is None:
-        return None
+    return None if m is None else pivots_mod_p(m)
+
+
+def pivots_mod_p(m) -> dict[int, int]:
+    """Eliminate a matrix of residues modulo PRIME row by row, as linsolve
+    eliminates exactly: each row is reduced by the earlier pivot rows and
+    takes its first nonzero column as pivot.  Returns {column: row that
+    took it}.  For the values of an exact matrix the pivot rows' values are
+    independent, so the exact pivot rows are too: a minor nonzero at the
+    point is exactly nonzero."""
     ncols = len(m[0]) if m else 0
     basis = {}   # pivot column -> reduced row, 1 there, 0 at other pivots
     pivots = {}

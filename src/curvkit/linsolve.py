@@ -35,8 +35,10 @@ exact arithmetic, each labelled by the equation that took it as pivot;
 otherwise its rows go through the loop.  At the witness the value pivots
 name the equations that fixed those unknowns before it.
 
-The metric inverse (tensor.Metric) and matrix_rank are solves of this one
-loop too; there is no second exact elimination.
+The metric inverse (tensor.Metric), matrix_rank and the quasi-Einstein
+root of operators.ricci_decompose (value pivots, else one solve in
+(alpha^2, alpha)) are solves of this one loop too; there is no second
+exact elimination.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .curvature import CurvatureBundle, evaluate_tensor_ast, once
 from .expr import (Atom, Expression, ONE, PRIME, ZERO, _KIND_COORD,
-                   _KIND_TRIG, gcd_mod_p, matrix_at_point)
+                   _KIND_TRIG, matrix_at_point, pivots_mod_p)
 from .linsolve import LinearEquation, matrix_rank, solve_linear
 from .parsing import TENSOR_VALENCE, IdentityAst, parse_identity
 from .tensor import (Descriptor, Metric, Tensor, TensorError, _apply_op,
@@ -402,40 +402,6 @@ class RicciDecomposition:
     nullity: int
 
 
-def _poly1_mod(p, q):
-    """Remainder of univariate polynomials with Expression coefficients
-    (ascending coefficient lists)."""
-    p = list(p)
-    while len(p) >= len(q):
-        lead = p[-1] / q[-1]
-        shift = len(p) - len(q)
-        for i, qc in enumerate(q):
-            p[shift + i] = p[shift + i] - lead * qc
-        while p and p[-1].is_zero:
-            p.pop()
-        if not p:
-            break
-    return p
-
-
-def _poly1_gcd(polys):
-    acc = None
-    for p in polys:
-        p = list(p)
-        while p and p[-1].is_zero:
-            p.pop()
-        if not p:
-            continue
-        if acc is None:
-            acc = p
-            continue
-        a, b = acc, p
-        while b:
-            a, b = b, _poly1_mod(a, b)
-        acc = a
-    return acc or []
-
-
 def ricci_decompose(bundle: CurvatureBundle) -> RicciDecomposition:
     """Classify the Ricci tensor against the quasi-Einstein family."""
     s = bundle.ricci
@@ -497,48 +463,39 @@ def _common_root(s_rows, g_rows) -> Expression | None:
     """The only alpha that can be a common root of the 2x2 minors of
     s - alpha*g, or None when they have none.
 
-    The minors' values at the point decide it when one of them, m1, keeps
-    its alpha^2 coefficient there.  A common factor of the exact minors of
-    positive degree, made monic by m1, maps to a common factor of the same
-    degree of the values; so a value gcd of degree 0 leaves no root, and
-    one of degree 1 leaves at most one.  Writing m = a*alpha^2 + b*alpha +
-    c, that root is the root of a2*m1 - a1*m2 for the first minor m2 with
-    a2*b1 - a1*b2 nonzero at the point, and only m1 and m2 are built
-    exactly.  m2 exists: where a2*b1 - a1*b2 is zero, a2*m1 - a1*m2 is a
-    constant that vanishes at the values' common root, so m2's value is a
-    multiple of m1's, and were every value one, m1's would be their gcd.
-    Any other value gcd, or no minor keeping its degree, takes the Euclid
-    over every exact minor."""
+    Writing each minor as a*alpha^2 + b*alpha + c, a common root makes
+    (X, Y) = (alpha^2, alpha) solve every a*X + b*Y = -c.  The minors'
+    values at the point decide first.  A root is the null vector
+    (alpha^2, alpha, 1) of the exact rows (a, b, c), so values of rank 3
+    leave none.  Value pivots in the X and Y columns name two minors whose
+    exact X, Y system is nonsingular, and only those two are built: the
+    root is their Cramer Y.  Otherwise one exact solve over every minor
+    gives Y when it is determined."""
     n = len(s_rows)
     pairs = list(itertools.combinations(range(n), 2))
     blocks = [(i, j, k, l) for i, j in pairs for k, l in pairs]
     s_at, g_at = matrix_at_point(s_rows), matrix_at_point(g_rows)
     if s_at is not None and g_at is not None:
-        images = [[c % PRIME for c in _minor_quadratic(s_at, g_at, *block)]
-                  for block in blocks]
-        first = next((m for m, image in enumerate(images) if image[2]), None)
-        common = []
-        for image in images:
-            common = gcd_mod_p(common, image)
-        if first is not None and len(common) == 1:
+        pivots = pivots_mod_p([
+            [v % PRIME for v in reversed(_minor_quadratic(s_at, g_at, *b))]
+            for b in blocks])
+        if len(pivots) == 3:
             return None
-        if first is not None and len(common) == 2:
-            _, b1, a1 = images[first]
-            second = next(m for m, (_, b2, a2) in enumerate(images)
-                          if (a2 * b1 - a1 * b2) % PRIME)
+        if pivots.keys() == {0, 1}:
             (c1, b1, a1), (c2, b2, a2) = (
-                _minor_quadratic(s_rows, g_rows, *blocks[m])
-                for m in (first, second))
+                _minor_quadratic(s_rows, g_rows, *blocks[pivots[col]])
+                for col in (0, 1))
             return (a1 * c2 - a2 * c1) / (a2 * b1 - a1 * b2)
-    minors = []
-    for block in blocks:
-        poly = _minor_quadratic(s_rows, g_rows, *block)
-        while poly and poly[-1].is_zero:
-            poly.pop()
-        if poly:
-            minors.append(poly)
-    common = _poly1_gcd(minors)
-    return -common[0] / common[1] if len(common) == 2 else None
+
+    def equations():
+        for block in blocks:
+            c, b, a = _minor_quadratic(s_rows, g_rows, *block)
+            yield LinearEquation({"X": a, "Y": b}, -c, block)
+
+    result = solve_linear(equations(), ("X", "Y"))
+    if not result.consistent or result.solution["Y"].coeffs:
+        return None
+    return result.solution["Y"].const
 
 
 @dataclass(frozen=True)
@@ -658,7 +615,9 @@ def compatible_space(d: Tensor, g: Metric) -> CompatibleFamily:
                           "inconsistent")
 
     taken = set(chart.coords) | set(chart.functions) | set(chart.constants)
-    prefix = next(p for p in ("a", "e", "q", "u0")
+    # the u<k> prefixes never run out, as the chart names only finitely many
+    prefix = next(p for p in itertools.chain(
+        "aeq", (f"u{k}" for k in itertools.count()))
                   if not any(f"{p}{i + 1}{j + 1}" in taken
                              for i in range(n) for j in range(n)))
     atom_of = {u: Atom.constant(prefix + u[1:]) for u in result.free}

@@ -12,7 +12,8 @@
    expression-kernel laws (>= 1000 cases),
 6. finite-difference numeric cross-check at random rational points,
 7. the radiating tensors collapse onto the static ones when the mass
-   function is frozen to a constant.
+   function is frozen to a constant, and so does the solved L of every
+   pseudosymmetry condition that holds on the radiating metric.
 
 All symbolic comparisons are canonical-form equality (zero tolerance);
 the numeric cross-check runs at relative tolerance 1e-6.
@@ -26,8 +27,9 @@ from curvkit import CurvatureBundle, parse_metric_file
 from curvkit.expr import Atom, Expression
 from curvkit.classify import classify, compare_reports
 from curvkit.curvature import evaluate_tensor_ast
-from curvkit.operators import dot_action, tachibana, compatible_space
-from curvkit.parsing import TNode, parse_expression
+from curvkit.operators import (check_identity, compatible_space, dot_action,
+                               tachibana)
+from curvkit.parsing import TNode, parse_expression, parse_identity
 from curvkit.tensor import kulkarni_nomizu
 
 import vaidya_reference as ref
@@ -364,3 +366,29 @@ def test_criterion_7_static_limit_substitution(vaidya, schwarzschild):
         match(vaidya.tensor(name), schwarzschild.tensor(name), name)
     for name in ("R", "S", "C", "T"):
         match(vaidya.nabla(name), schwarzschild.nabla(name), "nabla " + name)
+
+
+def test_criterion_7_static_limit_of_pseudosymmetry(vaidya, schwarzschild):
+    """The abstract's C.C = (m/r^3) Q(g,C) and R.R - Q(S,R) = (m/r^3)
+    Q(g,C), and README's R.C + C.R = (2m/r^3) Q(g,C) + Q(S,C): the L solved
+    on the radiating metric, with m(u) -> m and m^(k)(u) -> 0, is the L
+    solved on the static one."""
+    freeze = {Atom.func("m", ("u",), (k,)): ZERO for k in (1, 2, 3)}
+    freeze[Atom.func("m", ("u",))] = Expression.from_atom(Atom.constant("m"))
+    formulas = [(row.name, row.formula) for row in classify(vaidya).results
+                if "L*" in row.formula]
+    assert len(formulas) == 7
+    holding = []
+    for name, formula in formulas:
+        radiating = check_identity(parse_identity(formula, vaidya.chart),
+                                   vaidya)
+        if not radiating.holds:
+            continue
+        holding.append(name)
+        static = check_identity(
+            parse_identity(formula, schwarzschild.chart), schwarzschild)
+        assert static.holds and not static.free, name
+        assert radiating.solved["L"].subst(freeze) == static.solved["L"], \
+            name
+    assert holding == ["pseudosymmetric-weyl", "rr-qsr-pseudosymmetric",
+                       "rc-cr-pseudosymmetric"]

@@ -30,6 +30,16 @@ g[1][2] = y
 g[2][2] = y^2
 """
 
+# every parameter prefix before u1 names a constant of the chart
+PREFIXES_TAKEN = """\
+dim 3
+coords t x y
+constant a11 e11 q11 u011
+g[1][1] = -1
+g[2][2] = t^2
+g[3][3] = t^2
+"""
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -201,6 +211,19 @@ class TestClassifyCompare:
         assert ("pseudosymmetric-weyl: holds; witness L = m(u)/r^3"
                 in lines)
         assert lines[-1] == "venzi-projective-space: not-evaluated"
+
+    def test_classify_with_every_parameter_prefix_taken(self, capsys,
+                                                        tmp_path):
+        path = tmp_path / "prefixes.metric"
+        path.write_text(PREFIXES_TAKEN)
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 0 and err == ""
+        rows = [line for line in out.splitlines()
+                if line.startswith("compatible-space-")]
+        assert [line.split(": ")[1].split(";")[0] for line in rows] == [
+            "holds"] * 4
+        assert ("compatible-space-projective: holds; witness param_count = 7;"
+                " witness E21 = -u112; witness E31 = -u113") in rows
 
     def test_compare_shape(self, capsys):
         code, out, _ = run(capsys, "compare", "vaidya", "schwarzschild")

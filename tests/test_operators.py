@@ -1,12 +1,14 @@
 """Operator actions, identity solving, recurrences, decompositions,
 compatibility families, on the catalog metrics."""
 import collections
+import contextlib
 import importlib
 import itertools
 import sys
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from curvkit import (CurvatureBundle, TensorError, operators,
                      parse_metric_file)
@@ -653,8 +655,8 @@ def test_reversed_coordinates_keep_every_verdict(path):
 
 
 class TestValuesAtPoint:
-    """Full rank and coprime minors are proved by values at the point;
-    the exact elimination and minor Euclid run only when those decide
+    """Full rank and the absence of a quasi-Einstein root are proved by
+    values at the point; the exact eliminations run only when those decide
     nothing, and give the same answers."""
 
     @staticmethod
@@ -686,7 +688,7 @@ class TestValuesAtPoint:
 
     def test_warped_product_skips_minor_euclid(self, monkeypatch):
         bundle = CurvatureBundle(parse_metric_file(WARPED5))
-        monkeypatch.setattr(operators, "_poly1_gcd", refuse)
+        monkeypatch.setattr(operators, "solve_linear", refuse)
         got = ricci_decompose(bundle)
         assert (got.kind, got.rank, got.nullity) == ("none", 5, 0)
 
@@ -938,33 +940,97 @@ class TestQuasiEinsteinRoot:
             return minor(s, g, *block)
 
         monkeypatch.setattr(operators, "_minor_quadratic", spy)
-        monkeypatch.setattr(operators, "_poly1_gcd", refuse)
+        monkeypatch.setattr(operators, "solve_linear", refuse)
         got = ricci_decompose(frw())
         assert got.kind == "quasi-einstein"
         assert len(exact) == 2
 
     def test_quadratic_value_gcd_takes_the_euclid(self, monkeypatch):
+        """With values that decide nothing, one exact solve in (X, Y) =
+        (alpha^2, alpha) over every minor gives the same root."""
         want = repr(ricci_decompose(frw()))
-        euclids = []
-        gcd = operators._poly1_gcd
+        solved = []
+        solve = operators.solve_linear
 
-        def spy(polys):
-            euclids.append(len(polys))
-            return gcd(polys)
+        def spy(equations, unknowns):
+            equations = list(equations)
+            solved.append(sum(1 for eq in equations if not (
+                eq.rhs.is_zero and all(c.is_zero
+                                       for c in eq.coeffs.values()))))
+            return solve(equations, unknowns)
 
-        monkeypatch.setattr(operators, "gcd_mod_p", lambda f, g: [1, 0, 1])
-        monkeypatch.setattr(operators, "_poly1_gcd", spy)
+        monkeypatch.setattr(operators, "pivots_mod_p", lambda values: {})
+        monkeypatch.setattr(operators, "solve_linear", spy)
         assert repr(ricci_decompose(frw())) == want
         # the metric is diagonal: only the 6 principal minors are nonzero
-        assert euclids == [6]
+        assert solved == [6]
 
     def test_failed_certificate_is_none(self, monkeypatch):
-        """A linear value gcd only bounds the exact gcd's degree: when the
-        exact minors have no common root, the candidate fails the rank-one
-        factorization and the verdict is the Euclid's none."""
+        """Two value pivots in the X and Y columns only name the minors of
+        the candidate: when the exact minors have no common root, the
+        candidate fails the rank-one factorization and the verdict is the
+        Euclid's none."""
         bundle = CurvatureBundle(parse_metric_file(WARPED5))
-        monkeypatch.setattr(operators, "gcd_mod_p", lambda f, g: [1, 1])
-        monkeypatch.setattr(operators, "_poly1_gcd", refuse)
+        pivots = expr_mod.pivots_mod_p
+        monkeypatch.setattr(operators, "pivots_mod_p", lambda values: pivots(
+            [row[:2] for row in values]))
+        monkeypatch.setattr(operators, "solve_linear", refuse)
         got = ricci_decompose(bundle)
         assert got.kind == "none"
         assert repr(got) == repr(old_ricci_decompose(bundle))
+
+    @staticmethod
+    def euclid_root(s_rows, g_rows):
+        """The root the Euclid over every exact minor gives, or None."""
+        pairs = list(itertools.combinations(range(len(s_rows)), 2))
+        common = _old_poly1_gcd([_old_minor(s_rows, g_rows, i, j, k, l)
+                                 for i, j in pairs for k, l in pairs])
+        return -common[0] / common[1] if len(common) == 2 else None
+
+    @pytest.mark.parametrize("values", [True, False],
+                             ids=["values", "exact-solve"])
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_common_root_property(self, values, data):
+        """On S = alpha0*g + beta*eta(x)eta, with g symmetric, non-diagonal
+        and nondegenerate and every entry of degree 1 in t, the root is
+        alpha0; on an unstructured S there is none, or a candidate the
+        rank-one factorization rejects.  Both agree with the Euclid, with
+        values deciding first and with the exact solve alone."""
+        n = data.draw(st.sampled_from([3, 4]))
+        t = Expression.from_atom(Atom.coordinate("t"))
+        poly = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(
+            lambda c: Expression.from_int(c[0]) + Expression.from_int(c[1])
+            * t)
+
+        def symmetric():
+            rows = [[None] * n for _ in range(n)]
+            for i, j in itertools.combinations_with_replacement(range(n), 2):
+                rows[i][j] = rows[j][i] = data.draw(poly)
+            return rows
+
+        g_rows = symmetric()
+        assume(any(not g_rows[i][j].is_zero
+                   for i in range(n) for j in range(i)))
+        assume(matrix_rank(g_rows) == n)
+        alpha0 = None
+        if data.draw(st.booleans()):
+            alpha0, beta = data.draw(poly), data.draw(poly)
+            eta = [data.draw(poly) for _ in range(n)]
+            assume(not beta.is_zero and any(not e.is_zero for e in eta))
+            s_rows = [[alpha0 * g_rows[i][j] + beta * eta[i] * eta[j]
+                       for j in range(n)] for i in range(n)]
+        else:
+            s_rows = symmetric()
+        want = self.euclid_root(s_rows, g_rows)
+        with (contextlib.nullcontext() if values else mock.patch.object(
+                operators, "pivots_mod_p", lambda m: {})):
+            got = operators._common_root(s_rows, g_rows)
+        if alpha0 is not None:
+            assert got == alpha0 and want == alpha0
+        elif want is not None:
+            assert got == want
+        elif got is not None:
+            shifted = [[s_rows[i][j] - got * g_rows[i][j] for j in range(n)]
+                       for i in range(n)]
+            assert rank_one_factor(shifted, None) is None
