@@ -3,8 +3,9 @@ against one metric and render the verdicts as a stable text report.
 
 Each catalog row is either a formula in the identity grammar, decided by
 check_identity (every linear row: the derivative symmetries, the
-divergences, S^2 = 0, the recurrences and weak Ricci symmetry among them),
-or a custom decision procedure (decompositions, compatibility solves).  The
+divergences, S^2 = 0, the recurrences, Ricci compatibility and weak Ricci
+symmetry among them), or a custom decision procedure (decompositions, and
+compatible spaces, the compatibility formula solved for an unknown E).  The
 operations the rows repeat run once per set of operand tensors, in the
 bundle's memo.  Rows whose decision procedure is not implemented are
 reported as not-evaluated, never as fails.
@@ -16,8 +17,8 @@ from .parsing import parse_identity
 from .curvature import CurvatureBundle, once
 from .tensor import TensorError
 from .operators import (
-    ONE_FORM_RECURRENT, TWO_FORM_RECURRENT, WEAKLY_RICCI_SYMMETRIC,
-    check_identity, compatibility_check, compatible_space, only_zero,
+    COMPATIBLE, ONE_FORM_RECURRENT, TWO_FORM_RECURRENT,
+    WEAKLY_RICCI_SYMMETRIC, check_identity, compatible_space, only_zero,
     pure_radiation, recurrent_formula, ricci_decompose)
 
 HOLDS = "holds"
@@ -71,15 +72,6 @@ def _label(component) -> str:
     return "".join(str(i + 1) for i in component)
 
 
-def _verdict(hit):
-    """holds when there is no nonzero residual, else fails naming the first
-    one as (index tuple, value)."""
-    if hit is None:
-        return HOLDS, ()
-    idx, v = hit
-    return FAILS, ((f"residual_{_label(idx)}", format_expression(v)),)
-
-
 class _Evaluator:
     """One classification pass over a single bundle."""
 
@@ -108,7 +100,8 @@ class _Evaluator:
                             format_expression(w.anchor_value)),
                            (f"{w.unknown}_at_{_label(w.component)}",
                             format_expression(w.value)))
-        return _verdict((w.component, w.value))
+        return FAILS, ((f"residual_{_label(w.component)}",
+                        format_expression(w.value)),)
 
     def scalar_flat(self):
         k = self.bundle.kappa
@@ -141,29 +134,15 @@ class _Evaluator:
             return HOLDS, (("beta", "0"),)
         return FAILS, ()
 
-    def ricci_compatible(self, name: str):
-        b = self.bundle
-        res = once(b.memo, compatibility_check, b.tensor(name), b.ricci,
-                   b.metric)
-        return _verdict(None if res.holds
-                        else (res.witness_component, res.witness_value))
-
     def compatible_family(self, name: str):
+        """param_count, and each nonzero entry that is not a parameter."""
         b = self.bundle
         fam = once(b.memo, compatible_space, b.tensor(name), b.metric)
-        wit = [("param_count", str(fam.param_count))]
-        n = b.dim
-        params = set(fam.params)
-        for i in range(n):
-            for j in range(n):
-                entry = fam.matrix[i][j]
-                if entry.is_zero:
-                    continue
-                text = format_expression(entry)
-                if text in params:
-                    continue
-                wit.append((f"E{i + 1}{j + 1}", text))
-        return HOLDS, tuple(wit)
+        entries = [(f"E{i + 1}{j + 1}", format_expression(v))
+                   for i, row in enumerate(fam.matrix)
+                   for j, v in enumerate(row) if not v.is_zero]
+        return HOLDS, (("param_count", str(fam.param_count)),) + tuple(
+            (e, text) for e, text in entries if text not in fam.params)
 
     def pure_radiation_form(self):
         res = pure_radiation(self.bundle)
@@ -222,10 +201,8 @@ _CATALOG = (
                   nonzero=True),
     _identity_row("conformally-recurrent", recurrent_formula("C"),
                   nonzero=True),
-    ("riemann-compatible-ricci", "S compatible with R",
-     lambda ev: ev.ricci_compatible("R")),
-    ("weyl-compatible-ricci", "S compatible with C",
-     lambda ev: ev.ricci_compatible("C")),
+    _identity_row("riemann-compatible-ricci", COMPATIBLE.format("R", "S")),
+    _identity_row("weyl-compatible-ricci", COMPATIBLE.format("C", "S")),
     ("compatible-space-riemann", "all E compatible with R",
      lambda ev: ev.compatible_family("R")),
     ("compatible-space-projective", "all E compatible with P",

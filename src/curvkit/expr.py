@@ -1083,7 +1083,8 @@ def format_expression(e: Expression) -> str:
 
 
 def format_value(v) -> str:
-    """An Expression, or a covector (a tuple of them) as {v1, v2, ...}."""
+    """An Expression, or a covector (a tuple of them) as {v1, v2, ...}, a
+    matrix (a tuple of rows) as {{v11, v12, ...}, {v21, ...}, ...}."""
     if type(v) is tuple:
-        return "{" + ", ".join(map(format_expression, v)) + "}"
+        return "{" + ", ".join(map(format_value, v)) + "}"
     return format_expression(v)

@@ -4,10 +4,12 @@ operator actions.
 Each decision here reduces a geometric yes/no question to an exact linear
 system over expressions and reports witnesses that can be re-verified by
 substitution.  Every linear condition on the curvature tensors, the
-recurrences and weak Ricci symmetry included, is an identity decided by
-check_identity, which walks one index tuple per orbit of the symmetries
-it derives from the identity's terms; compatibility and the Ricci
-decomposition have their own procedures.  The operator actions themselves
+recurrences, weak Ricci symmetry and compatibility included, is an
+identity: one builder walks one index tuple per orbit of the symmetries it
+derives from the identity's terms, and check_identity decides it.  A
+compatible space is the compatibility identity solved through the same
+builder; the Ricci decomposition has its own procedure.  The operator
+actions themselves
 live in tensor.py and the evaluation of tensor expressions in
 curvature.py; dot_action, tachibana and evaluate_tensor_ast are imported
 here so that they stay reachable under this module's name.
@@ -24,8 +26,8 @@ from .expr import (Atom, Expression, ONE, PRIME, ZERO, _KIND_COORD,
                    _KIND_TRIG, matrix_at_point, pivots_mod_p)
 from .linsolve import LinearEquation, matrix_rank, solve_linear
 from .parsing import TENSOR_VALENCE, IdentityAst, parse_identity
-from .tensor import (Descriptor, Metric, Tensor, TensorError, _apply_op,
-                     dot_action, raised_last, tachibana)
+from .tensor import (D_NONE2, Descriptor, Metric, Tensor, TensorError,
+                     _apply_op, dot_action, raised_last, tachibana)
 
 
 # ---------------------------------------------------------------------------
@@ -97,30 +99,42 @@ def first_residual(walk, residual):
 
 
 def check_identity(ast: IdentityAst, bundle: CurvatureBundle) -> IdentityCheck:
-    """Decide a tensor identity, solving for any unknown scalars and
-    covectors.
+    """Decide a tensor identity, solving for any unknown scalars, covectors
+    and (0,2) tensors.
 
     The decision runs once per unknown names, evaluated term tensors and
     printed coefficients, in the bundle's memo: on a Ricci-flat metric C is
     R, so C.C = L*Q(g,C) reads the solve of R.R = L*Q(g,R).
     """
+    signed = _signed(ast, lambda node: evaluate_tensor_ast(
+        node, bundle, bundle.memo))
+    return once(bundle.memo, _decide_identity, bundle.metric, ast.unknowns,
+                ast.covectors, signed)
+
+
+def _signed(ast: IdentityAst, tensor) -> tuple:
+    """The terms as (coefficient, tensor, slots, unknowns, factor, at), the
+    right side's negated.  slots and at place the tensor's and the indexed
+    unknown's or factor's slots: the free letters at 0, 1, ... in
+    alphabetical order, a contracted one next.  unknowns is None, a
+    scalar's name or an indexed unknown's names, nested by index."""
+    position = {x: p for p, x in enumerate(ast.letters)}
     covectors = dict(ast.covectors)
-    position = {letter: p for p, letter in enumerate(ast.letters)}
 
-    def terms(side):
-        out = []
+    def place(letters):
+        return tuple(position.get(x, ast.valence) for x in letters)
+
+    out = []
+    for side, left in ((ast.left, True), (ast.right, False)):
         for term in side:
-            t = evaluate_tensor_ast(term.tensor, bundle, bundle.memo)
-            slots = (tuple(range(t.valence)) if term.slots is None
-                     else tuple(position[x] for x in term.slots))
-            names = covectors.get(term.unknown, (term.unknown,)
-                                  if term.unknown else ())
-            out.append((t, term.coeff, slots, names,
-                        position.get(term.letter)))
-        return tuple(out)
-
-    return once(bundle.memo, _decide_identity, ast.unknowns, ast.covectors,
-                terms(ast.left), terms(ast.right))
+            t = tensor(term.tensor)
+            f, at = term.factor or (None, term.letters)
+            slots = (place(term.slots) if term.slots
+                     else tuple(range(t.valence)))
+            out.append((term.coeff if left else -term.coeff, t, slots,
+                        covectors[term.unknown] if term.letters
+                        else term.unknown, f and tensor(f), place(at)))
+    return tuple(out)
 
 
 def _times(c: Expression):
@@ -133,38 +147,90 @@ def _times(c: Expression):
     return c.__mul__
 
 
-def _decide_identity(unknowns, covectors, left, right) -> IdentityCheck:
-    """The decision of check_identity.  Each side is a tuple of (tensor,
-    coefficient, slots, unknowns, at) terms: the tensor's slot s takes the
-    index at position slots[s] of the equation's index tuple, and the term
-    multiplies none of the unknowns, its only one, or the one the index at
-    position `at` picks (a covector's)."""
-    signed = [(coeff if sgn == 1 else -coeff, t, slots, names, at)
-              for side, sgn in ((left, 1), (right, -1))
-              for t, coeff, slots, names, at in side]
-    concrete, unknown_terms = [], []
-    for coeff, t, slots, names, at in signed:
-        # itemgetter of one position returns the entry, not a 1-tuple
-        pick = (operator.itemgetter(*slots) if len(slots) > 1 else
-                operator.itemgetter(slice(slots[0], slots[0] + 1)))
-        if names:
-            unknown_terms.append((_times(coeff), t, pick, names, at))
+def _getter(positions):
+    """idx -> the tuple of its entries at positions."""
+    if len(positions) > 1:
+        return operator.itemgetter(*positions)
+    # itemgetter of one position returns the entry, not a 1-tuple
+    return operator.itemgetter(slice(*positions, positions[0] + 1)
+                               if positions else slice(0))
+
+
+def _reader(g: Metric, k: int, t: Tensor, slots, f, at):
+    """idx -> (index, value) of each nonzero product of a term's tensor and
+    factor at idx.  A slot at position k is t's last: g raises it, and the
+    products run over its values l, at the index idx + (l,)."""
+    if slots[-1] == k:
+        rows, head = raised_last(t, g), _getter(slots[:-1])
+
+        def read(idx):
+            return [(idx + (l,), v) for l, v in rows[head(idx)]]
+    else:
+        pick = _getter(slots)
+
+        def read(idx):
+            v = t.get(pick(idx))
+            return () if v.is_zero else ((idx, v),)
+    if f is None:
+        return read
+    pick_f = _getter(at)
+
+    def product(idx):
+        # lazily, so that a sum forms each product as it adds it
+        for ext, v in read(idx):
+            fv = f.get(pick_f(ext))
+            if not fv.is_zero:
+                yield ext, v * fv
+    return product
+
+
+def _system(g: Metric, signed, walk=None):
+    """The walk (unless given), known(idx, moved) and equation(idx) of the
+    identity whose terms _signed gives; solve_at reads equation.  Each term
+    adds its products at idx in turn to one running total."""
+    slots, at = signed[0][2], signed[0][5]
+    # each free position is written once, a contracted one twice
+    k = 2 * len({*slots, *at}) - len(slots + at)
+    if walk is None:
+        walk = Descriptor(_symmetries(signed, k)).reps(g.dim, k)
+    concrete, unknown = [], []
+    for coeff, t, slots, names, f, at in signed:
+        read = _reader(g, k, t, slots, f, at)
+        if names is None:
+            concrete.append((read, _times(coeff), _times(-coeff)))
         else:
-            concrete.append((t, pick, _times(coeff), _times(-coeff)))
-    _, t, slots, _, at = signed[0]
-    k = len(slots) + (at is not None)
-    walk = Descriptor(_symmetries(signed, k)).reps(t.chart.dim, k)
+            # an indexed unknown's name is picked at one or two positions
+            p, q = (*at, None)[:2] if type(names) is tuple else (None, None)
+            unknown.append((read, _times(coeff), names, p, q))
 
     def known(idx, moved=False):
         """The sum of the known terms at idx, as they stand, or moved to
         the right-hand side of the equation."""
         v = ZERO
-        for t, pick, times, minus in concrete:
-            tv = t.get(pick(idx))
-            if not tv.is_zero:
+        for read, times, minus in concrete:
+            for _, tv in read(idx):
                 v = v + (minus if moved else times)(tv)
         return v
 
+    def equation(idx):
+        return ([(names if p is None else names[ext[p]] if q is None
+                  else names[ext[p]][ext[q]], times(v))
+                 for read, times, names, p, q in unknown
+                 for ext, v in read(idx)], known(idx, moved=True))
+
+    return walk, known, equation
+
+
+def _shaped(names, values: dict):
+    """Names nested by index, each replaced by its value, popped."""
+    return tuple(_shaped(u, values) if type(u) is tuple else values.pop(u)
+                 for u in names)
+
+
+def _decide_identity(g, unknowns, covectors, signed,
+                     walk=None) -> IdentityCheck:
+    """The decision of check_identity on the system _system builds."""
+    walk, known, equation = _system(g, signed, walk)
     if not unknowns:
         hit = first_residual(walk, known)
         if hit is None:
@@ -172,17 +238,11 @@ def _decide_identity(unknowns, covectors, left, right) -> IdentityCheck:
         return IdentityCheck(False, None, (),
                              IdentityWitness("component", *hit))
 
-    def equation(idx):
-        return ([(names[0] if at is None else names[idx[at]],
-                  times(t.get(pick(idx))))
-                 for times, t, pick, names, at in unknown_terms],
-                known(idx, moved=True))
-
     result = solve_at(walk, unknowns, equation)
     if result.consistent:
         solved = result.particular()
         for name, names in covectors:
-            solved[name] = tuple(solved.pop(u) for u in names)
+            solved[name] = _shaped(names, solved)
         return IdentityCheck(True, solved, result.free, None)
 
     idx = result.witness_label
@@ -202,29 +262,37 @@ def _decide_identity(unknowns, covectors, left, right) -> IdentityCheck:
 
 
 def _symmetries(terms, k: int) -> tuple:
-    """The ops on the k index positions under which the signed terms,
-    (coefficient, tensor, slots, unknowns, at), go over into plus or minus
-    themselves: transpositions, and the swaps of slot pairs that a term's
-    tensor admits.  A term is matched by its tensor object, its slots up to
-    that tensor's symmetries, its unknowns and the position picking one,
-    and matching terms add up; the sum of the terms at an op's image of an
-    index tuple is then the op's sign times the sum at the tuple.  The
-    terms' own ops are tried first, so that an identity of whole tensors
-    walks a descriptor whose table is built; when they all share one
-    descriptor, its group is the answer, found without trying."""
+    """The ops on the k index positions under which the signed terms go
+    over into plus or minus themselves: transpositions, and the swaps of
+    slot pairs that a term's tensor admits off its contracted slot.  Terms
+    are matched by tensor object and slots up to its symmetries, unknowns
+    and their positions, and factor and slots likewise, and matching terms
+    add up.  The terms' own ops are tried first, so that an identity of
+    whole tensors walks a descriptor whose table is built; when they all
+    share one descriptor, its group is the answer, found without trying."""
     whole = tuple(range(k))
     first = terms[0][1].descriptor
     if all(t.descriptor is first and slots == whole
-           for _, t, slots, _, _ in terms):
+           for _, t, slots, *_ in terms):
         return first.ops
 
+    parts = [(c, id(t), t.descriptor.canon, _getter(slots), names, id(f),
+              f and f.descriptor.canon, _getter(at))
+             for c, t, slots, names, f, at in terms]
+
     def image(perm, keys=None):
-        """The matched terms at perm, or None once one is not in keys."""
+        """The matched terms at perm, or None once one is not in keys; the
+        contracted position k stays put."""
+        ext = perm + (k,)
         out = {}
-        for c, t, slots, names, at in terms:
-            rep, sign = t.descriptor.canon(tuple(perm[p] for p in slots))
+        for c, t, canon, pick, names, f, canon_f, pick_f in parts:
+            rep, sign = canon(pick(ext))
+            other = pick_f(ext)
+            if canon_f:
+                other, s = canon_f(other)
+                sign *= s
             if sign:
-                key = (id(t), rep, names, None if at is None else perm[at])
+                key = (t, rep, names, f, other)
                 if keys is not None and key not in keys:
                     return None
                 out[key] = out.get(key, ZERO) + (c if sign > 0 else -c)
@@ -243,8 +311,8 @@ def _symmetries(terms, k: int) -> tuple:
     keys = base.keys() if len(base) == len(terms) else None
     ops = []
     for op in dict.fromkeys(
-            [candidate(op, slots) for _, t, slots, _, _ in terms
-             for op in t.descriptor.ops]
+            [candidate(op, slots) for _, t, slots, *_ in terms
+             for op in t.descriptor.ops if all(slots[p] != k for p in op[1:])]
             + [("sym", a, b) for a, b in itertools.combinations(range(k), 2)]):
         got = image(_apply_op(op, whole)[0], keys)
         if got == base:
@@ -277,9 +345,11 @@ def recurrent_formula(name: str) -> str:
 def only_zero(check: IdentityCheck) -> bool:
     """Whether the identity holds with every unknown zero and nothing
     free.  A recurrence means a nonzero 1-form, so there it fails."""
+    def zero(value):
+        return (all(map(zero, value)) if type(value) is tuple
+                else value.is_zero)
     return check.holds and not check.free and all(
-        v.is_zero for value in check.solved.values()
-        for v in (value if type(value) is tuple else (value,)))
+        map(zero, check.solved.values()))
 
 
 def _covector_result(cls, bundle, formula, names, nonzero=False):
@@ -526,60 +596,22 @@ def pure_radiation(bundle: CurvatureBundle) -> PureRadiationResult:
 
 
 # ---------------------------------------------------------------------------
-# compatibility
+# compatibility, as an identity
+
+# Mantica & Molinari's compatibility of a (0,2) tensor E, {1}, with a
+# curvature-type tensor K, {0}, m contracted through g^-1: the cyclic sum
+# of K(e_i, e_j, e_x, E e_k), E the endomorphism g(X, E Y) = E(Y, X).  It
+# extends to the projective tensor, which lacks the pair symmetry
+COMPATIBLE = ("{0}[i,j,x,m]*{1}[k,m] + {0}[j,k,x,m]*{1}[i,m]"
+              " + {0}[k,i,x,m]*{1}[j,m] = 0")
 
 
-@dataclass(frozen=True)
-class CompatibilityResult:
-    holds: bool
-    witness_component: tuple | None = None
-    witness_value: Expression | None = None
-
-
-def _compatibility(d: Tensor, g: Metric):
-    """The walk of the compatibility equations of a (0,2) tensor E with a
-    curvature-type d, and terms(idx): (row, column, coefficient) of each
-    entry of E in the equation at idx.
-
-    The equation is the cyclic sum over (i1,i2,i3) of d(e_i1, e_i2, e_x,
-    Ee_i3), E acting as the endomorphism g(X, E Y) = E(Y, X).  For
-    pair-symmetric d this is the condition with E on the first slot; it
-    also extends to operators without the pair symmetry (projective)."""
-    raised = raised_last(d, g)
-
-    def terms(idx):
-        i1, i2, i3, x = idx
-        return [(c, m, dm)
-                for a, b, c in ((i1, i2, i3), (i2, i3, i1), (i3, i1, i2))
-                for m, dm in raised[(a, b, x)]]
-
-    # a cyclic sum over (i1,i2,i3), two of which fill d's first slot
-    # pair: totally antisymmetric when d is antisymmetric in that pair
-    ops = ()
-    if ("anti", 0, 1) in d.descriptor.ops:
-        ops = ("anti", 0, 1), ("anti", 1, 2)
-    return Descriptor(ops).reps(d.chart.dim, 4), terms
-
-
-def _substituted(terms, entry) -> Expression:
-    """The sum over terms of coefficient * entry(row, column)."""
-    total = ZERO
-    for c, m, cv in terms:
-        v = entry(c, m)
-        if not v.is_zero:
-            total = total + cv * v
-    return total
-
-
-def compatibility_check(d: Tensor, e: Tensor, g: Metric) -> CompatibilityResult:
-    """Zero-test the compatibility equations of e against a curvature-type
-    d: the residual of compatible_space's equations at E = e."""
-    walk, terms = _compatibility(d, g)
-    hit = first_residual(walk, lambda idx: _substituted(
-        terms(idx), lambda c, m: e.get((c, m))))
-    if hit is None:
-        return CompatibilityResult(True)
-    return CompatibilityResult(False, *hit)
+def compatibility_check(d: Tensor, e: Tensor, g: Metric) -> IdentityCheck:
+    """Decide COMPATIBLE with d for R and e for S."""
+    tensors = {"R": d, "S": e}
+    ast = parse_identity(COMPATIBLE.format(*tensors), d.chart)
+    return _decide_identity(g, (), (), _signed(
+        ast, lambda node: tensors[node.op]))
 
 
 @dataclass(frozen=True)
@@ -598,21 +630,17 @@ class CompatibleFamily:
 
 
 def compatible_space(d: Tensor, g: Metric) -> CompatibleFamily:
-    """Solve for every (0,2) tensor compatible with a curvature-type d.
+    """Solve COMPATIBLE with d for R for every (0,2) tensor E.
 
-    The unknown tensor is a general n x n matrix.  The family found is
-    certified by substituting it back into every equation.
-    """
+    The free entries of E are parameters named like them, a12 for row 1,
+    column 2, under the first prefix of a, e, q, u0, u1, ... that names no
+    chart symbol.  The family is certified by compatibility_check."""
     chart = d.chart
     n = chart.dim
-    name = [[f"a{i + 1}{j + 1}" for j in range(n)] for i in range(n)]
-    unknowns = [name[m][a] for a in range(n) for m in range(n)]
-    walk, terms = _compatibility(d, g)
-    result = solve_at(walk, unknowns, lambda idx: (
-        [(name[c][m], cv) for c, m, cv in terms(idx)], ZERO))
-    if not result.consistent:
-        raise TensorError("homogeneous compatibility system reported "
-                          "inconsistent")
+    ast = parse_identity(COMPATIBLE.format("R", "E"), chart)
+    signed = _signed(ast, lambda node: d)
+    walk, _, equation = _system(g, signed)
+    result = solve_at(walk, ast.unknowns, equation)
 
     taken = set(chart.coords) | set(chart.functions) | set(chart.constants)
     # the u<k> prefixes never run out, as the chart names only finitely many
@@ -628,12 +656,16 @@ def compatible_space(d: Tensor, g: Metric) -> CompatibleFamily:
             v = v + c * Expression.from_atom(atom_of[u])
         return v
 
-    matrix = tuple(tuple(as_expression(result.solution[name[i][j]])
-                         for j in range(n)) for i in range(n))
-    params = tuple(prefix + u[1:] for u in unknowns if u in result.free)
-
-    hit = first_residual(walk, lambda idx: _substituted(
-        terms(idx), lambda c, m: matrix[c][m]))
-    if hit is not None:
-        raise TensorError(f"compatible family fails substitution at {hit[0]}")
+    (_, grid), = ast.covectors
+    matrix = tuple(tuple(as_expression(result.solution[u]) for u in row)
+                   for row in grid)
+    params = tuple(prefix + u[1:] for u in ast.unknowns if u in result.free)
+    # compatibility_check of the family: these terms with its tensor for
+    # E, which have their symmetries and so their walk
+    e = Tensor.compute(chart, 2, D_NONE2, lambda ij: matrix[ij[0]][ij[1]])
+    check = _decide_identity(g, (), (), tuple(
+        (c, t, slots, None, e, at) for c, t, slots, _, _, at in signed), walk)
+    if not check.holds:
+        raise TensorError("compatible family fails substitution at "
+                          f"{check.witness.component}")
     return CompatibleFamily(matrix, params)

@@ -7,7 +7,8 @@ Expression grammar (precedence low to high):
     term    := unary (('*' | '/') unary)*
     unary   := '-' unary | power
     power   := primary ('^' unary)?          # right-associative, integer result
-                                             # from -MAX_EXPONENT to MAX_EXPONENT
+                                             # from -MAX_EXPONENT to MAX_EXPONENT,
+                                             # MAX_POWER_TERMS terms at most
     primary := INT | '(' expr ')' | name | name'(arg)' | call
 
 Calls are sin/cos of a coordinate, a declared function applied to exactly its
@@ -17,9 +18,10 @@ functions, or diff(f(args), coord, order, ...).
 Identity grammar, one side of the '=':
 
     side    := ['-'] summand (('+' | '-') summand)*
-    summand := [coefficient '*'] tensor [slots] | zero
-    coefficient := unknown | covector | term    # unknown: L, L1, L2, ...
-    covector := NAME '[' NAME ']'
+    summand := [coefficient '*'] tensor [slots ['*' factor]] | zero
+    coefficient := unknown | indexed | term     # unknown: L, L1, L2, ...
+    factor  := tensor slots | indexed
+    indexed := NAME '[' NAME [',' NAME] ']'
     slots   := '[' NAME (',' NAME)* ']'
     tensor  := basic ('.' basic)*
     basic   := '(' tensor ')' | 'Q' '(' tensor ',' tensor ')'
@@ -35,16 +37,22 @@ follow. Inside a coefficient's parentheses nothing is reserved: a
 parenthesised factor is a chart expression. A summand without a tensor
 must be a zero scalar and contributes nothing.
 
-Slots give each slot of a tensor an index letter; a covector is an unknown
-1-form taken at one letter. Either every term has slots or none has, each
-term names every free letter once, and the free letters in alphabetical
-order index the equations. A covector's unknowns are its name's first
-letter, upper-cased, numbered 1..n (pi gives P1, P2, ...); it may share a
-chart symbol's name only where the identity does not write that symbol.
+Slots give each slot of a tensor an index letter; an indexed unknown is
+an unknown covector (one letter) or (0,2) tensor (two letters), and a
+term takes one unknown at most. A term with slots is its tensor, the
+first one written, times at most one more indexed factor; a letter both
+factors write is contracted through g^-1 and must be the tensor's last
+slot. Either every term has slots or none has, each term writes every
+free letter once, and the free letters in alphabetical order index the
+equations. An indexed unknown's unknowns are its name's first letter,
+upper-cased, and its index numbers (pi[x] gives P1, P2, ...; E[a,b] gives
+E11, E12, ..., E12 being row 1, column 2); it may share a chart symbol's
+name only where the identity does not write that symbol.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 from .chart import BUILTIN_CONSTANTS, Chart
@@ -74,6 +82,10 @@ _TOKEN = re.compile(r"(?P<NL>\n)|[ \t\r]+|(?P<INT>\d+)|(?P<NAME>[^\W\d]\w*)"
 # '^' refuses larger exponents before computing the power: the time of
 # (x+y+1)^k grows like k^3, and a tower such as (x+1)^3^3^3 would not end
 MAX_EXPONENT = 64
+# nor one that may expand past this many terms: a t-term polynomial to
+# the k has at most C(t-1+k, k). (x+y+z+1)^32 has 6,545 (about 1.5 s);
+# (x+y+z+1)^64 and ((x+y+1)^64)^64 each ran past 20 s
+MAX_POWER_TERMS = 10_000
 
 
 class Token(Record):
@@ -194,6 +206,7 @@ class _ExprParser:
 
     def power(self) -> Expression:
         base = self.primary()
+        caret = self.cur.peek()
         if self.cur.accept("^"):
             t = self.cur.peek()
             ex = self.unary()
@@ -205,6 +218,12 @@ class _ExprParser:
                                  f"{MAX_EXPONENT}", t.line, t.col)
             if k < 0 and base.is_zero:
                 raise ParseError("zero to a negative power", t.line, t.col)
+            terms = max(len(base.num.terms), len(base.den.terms))
+            if math.comb(terms - 1 + abs(k), abs(k)) > MAX_POWER_TERMS:
+                raise ParseError(
+                    f"a {terms}-term polynomial to the power {abs(k)} may "
+                    f"have more than {MAX_POWER_TERMS} terms",
+                    caret.line, caret.col)
             return base ** k
         return base
 
@@ -452,16 +471,23 @@ OPERATIONS = {
 
 
 class Term(Record):
-    __slots__ = ("coeff", "unknown", "tensor", "slots", "letter")
+    __slots__ = ("coeff", "unknown", "tensor", "slots", "letters", "factor")
 
     def __init__(self, coeff: Expression, unknown: str | None, tensor,
                  slots: tuple[str, ...] | None = None,
-                 letter: str | None = None):
+                 letters: tuple[str, ...] = (), factor: tuple | None = None):
         self.coeff = coeff       # concrete scalar factor (sign folded in)
-        self.unknown = unknown   # unknown scalar or covector name, or None
+        self.unknown = unknown   # unknown scalar, covector or tensor, or None
         self.tensor = tensor     # tensor AST node
         self.slots = slots       # a letter per slot; None for a whole tensor
-        self.letter = letter     # a covector's index letter, else None
+        self.letters = letters   # an indexed unknown's letters, else ()
+        self.factor = factor     # (node, letters) of a second tensor, or None
+
+    def free(self) -> set | None:
+        """The letters written once, None for a whole tensor."""
+        if self.slots is not None:
+            written = self.slots + self.letters + (self.factor or (0, ()))[1]
+            return {x for x in written if written.count(x) == 1}
 
 
 class IdentityAst(Record):
@@ -476,7 +502,8 @@ class IdentityAst(Record):
         self.valence = valence
         self.unknowns = unknowns     # every scalar unknown, in solve order
         self.letters = letters       # the free letters, alphabetical
-        self.covectors = covectors   # ((name, its unknowns), ...)
+        # ((name, its unknowns, nested by index), ...) of indexed unknowns
+        self.covectors = covectors
 
 
 def tensor_ast_str(node) -> str:
@@ -500,6 +527,23 @@ def tensor_ast_valence(node) -> int:
     if valence is None:
         raise ExprError(error)
     return valence
+
+
+def _texts(tokens) -> tuple[str, ...]:
+    return tuple(t.text for t in tokens)
+
+
+def _indexed_names(name: str, rank: int, n: int):
+    """An unknown's names, nested by index, and their solve order: L gives
+    L; pi gives P1, P2, ...; E[a,b] gives E11, E12, ..., E12 being row 1,
+    column 2, solved as E11, E21, ..., the first index fastest."""
+    head, ns = name[0].upper(), range(1, n + 1)
+    if rank == 0:
+        return name, (name,)
+    if rank == 1:
+        return (names := tuple(f"{head}{i}" for i in ns)), names
+    grid = tuple(tuple(f"{head}{i}{j}" for j in ns) for i in ns)
+    return grid, tuple(row[j] for j in range(n) for row in grid)
 
 
 def _is_unknown_name(name: str) -> bool:
@@ -539,19 +583,15 @@ class _IdentityParser(_ExprParser):
 
     def summand(self, sign: int) -> Term | None:
         coeff = ONE if sign > 0 else -ONE
-        unknown, letters = None, []
+        unknown, letters, groups = None, [], []
         if not self._tensor_at(self.cur.pos):
             t = self.cur.peek()
             # END is the last token, and a NAME is never it
             after = (self.cur.tokens[self.cur.pos + 1].text
                      if t.kind == "NAME" else "")
             if after == "[":
-                unknown = self.cur.next().text
-                self.cur.next()
-                letters = self.cur.names("]")
-                if len(letters) > 1:
-                    raise ParseError("a covector takes one index letter",
-                                     letters[1].line, letters[1].col)
+                unknown, letters = self.indexed_unknown()
+                groups.append(letters)
             elif t.kind == "NAME" and _is_unknown_name(t.text):
                 if t.text in self.symbols:
                     self.cur.fail(f"unknown-scalar name {t.text!r} collides "
@@ -569,14 +609,46 @@ class _IdentityParser(_ExprParser):
             if letters:
                 self.cur.expect("[")
             return Term(coeff, unknown, tensor)
-        seen = set()
-        for t in letters + slots:
-            if t.text in seen:
-                raise ParseError(f"index letter {t.text!r} repeats in one "
-                                 f"term", t.line, t.col)
-            seen.add(t.text)
-        return Term(coeff, unknown, tensor, tuple(t.text for t in slots),
-                    letters[0].text if letters else None)
+        groups.append(slots)
+        factor = None
+        if not letters and self.cur.accept("*"):
+            if self._tensor_at(self.cur.pos):
+                node, factor = self.indexed_tensor()
+                if factor is None:
+                    self.cur.expect("[")
+                groups.append(factor)
+                factor = (node, _texts(factor))
+            elif unknown is not None:
+                self.cur.fail("a term takes one unknown")
+            else:
+                unknown, letters = self.indexed_unknown()
+                groups.append(letters)
+        # a letter shared by the two factors contracts: only the last slot
+        # of the tensor may be it
+        seen = {}
+        for part, group in enumerate(groups):
+            for t in group:
+                parts = seen.setdefault(t.text, [])
+                if part in parts or parts and t.text != slots[-1].text:
+                    where = ("in one factor" if part in parts else
+                             f"off the last slot of {tensor_ast_str(tensor)}")
+                    raise ParseError(f"index letter {t.text!r} repeats "
+                                     f"{where}", t.line, t.col)
+                parts.append(part)
+        return Term(coeff, unknown, tensor, _texts(slots), _texts(letters),
+                    factor)
+
+    def indexed_unknown(self):
+        """An unknown covector or (0,2) tensor: its name and letter tokens."""
+        t = self.cur.next()
+        if t.kind != "NAME" or not self.cur.accept("["):
+            raise ParseError("expected a tensor or an indexed unknown",
+                             t.line, t.col)
+        letters = self.cur.names("]")
+        if len(letters) > 2:
+            raise ParseError("an unknown takes one or two index letters",
+                             letters[2].line, letters[2].col)
+        return t.text, letters
 
     def primary(self) -> Expression:
         """A coefficient's parenthesised factor is a plain chart expression."""
@@ -663,26 +735,30 @@ def parse_identity(text: str, chart: Chart) -> IdentityAst:
     if not left and not right:
         raise ParseError("identity 0 = 0 has no content", 1, 1)
     terms = left + right
-    free = [None if t.slots is None else {*t.slots, t.letter} - {None}
-            for t in terms]
-    # a covector may share its name with a chart symbol (pi, a function a)
-    # unless the identity writes that symbol too
+    free = [t.free() for t in terms]
+    # an indexed unknown may share its name with a chart symbol (pi, a
+    # function a) unless the identity writes that symbol too
     written = {a.name for t in terms for a in t.coeff.atoms()}
-    unknowns, covectors = {}, {}   # unknown -> its owner; covector -> names
+    unknowns, named = {}, {}   # unknown -> its owner; name -> its names
     for term, letters, start in zip(terms, free, parser.starts):
         name, problem = term.unknown, None
+        names = name and _indexed_names(name, len(term.letters), chart.dim)
         if letters != free[0]:
             problem = ("indexed and whole-tensor terms are mixed"
                        if None in (letters, free[0]) else
                        f"free letters {','.join(sorted(letters))} differ "
                        f"from {','.join(sorted(free[0]))}")
-        elif term.letter is not None and name in written:
-            problem = f"covector {name!r} is also a chart symbol here"
-        elif name is not None:
-            names = (name,) if term.letter is None else covectors.setdefault(
-                name, tuple(f"{name[0].upper()}{i + 1}"
-                            for i in range(chart.dim)))
-            for u in names:
+        elif term.letters and name in written:
+            kind = "covector" if len(term.letters) == 1 else "tensor unknown"
+            problem = f"{kind} {name!r} is also a chart symbol here"
+        elif names and named.setdefault(name, names) != names:
+            problem = f"unknown {name!r} takes other index letters elsewhere"
+        elif names and len(set(names[1])) < len(names[1]):
+            # E[1,11] and E[11,1] would both be E111
+            problem = (f"the unknowns of {name!r} repeat a name in "
+                       f"{chart.dim} dimensions")
+        elif names:
+            for u in names[1]:
                 if unknowns.setdefault(u, name) != name:
                     problem = (f"{unknowns[u]!r} and {name!r} both name "
                                f"the unknown {u!r}")
@@ -697,4 +773,5 @@ def parse_identity(text: str, chart: Chart) -> IdentityAst:
             f"valence mismatch: (0,{lo}) equated with (0,{hi})", 1, 1)
     return IdentityAst(tuple(left), tuple(right), valences.pop(),
                        tuple(unknowns), tuple(sorted(free[0] or ())),
-                       tuple(covectors.items()))
+                       tuple((name, names) for name, (names, _)
+                             in named.items() if names != name))

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvkit.cli import main
+from curvkit.operators import COMPATIBLE, compatible_space
 
 from conftest import CATALOG, expr
 
@@ -197,6 +198,41 @@ class TestCheck:
                        "L = 0\n"
                        "free: L\n")
 
+    @pytest.mark.parametrize("name", ["R", "C"])
+    def test_ricci_compatibility_formula(self, capsys, name):
+        """The paper's "Ricci tensor is Riemann-compatible", and its Weyl
+        twin, as the formula the classify rows decide."""
+        formula = COMPATIBLE.format(name, "S")
+        code, out, err = run(capsys, "check", "vaidya", formula)
+        assert (code, err) == (0, "")
+        assert out == f"identity: {formula}\nverdict: holds\n"
+
+    def test_ricci_compatibility_witness_is_the_classify_row(self, capsys):
+        warped5 = str(CATALOG.parent / "bench" / "metrics" / "warped5.metric")
+        code, out, _ = run(capsys, "classify", warped5)
+        row = next(line for line in out.splitlines()
+                   if line.startswith("riemann-compatible-ricci: "))
+        value = row.split("; witness residual_1233 = ")[1]
+        formula = COMPATIBLE.format("R", "S")
+        code, out, _ = run(capsys, "check", warped5, formula)
+        assert code == 1
+        assert out == (f"identity: {formula}\nverdict: fails\n"
+                       f"witness: component [1][2][3][3] = {value}\n")
+
+    def test_compatible_space_formula(self, capsys, vaidya):
+        """The formula with an unknown E leaves free the entries that
+        compatible_space names as parameters, and prints E by rows."""
+        formula = COMPATIBLE.format("R", "E")
+        code, out, _ = run(capsys, "check", "vaidya", formula)
+        family = compatible_space(vaidya.riemann, vaidya.metric)
+        zero_rows = ", ".join(["{0, 0, 0, 0}"] * 4)
+        assert code == 0
+        assert out == (f"identity: {formula}\nverdict: holds\n"
+                       f"E = {{{zero_rows}}}\n"
+                       "free: " + ", ".join("E" + p[1:] for p in family.params)
+                       + "\n")
+        assert family.params == ("a11", "a12", "a22", "a33", "a34", "a44")
+
 
 class TestClassifyCompare:
     def test_classify_header_and_shape(self, capsys):
@@ -371,6 +407,27 @@ class TestErrors:
         code, out, err = run(capsys, "check", "vaidya", "R.R = r^99*Q(g,R)")
         assert code == 2 and out == ""
         assert err == "error: line 1, column 9: exponent must be from -64 to 64\n"
+
+    @pytest.mark.parametrize("power,column", [
+        ("(x+y+z+1)^64", 10), ("((x+y+1)^64)^64", 13)])
+    def test_power_with_too_many_terms(self, capsys, tmp_path, power, column):
+        """A power that may expand past MAX_POWER_TERMS terms is refused at
+        its '^', in a metric file and in an identity, before it is
+        expanded."""
+        path = tmp_path / "power.metric"
+        path.write_text(f"coords x y z\ng[1][1] = {power}\ng[2][2] = 1\n"
+                        "g[3][3] = 1\n")
+        code, out, err = run(capsys, "compute", str(path), "g")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: line 2, column {10 + column}:")
+        path.write_text("coords x y z\ng[1][1] = 1\ng[2][2] = 1\n"
+                        "g[3][3] = 1\n")
+        code, out, err = run(capsys, "check", str(path), f"{power}*S = 0")
+        assert code == 2 and out == ""
+        terms = 4 if power.startswith("(x") else 2145
+        assert err == (f"error: line 1, column {column}: a {terms}-term "
+                       "polynomial to the power 64 may have more than 10000 "
+                       "terms\n")
 
     @pytest.mark.parametrize("identity,column,message", [
         ("R.R = L*Q(g,R) S", 16, "unexpected trailing input 'S'"),
@@ -640,8 +697,9 @@ IDENTITY_PIECES = [
     "bogus", "(", ")", ",", ".", "=", "+", "-", "*", "/", "^", "0", "2", "L",
     "L1",
     "theta", "a", "sin(theta)", " ", "\u00b2", "$",
-    # index notation: brackets, letters, a covector and an indexed tensor
-    "[", "]", "i", "j", "x", "pi[i]", "S[i,j]"]
+    # index notation: brackets, letters, a covector and an indexed tensor,
+    # and the factors of a contraction
+    "[", "]", "i", "j", "x", "pi[i]", "S[i,j]", "m", "E[i,m]", "R[i,j,x,m]"]
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)

@@ -22,11 +22,11 @@ from curvkit.operators import (
     ricci_decompose, pure_radiation, compatibility_check, compatible_space,
     weakly_ricci_symmetric, solve_at, first_residual, rank_one_factor,
 )
-from curvkit.linsolve import matrix_rank, solve_linear
+from curvkit.linsolve import LinearEquation, matrix_rank, solve_linear
 from curvkit.chart import Chart
 from curvkit.parsing import MetricSpec, parse_identity
 from curvkit.tensor import (Descriptor, Tensor, D_SYM2, D_ANTI2, D_NONE2,
-                            common_descriptor)
+                            common_descriptor, raised_last)
 
 import vaidya_reference as ref
 from conftest import CATALOG, expect_components, expr, load_bundle
@@ -241,16 +241,16 @@ class TestCompatibility:
                                {(0, 2): expr("1", vaidya)})
         res = compatibility_check(vaidya.riemann, bad, vaidya.metric)
         assert not res.holds
-        assert res.witness_component is not None
-        assert not res.witness_value.is_zero
+        assert res.witness.component is not None
+        assert not res.witness.value.is_zero
         # the residual with e raised instead of R, as the check once summed
         g, r = vaidya.metric, vaidya.riemann
-        i1, i2, i3, x = res.witness_component
+        i1, i2, i3, x = res.witness.component
 
         def term(a, b, c):
             return g.contract(lambda l, m: r.get((a, b, x, l)) * bad.get((c, m)))
 
-        assert res.witness_value == (term(i1, i2, i3) + term(i2, i3, i1)
+        assert res.witness.value == (term(i1, i2, i3) + term(i2, i3, i1)
                                      + term(i3, i1, i2))
 
     def test_family_shape(self, vaidya):
@@ -293,6 +293,168 @@ class TestCompatibility:
         for i in (0, 1):
             for j in (2, 3):
                 assert m[i][j].is_zero
+
+
+# -- compatibility as it was decided before it was a formula: its own walk,
+# equation loop and residual sum, kept as the reference the formula is
+# held to ------------------------------------------------------------------
+
+def old_compatibility(d, g):
+    raised = raised_last(d, g)
+
+    def terms(idx):
+        i1, i2, i3, x = idx
+        return [(c, m, dm)
+                for a, b, c in ((i1, i2, i3), (i2, i3, i1), (i3, i1, i2))
+                for m, dm in raised[(a, b, x)]]
+
+    return Descriptor(_cyclic_ops(d)).reps(d.chart.dim, 4), terms
+
+
+def old_substituted(terms, entry):
+    total = ZERO
+    for c, m, cv in terms:
+        v = entry(c, m)
+        if not v.is_zero:
+            total = total + cv * v
+    return total
+
+
+def old_compatibility_check(d, e, g):
+    """None when e is compatible with d, else (component, residual)."""
+    walk, terms = old_compatibility(d, g)
+    return first_residual(walk, lambda idx: old_substituted(
+        terms(idx), lambda c, m: e.get((c, m))))
+
+
+def old_compatible_space(d, g):
+    """(matrix, params) of the family, certified by substitution."""
+    chart = d.chart
+    n = chart.dim
+    name = [[f"a{i + 1}{j + 1}" for j in range(n)] for i in range(n)]
+    unknowns = [name[m][a] for a in range(n) for m in range(n)]
+    walk, terms = old_compatibility(d, g)
+    result = solve_at(walk, unknowns, lambda idx: (
+        [(name[c][m], cv) for c, m, cv in terms(idx)], ZERO))
+    taken = set(chart.coords) | set(chart.functions) | set(chart.constants)
+    prefix = next(p for p in itertools.chain(
+        "aeq", (f"u{k}" for k in itertools.count()))
+                  if not any(f"{p}{i + 1}{j + 1}" in taken
+                             for i in range(n) for j in range(n)))
+    atom_of = {u: Atom.constant(prefix + u[1:]) for u in result.free}
+
+    def as_expression(form):
+        v = form.const
+        for u, c in form.coeffs.items():
+            v = v + c * Expression.from_atom(atom_of[u])
+        return v
+
+    matrix = tuple(tuple(as_expression(result.solution[name[i][j]])
+                         for j in range(n)) for i in range(n))
+    params = tuple(prefix + u[1:] for u in unknowns if u in result.free)
+    assert first_residual(walk, lambda idx: old_substituted(
+        terms(idx), lambda c, m: matrix[c][m])) is None
+    return matrix, params
+
+
+ORACLE_METRICS = (sorted(CATALOG.glob("*.metric"))
+                  + [CATALOG.parent / "bench" / "metrics" / f"{m}.metric"
+                     for m in ("frw", "warped5", "taub-nut")])
+
+
+@pytest.fixture(scope="module")
+def oracle_bundles():
+    return {p.stem: CurvatureBundle(parse_metric_file(p.read_text()))
+            for p in ORACLE_METRICS}
+
+
+def _tensors(bundle, names):
+    """name -> tensor for each of names the bundle's dimension admits; the
+    conformal ones need dimension 3 or more."""
+    out = {}
+    for name in names:
+        try:
+            out[name] = bundle.tensor(name)
+        except TensorError:
+            assert bundle.dim == 2 and name in "CK"
+    return out
+
+
+class TestCompatibilityFormula:
+    """Compatibility as the identity COMPATIBLE decides what the procedure
+    above decided, byte for byte, on every shipped metric."""
+
+    @pytest.mark.parametrize("metric", [p.stem for p in ORACLE_METRICS])
+    def test_checks_match_the_old_procedure(self, oracle_bundles, metric):
+        b = oracle_bundles[metric]
+        for d in _tensors(b, "RPCKWG").values():
+            for e in (b.ricci, b.g_tensor):
+                got = compatibility_check(d, e, b.metric)
+                want = old_compatibility_check(d, e, b.metric)
+                assert got.holds == (want is None)
+                if want is not None:
+                    assert got.witness.component == want[0]
+                    assert str(got.witness.value) == str(want[1])
+
+    @pytest.mark.parametrize("metric", [p.stem for p in ORACLE_METRICS])
+    def test_families_match_the_old_procedure(self, oracle_bundles, metric):
+        b = oracle_bundles[metric]
+        for d in _tensors(b, "RCPK").values():
+            family = compatible_space(d, b.metric)
+            matrix, params = old_compatible_space(d, b.metric)
+            assert family.params == params
+            assert family.matrix == matrix
+            assert ([list(map(str, row)) for row in family.matrix]
+                    == [list(map(str, row)) for row in matrix])
+
+    def test_the_two_sphere_has_no_weyl_rows(self, oracle_bundles):
+        report = classify(oracle_bundles["sphere2"])
+        for row in ("weyl-compatible-ricci", "compatible-space-weyl",
+                    "compatible-space-conharmonic"):
+            assert report.result(row).verdict == "not-evaluated"
+
+    @staticmethod
+    def member(family, e):
+        """Whether e is the family's matrix at some parameter values: the
+        parameters solved for by solve_linear, and substituted back."""
+        atoms = [Atom.constant(p) for p in family.params]
+        zero = {a: ZERO for a in atoms}
+        n = len(family.matrix)
+
+        def equations():
+            for i, j in itertools.product(range(n), repeat=2):
+                entry = family.matrix[i][j]
+                const = entry.subst(zero)
+                yield LinearEquation(
+                    {p: entry.subst({**zero, a: Expression.from_int(1)})
+                     - const for p, a in zip(family.params, atoms)},
+                    e.get((i, j)) - const, (i, j))
+
+        result = solve_linear(equations(), family.params)
+        if not result.consistent:
+            return False
+        values = {a: result.particular()[p]
+                  for p, a in zip(family.params, atoms)}
+        assert all(family.matrix[i][j].subst(values) == e.get((i, j))
+                   for i, j in itertools.product(range(n), repeat=2))
+        return True
+
+    @pytest.mark.parametrize("metric", [p.stem for p in ORACLE_METRICS])
+    def test_ricci_is_in_the_family_exactly_when_compatible(
+            self, oracle_bundles, metric):
+        """Two computations: the residual walk of the compatibility row and
+        a solve of the family's parameters; and g is in every family."""
+        b = oracle_bundles[metric]
+        # the formula of the riemann-compatible-ricci row
+        verdict = check(b, operators.COMPATIBLE.format("R", "S"))
+        families = {name: compatible_space(d, b.metric)
+                    for name, d in _tensors(b, "RCPK").items()}
+        assert self.member(families["R"], b.ricci) == verdict.holds
+        assert verdict.holds == (metric != "warped5")
+        if metric == "warped5":
+            assert verdict.witness.component == (0, 1, 2, 2)
+        for family in families.values():
+            assert self.member(family, b.g_tensor)
 
 
 def _add_always_computed(self, other):
@@ -584,6 +746,10 @@ HAND_WALKS = {
                               lambda b: b.weyl.descriptor.ops, 5),
     "weakly-ricci-symmetric": (operators.WEAKLY_RICCI_SYMMETRIC,
                                lambda b: (), 3),
+    "riemann-compatible-ricci": (operators.COMPATIBLE.format("R", "S"),
+                                 lambda b: _cyclic_ops(b.riemann), 4),
+    "weyl-compatible-ricci": (operators.COMPATIBLE.format("C", "S"),
+                              lambda b: _cyclic_ops(b.weyl), 4),
 }
 
 

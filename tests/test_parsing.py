@@ -14,6 +14,7 @@ from curvkit.parsing import (
     tensor_ast_valence, tensor_ast_str, Term, IdentityAst,
     _Cursor, _ExprParser, _IdentityParser, _tokenize,
 )
+from curvkit.operators import COMPATIBLE
 from conftest import CATALOG
 
 
@@ -165,6 +166,22 @@ class TestExpressionErrors:
         assert parse_expression("2 - 3 - 4", CHART) == \
             parse_expression("-5", CHART)
         assert parse_expression("12/3/2", CHART) == parse_expression("2", CHART)
+
+    @pytest.mark.parametrize("text,terms", [
+        ("(x+y+a+1)^32", 6545), ("(x+y+1)^64", 2145)])
+    def test_power_within_the_term_bound(self, text, terms):
+        assert len(parse_expression(text, CHART).num.terms) == terms
+
+    @pytest.mark.parametrize("text,col", [
+        ("(x+y+a+1)^64", 10), ("((x+y+1)^64)^64", 13),
+        ("1/(x+y+a+1)^-64", 12)])
+    def test_power_past_the_term_bound(self, text, col):
+        """Refused at its '^' before the expansion, which (x+y+a+1)^64
+        would take minutes to form."""
+        with pytest.raises(ParseError, match="may have more than 10000 "
+                           "terms") as err:
+            parse_expression(text, CHART)
+        assert err.value.col == col
 
     def test_error_carries_location(self):
         try:
@@ -398,18 +415,18 @@ class TestIndexNotation:
         assert ast.covectors == (("a", ("A1", "A2")), ("b", ("B1", "B2")))
         assert ast.unknowns == ("A1", "A2", "B1", "B2")
         first, second = ast.left
-        assert (first.unknown, first.letter, first.slots) == \
-            ("a", "x", ("y", "z"))
-        assert (second.unknown, second.letter) == ("b", "y")
+        assert (first.unknown, first.letters, first.slots) == \
+            ("a", ("x",), ("y", "z"))
+        assert (second.unknown, second.letters) == ("b", ("y",))
         (term,) = ast.right
         assert term.tensor == TNode("nabla", TNode("S"))
-        assert (term.unknown, term.letter, term.slots) == \
-            (None, None, ("y", "z", "x"))
+        assert (term.unknown, term.letters, term.slots) == \
+            (None, (), ("y", "z", "x"))
 
     def test_whole_tensor_terms_carry_no_letters(self):
         ast = parse_identity("R.R = L*Q(g,R)", CHART)
         assert ast.letters == () and ast.covectors == ()
-        assert all(t.slots is None and t.letter is None
+        assert all(t.slots is None and t.letters == ()
                    for t in ast.left + ast.right)
 
     def test_covector_may_share_an_unwritten_chart_name(self):
@@ -417,6 +434,44 @@ class TestIndexNotation:
         written as a scalar here, so each name is the covector's."""
         ast = parse_identity("pi[x]*S[y,z] + a[y]*S[z,x] = 0", CHART)
         assert ast.unknowns == ("P1", "P2", "A1", "A2")
+
+    def test_contracted_product(self):
+        """A letter in both factors of a term is summed over, so it is not
+        free; the tensor's last slot carries it."""
+        ast = parse_identity(COMPATIBLE.format("R", "S"), CHART)
+        assert (ast.letters, ast.valence, ast.unknowns) == \
+            (("i", "j", "k", "x"), 4, ())
+        first = ast.left[0]
+        assert (first.tensor, first.slots, first.letters, first.factor) == \
+            (TNode("R"), ("i", "j", "x", "m"), (), (TNode("S"), ("k", "m")))
+        assert first.free() == {"i", "j", "k", "x"}
+
+    def test_tensor_unknown_names_and_order(self):
+        """E[k,m] gives n^2 unknowns, E12 in row 1, column 2, solved with
+        the first index fastest; the unknown may follow the tensor."""
+        ast = parse_identity(COMPATIBLE.format("R", "E"), CHART)
+        assert ast.covectors == (("E", (("E11", "E12"), ("E21", "E22"))),)
+        assert ast.unknowns == ("E11", "E21", "E12", "E22")
+        first = ast.left[0]
+        assert (first.unknown, first.letters, first.factor) == \
+            ("E", ("k", "m"), None)
+        before = parse_identity("E[k,m]*R[i,j,x,m] = 0", CHART)
+        assert (before.left[0].unknown, before.left[0].letters) == \
+            ("E", ("k", "m"))
+
+    def test_scalar_unknown_times_a_contraction(self):
+        ast = parse_identity("L*R[i,j,x,m]*S[k,m] = R[i,j,x,k]", CHART)
+        assert ast.unknowns == ("L",) and ast.valence == 4
+        assert ast.left[0].factor == (TNode("S"), ("k", "m"))
+
+    def test_tensor_unknown_names_stay_distinct(self):
+        """Past 9 coordinates E[1,11] and E[11,1] would share E111."""
+        nine = Chart(tuple(f"x{i}" for i in range(9)))
+        assert len(parse_identity("E[i,j]*g[k,l] = 0", nine).unknowns) == 81
+        eleven = Chart(tuple(f"x{i}" for i in range(11)))
+        with pytest.raises(ParseError, match="the unknowns of 'E' repeat "
+                           "a name in 11 dimensions"):
+            parse_identity("E[i,j]*g[k,l] = 0", eleven)
 
     @pytest.mark.parametrize("text,col,msg", [
         # slot count different from the valence: at the '['
@@ -433,7 +488,8 @@ class TestIndexNotation:
         # a covector without its letter
         ("b[x]*S[y,z] = b*nabla S[y,z,x]", 15, "unknown identifier 'b'"),
         ("b[]*S[x,y] = 0", 3, "expected a name"),
-        ("b[x,y]*S[z,w] = 0", 5, "a covector takes one index letter"),
+        ("b[x,y,z]*S[w,v] = 0", 7,
+         "an unknown takes one or two index letters"),
         ("b[x]*S = nabla S", 8, "expected '\\['"),
         # a covector named like a chart symbol that the identity writes
         ("a[x]*S[y,z] = a*nabla S[y,z,x]", 1,
@@ -443,6 +499,21 @@ class TestIndexNotation:
         # two covectors with the same unknowns
         ("p[x]*S[y,z] + pi[y]*S[x,z] = 0", 15,
          "'p' and 'pi' both name the unknown 'P1'"),
+        # a contraction other than one letter shared by the tensor's last
+        # slot and the other factor: at the repeat
+        ("R[i,j,k,m]*S[m,m] = 0", 16, "index letter 'm' repeats in one"),
+        ("R[i,j,n,m]*S[m,n] = 0", 16,
+         "index letter 'n' repeats off the last slot of R"),
+        ("R[i,j,m,x]*S[k,m] = 0", 16,
+         "index letter 'm' repeats off the last slot of R"),
+        ("E[x,m]*nabla S[m,y,z] = 0", 16,
+         "index letter 'm' repeats off the last slot of nabla S"),
+        ("R[i,j,x,m]*S[k,m]*S[i,j] = 0", 18, "unexpected trailing input"),
+        # one unknown a term, each written with one number of letters
+        ("L*R[i,j,x,m]*E[k,m] = 0", 14, "a term takes one unknown"),
+        ("e[x,y]*S[z,w] = e[x]*nabla S[y,z,w]", 17,
+         "unknown 'e' takes other index letters elsewhere"),
+        ("R[i,j,x,m]*2 = 0", 12, "expected a tensor or an indexed unknown"),
     ])
     def test_rejects_with_column(self, text, col, msg):
         with pytest.raises(ParseError, match=msg) as err:
@@ -485,14 +556,58 @@ class _ReferenceIdentityParser:
             self.cur.next()
             return
         coeff = ONE if sign > 0 else -ONE
-        unknown = None
-        if self._at_scalar_factor():
+        unknown, letters = None, ()
+        if self._at_indexed_unknown():
+            unknown, letters = self.indexed_unknown()
+            self.cur.expect("*")
+        elif self._at_scalar_factor():
             unknown, scalar = self.scalar_factor()
             if scalar is not None:
                 coeff = coeff * scalar
             self.cur.expect("*")
         node = self.tensor_atom()
-        terms.append(Term(coeff, unknown, node))
+        slots = factor = None
+        if self.cur.accept("["):
+            slots = self.letters()
+            if not letters and self.cur.accept("*"):
+                if self._at_indexed_unknown():
+                    if unknown is not None:
+                        self.cur.fail("two unknowns")
+                    unknown, letters = self.indexed_unknown()
+                else:
+                    second = self.tensor_atom()
+                    self.cur.expect("[")
+                    factor = (second, self.letters())
+        elif letters:
+            self.cur.fail("an indexed unknown needs an indexed tensor")
+        terms.append(Term(coeff, unknown, node, slots, letters, factor))
+
+    # index notation: a tensor's slots, an unknown covector or (0,2)
+    # tensor, and a product of two of them
+
+    def letters(self):
+        out = [self.cur.next()]
+        while self.cur.accept(","):
+            out.append(self.cur.next())
+        self.cur.expect("]")
+        if any(t.kind != "NAME" for t in out):
+            self.cur.fail("a letter is a name")
+        return tuple(t.text for t in out)
+
+    def _at_indexed_unknown(self):
+        t = self.cur.peek()
+        nxt = self.cur.tokens[self.cur.pos + 1]
+        return (t.kind == "NAME" and nxt.text == "["
+                and t.text not in TENSOR_VALENCE
+                and t.text not in _REFERENCE_OPERATORS)
+
+    def indexed_unknown(self):
+        name = self.cur.next().text
+        self.cur.next()
+        letters = self.letters()
+        if len(letters) > 2:
+            self.cur.fail("one or two letters")
+        return name, letters
 
     def _token_is_scalar_start(self):
         nxt = self.cur.tokens[self.cur.pos + 1]
@@ -609,14 +724,56 @@ def reference_parse_identity(text, chart):
     left, right = sides
     if not left and not right:
         raise ParseError("identity 0 = 0 has no content", 1, 1)
-    valences = {tensor_ast_valence(t.tensor) for t in left + right}
+    terms = left + right
+    if {t.slots is None for t in terms} == {False}:
+        valences = {len(_reference_free(t)) for t in terms}
+        if len({frozenset(_reference_free(t)) for t in terms}) > 1:
+            raise ParseError("free letters differ", 1, 1)
+    elif any(t.slots is not None for t in terms):
+        raise ParseError("mixed", 1, 1)
+    else:
+        valences = {tensor_ast_valence(t.tensor) for t in terms}
     if len(valences) > 1:
         raise ParseError("valence mismatch", 1, 1)
-    unknowns = []
-    for t in left + right:
-        if t.unknown and t.unknown not in unknowns:
-            unknowns.append(t.unknown)
+    written = {a.name for t in terms for a in t.coeff.atoms()}
+    unknowns, owner, rank = [], {}, {}
+    n = chart.dim
+    for t in terms:
+        if not t.unknown:
+            continue
+        r = len(t.letters)
+        if r and t.unknown in written or rank.setdefault(t.unknown, r) != r:
+            raise ParseError("indexed unknown", 1, 1)
+        head = t.unknown[0].upper()
+        names = ([t.unknown] if r == 0 else
+                 [f"{head}{i}" for i in range(1, n + 1)] if r == 1 else
+                 [f"{head}{i}{j}" for j in range(1, n + 1)
+                  for i in range(1, n + 1)])
+        for u in names:
+            if owner.setdefault(u, t.unknown) != t.unknown:
+                raise ParseError("shared unknown", 1, 1)
+            if u not in unknowns:
+                unknowns.append(u)
     return IdentityAst(tuple(left), tuple(right), valences.pop(), tuple(unknowns))
+
+
+def _reference_free(term):
+    """The letters of an indexed term written once, after checking its
+    slot counts and that only the tensor's last slot is shared."""
+    if len(term.slots) != tensor_ast_valence(term.tensor):
+        raise ParseError("slot count", 1, 1)
+    other = term.letters
+    if term.factor is not None:
+        node, other = term.factor
+        if len(other) != tensor_ast_valence(node):
+            raise ParseError("slot count", 1, 1)
+    for group in (term.slots, other):
+        if len(set(group)) < len(group):
+            raise ParseError("a letter twice in one factor", 1, 1)
+    shared = set(term.slots) & set(other)
+    if shared - {term.slots[-1]}:
+        raise ParseError("a shared letter off the last slot", 1, 1)
+    return (set(term.slots) | set(other)) - shared
 
 
 # -- identities drawn from the grammar ---------------------------------------
@@ -655,10 +812,41 @@ SUMMAND_TEXT = st.one_of(
     _pair_of(SCALAR_TEXT, TENSOR_TEXT, "{}*{}"))
 
 
+# index notation over the free letters i, j, k, x: tensors, and products
+# whose contracted letter m sits in the tensor's last slot, with unknowns
+# before or after the tensor; a drawn tensor text stands in for {t}
+INDEXED_TEMPLATES = (
+    "{t}[{0},{1},{2},{3}]", "g[{0},{1}]*S[{2},{3}]",
+    "{t}[{0},{1},{2},{4}]*S[{3},{4}]", "{t}[{0},{1},{2},{4}]*E[{3},{4}]",
+    "E[{3},{4}]*{t}[{0},{1},{2},{4}]", "S[{0},{4}]*{t}[{1},{2},{3},{4}]",
+    "pi[{0}]*nabla S[{1},{2},{3}]", "L*{t}[{0},{1},{2},{4}]*g[{3},{4}]",
+    "e[{0},{1}]*S[{2},{3}]")
+
+
+@st.composite
+def indexed_summand_text(draw):
+    """A term of an INDEXED_TEMPLATES shape, one letter in five drawn
+    anew, which mostly makes it an error."""
+    letters = list(draw(st.permutations("ijkx"))) + ["m"]
+    if draw(st.integers(0, 4)) == 0:
+        letters[draw(st.integers(0, 4))] = draw(st.sampled_from("ijkxm"))
+    tensor = draw(st.one_of(st.sampled_from("RCP"), TENSOR_TEXT))
+    return draw(st.sampled_from(INDEXED_TEMPLATES)).format(*letters,
+                                                           t=tensor)
+
+
+INDEXED_SUMMAND_TEXT = st.one_of(
+    indexed_summand_text(), st.just("0"),
+    _pair_of(SCALAR_TEXT, indexed_summand_text(), "{}*{}"))
+
+
 @st.composite
 def identity_text(draw):
+    summands = draw(st.sampled_from([SUMMAND_TEXT, SUMMAND_TEXT,
+                                     INDEXED_SUMMAND_TEXT]))
+
     def side():
-        parts = draw(st.lists(SUMMAND_TEXT, min_size=1, max_size=3))
+        parts = draw(st.lists(summands, min_size=1, max_size=3))
         signs = draw(st.lists(st.sampled_from(["", "-"]), min_size=len(parts),
                               max_size=len(parts)))
         out = signs[0] + parts[0]
@@ -737,6 +925,8 @@ def test_grammar_parses_every_reference_identity_alike(chart, text):
     for a, b in ((got.left, want.left), (got.right, want.right)):
         assert len(a) == len(b), text
         for s, t in zip(a, b):
-            assert (s.coeff == t.coeff, s.unknown, s.tensor) == \
-                (True, t.unknown, t.tensor), text
+            assert (s.coeff == t.coeff, s.unknown, s.tensor, s.slots,
+                    s.letters, s.factor) == (True, t.unknown, t.tensor,
+                                             t.slots, t.letters,
+                                             t.factor), text
     assert (got.valence, got.unknowns) == (want.valence, want.unknowns), text
