@@ -25,7 +25,9 @@ from .curvature import CurvatureBundle, evaluate_tensor_ast, once
 from .expr import (Atom, Expression, ONE, PRIME, ZERO, _KIND_COORD,
                    _KIND_TRIG, matrix_at_point, pivots_mod_p)
 from .linsolve import LinearEquation, matrix_rank, solve_linear
-from .parsing import TENSOR_VALENCE, IdentityAst, parse_identity
+from .chart import Chart
+from .parsing import (TENSOR_VALENCE, IdentityAst, _indexed_names,
+                      parse_identity)
 from .tensor import (D_NONE2, Descriptor, Metric, Tensor, TensorError,
                      _apply_op, dot_action, raised_last, tachibana)
 
@@ -295,7 +297,8 @@ def _symmetries(terms, k: int) -> tuple:
                 key = (t, rep, names, f, other)
                 if keys is not None and key not in keys:
                     return None
-                out[key] = out.get(key, ZERO) + (c if sign > 0 else -c)
+                c = c if sign > 0 else -c
+                out[key] = out[key] + c if key in out else c
         return {key: c for key, c in out.items() if not c.is_zero}
 
     def candidate(op, slots):
@@ -604,14 +607,15 @@ def pure_radiation(bundle: CurvatureBundle) -> PureRadiationResult:
 # extends to the projective tensor, which lacks the pair symmetry
 COMPATIBLE = ("{0}[i,j,x,m]*{1}[k,m] + {0}[j,k,x,m]*{1}[i,m]"
               " + {0}[k,i,x,m]*{1}[j,m] = 0")
+# parsed once: it writes no chart symbol, so every chart reads it alike
+_COMPATIBLE = parse_identity(COMPATIBLE.format("R", "S"), Chart(("x", "y")))
 
 
 def compatibility_check(d: Tensor, e: Tensor, g: Metric) -> IdentityCheck:
     """Decide COMPATIBLE with d for R and e for S."""
     tensors = {"R": d, "S": e}
-    ast = parse_identity(COMPATIBLE.format(*tensors), d.chart)
     return _decide_identity(g, (), (), _signed(
-        ast, lambda node: tensors[node.op]))
+        _COMPATIBLE, lambda node: tensors[node.op]))
 
 
 @dataclass(frozen=True)
@@ -637,10 +641,13 @@ def compatible_space(d: Tensor, g: Metric) -> CompatibleFamily:
     chart symbol.  The family is certified by compatibility_check."""
     chart = d.chart
     n = chart.dim
-    ast = parse_identity(COMPATIBLE.format("R", "E"), chart)
-    signed = _signed(ast, lambda node: d)
+    # the formula's terms with E's unknowns, as parse_identity names them,
+    # in place of S
+    grid, unknowns = _indexed_names("E", 2, n)
+    signed = tuple((c, t, slots, grid, None, at) for c, t, slots, _, _, at
+                   in _signed(_COMPATIBLE, lambda node: d))
     walk, _, equation = _system(g, signed)
-    result = solve_at(walk, ast.unknowns, equation)
+    result = solve_at(walk, unknowns, equation)
 
     taken = set(chart.coords) | set(chart.functions) | set(chart.constants)
     # the u<k> prefixes never run out, as the chart names only finitely many
@@ -656,15 +663,14 @@ def compatible_space(d: Tensor, g: Metric) -> CompatibleFamily:
             v = v + c * Expression.from_atom(atom_of[u])
         return v
 
-    (_, grid), = ast.covectors
     matrix = tuple(tuple(as_expression(result.solution[u]) for u in row)
                    for row in grid)
-    params = tuple(prefix + u[1:] for u in ast.unknowns if u in result.free)
-    # compatibility_check of the family: these terms with its tensor for
-    # E, which have their symmetries and so their walk
+    params = tuple(prefix + u[1:] for u in unknowns if u in result.free)
+    # compatibility_check of the family, on the walk of the E terms, whose
+    # symmetries the family's terms have
     e = Tensor.compute(chart, 2, D_NONE2, lambda ij: matrix[ij[0]][ij[1]])
-    check = _decide_identity(g, (), (), tuple(
-        (c, t, slots, None, e, at) for c, t, slots, _, _, at in signed), walk)
+    check = _decide_identity(g, (), (), _signed(
+        _COMPATIBLE, lambda node: e if node.op == "S" else d), walk)
     if not check.holds:
         raise TensorError("compatible family fails substitution at "
                           f"{check.witness.component}")
