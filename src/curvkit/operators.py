@@ -644,6 +644,9 @@ def compatible_space(d: Tensor, g: Metric) -> CompatibleFamily:
     # the formula's terms with E's unknowns, as parse_identity names them,
     # in place of S
     grid, unknowns = _indexed_names("E", 2, n)
+    if len(set(unknowns)) < n * n:
+        raise TensorError(f"the unknowns of E repeat a name in {n} "
+                          "dimensions")
     signed = tuple((c, t, slots, grid, None, at) for c, t, slots, _, _, at
                    in _signed(_COMPATIBLE, lambda node: d))
     walk, _, equation = _system(g, signed)

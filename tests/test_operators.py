@@ -285,6 +285,15 @@ class TestCompatibility:
         general = compatible_space(minkowski.riemann, minkowski.metric)
         assert general.param_count == 16
 
+    def test_unknown_names_stay_distinct(self):
+        """In 11 dimensions E[1,11] and E[11,1] would both be E111."""
+        coords = " ".join(f"x{i}" for i in range(11))
+        spec = parse_metric_file(f"coords {coords}\n" + "".join(
+            f"g[{i}][{i}] = 1\n" for i in range(1, 12)))
+        bundle = CurvatureBundle(spec)
+        with pytest.raises(TensorError, match="repeat a name in 11"):
+            compatible_space(bundle.riemann, bundle.metric)
+
     def test_vacuum_family(self, schwarzschild):
         fam = compatible_space(schwarzschild.riemann, schwarzschild.metric)
         assert fam.param_count == 6
