@@ -466,6 +466,31 @@ class TestCompatibilityFormula:
             assert self.member(family, b.g_tensor)
 
 
+class TestContraction:
+    """Contracted products agree with the tensors they must equal: g^-1
+    contracted with g is the identity, S^2 is S contracted with itself,
+    and either factor of a product may be the one raised."""
+
+    @pytest.mark.parametrize("metric", [p.stem for p in ORACLE_METRICS])
+    def test_identities_of_contraction(self, oracle_bundles, metric):
+        b = oracle_bundles[metric]
+        for formula in ("g[i,m]*S[j,m] = S[j,i]",
+                        "R[i,j,x,m]*g[k,m] = R[i,j,x,k]",
+                        "S[i,m]*S[j,m] = S^2[i,j]",
+                        "R[i,j,x,m]*S[k,m] = S[k,m]*R[i,j,x,m]"):
+            assert check(b, formula).holds, formula
+
+    @pytest.mark.parametrize("metric", [p.stem for p in ORACLE_METRICS])
+    def test_tensor_unknown_solves_to_the_tensor(self, oracle_bundles,
+                                                 metric):
+        b = oracle_bundles[metric]
+        got = check(b, "E[i,m]*g[j,m] = S[i,j]")
+        assert got.holds and got.free == ()
+        assert got.solved["E"] == tuple(
+            tuple(b.ricci.get((i, j)) for j in range(b.dim))
+            for i in range(b.dim))
+
+
 def _add_always_computed(self, other):
     """Tensor.add summing every component, with no operand returned as is."""
     self._check_same_shape(other)
