@@ -39,10 +39,10 @@ must be a zero scalar and contributes nothing.
 
 Slots give each slot of a tensor an index letter; an indexed unknown is
 an unknown covector (one letter) or (0,2) tensor (two letters), and a
-term takes one unknown at most. A term with slots is its tensor, the
-first one written, times at most one more indexed factor; a letter both
-factors write is contracted through g^-1 and must be the tensor's last
-slot. Either every term has slots or none has, each term writes every
+term takes one unknown at most. A term with slots is its tensor (the
+first tensor written) times at most one more indexed factor; a letter
+both factors write is contracted through g^-1 and must be the tensor's
+last slot. Either every term has slots or none has, each term writes every
 free letter once, and the free letters in alphabetical order index the
 equations. An indexed unknown's unknowns are its name's first letter,
 upper-cased, and its index numbers (pi[x] gives P1, P2, ...; E[a,b] gives
