@@ -9,8 +9,20 @@ leading coefficient, and cos(x)^2 is rewritten to 1 - sin(x)^2 so each cosine
 appears at most linearly.  The gcd runs on a work budget; past it only the
 common monomial factor is divided out, so a fraction may keep a common factor
 (this happens on trig-free input too) and the form is not canonical.
-Equality is decided exactly by cross-multiplication, and is_zero (a zero
-numerator) is exact.
+
+Each value records whether it is canonical: in lowest terms over Q[atoms]
+(no gcd of its reduction gave up) and free of cos, so that its form is the
+one form of its value.  Q[atoms] is a UFD, so for canonical a/b and c/d only
+gcd(a, d) and gcd(c, b) can be nontrivial in a/b * c/d, and only gcd(t, g)
+in a/b + c/d = t/(g*b'*d') with g = gcd(b, d), b = g*b', d = g*d' and
+t = a*d' + c*b' (Henrici 1956); powers of a canonical value need no gcd.
+Products, sums and powers of canonical values divide out only those gcds,
+which give exactly the form the whole reduction gives when it completes.
+Every other operand takes the whole reduction: one that holds cos, since
+the quotient ring of the cos rewrite is not a UFD, and one left loose by a
+gcd that gave up.  Quotients always take it.  Two canonical values are
+equal exactly when their forms are; other pairs are compared exactly by
+cross-multiplication.  is_zero (a zero numerator) is exact.
 """
 
 from __future__ import annotations
@@ -672,19 +684,24 @@ def full_rank_at_point(rows) -> bool:
         len(rows), len(rows[0]) if rows else 0)
 
 
-def _images(p: Poly, shared: set, powers: dict) -> dict | None:
-    """p's image in each atom x of shared with x scaled by its own value v,
-    from one pass over p's terms: the coefficient of x^e sums the values of
-    the terms of degree e in x, and is v^e times _image_in's.  For v != 0,
-    x -> v*x is a change of variable that keeps each image's degree and
-    the degree of their gcd, so coprimality is decided alike.  powers maps
-    (atom, e) to its value; None when a coefficient has no residue."""
-    sums = {x: {} for x in shared}
+def _degree_sums(p: Poly, powers: dict) -> tuple[dict, int | None] | None:
+    """One pass over p's terms: for each atom x of p, the sums of the
+    values of p's terms by their degree in x, and p's value.  The sums in
+    x, less p's value at degree 0, are v^e times the coefficients of
+    _image_in's image in x, where v is x's own value: for v != 0, x -> v*x
+    is a change of variable that keeps each image's degree and the degree
+    of their gcd, so coprimality is decided alike.  powers maps (atom, e)
+    to its value.  None when p holds cos; when a coefficient has no
+    residue, p's atoms map to None and so does the value."""
+    sums = {}
     total = 0
     for mono, c in p.terms.items():
         v = _residue(c)
         if v is None:
-            return None
+            atoms = p.atoms()
+            if any(x.is_cos for x in atoms):
+                return None
+            return dict.fromkeys(atoms), None
         for ae in mono:
             w = powers.get(ae)
             if w is None:
@@ -695,13 +712,20 @@ def _images(p: Poly, shared: set, powers: dict) -> dict | None:
             s = sums.get(a)
             if s is not None:
                 s[e] = s.get(e, 0) + v
-    images = {}
-    for x, s in sums.items():
-        f = images[x] = [0] * (max(s) + 1)
-        f[0] = (total - sum(s.values())) % PRIME
-        for e, v in s.items():
-            f[e] = v % PRIME
-    return images
+            elif a.is_cos:
+                return None
+            else:
+                sums[a] = {e: v}
+    return sums, total
+
+
+def _image(s: dict, total: int) -> list[int]:
+    """The image in x from p's degree sums s in x and p's value total."""
+    f = [0] * (max(s) + 1)
+    f[0] = (total - sum(s.values())) % PRIME
+    for e, v in s.items():
+        f[e] = v % PRIME
+    return f
 
 
 def _eval_mod_p(f: list[int], t: int) -> int:
@@ -718,19 +742,20 @@ def _coprime_at_point(a: Poly, b: Poly) -> bool:
     its degree too and divides both, so coprime images rule it out.  An
     image of degree 1 shares a factor with the other exactly when the other
     vanishes at its root."""
-    atoms_a, atoms_b = a.atoms(), b.atoms()
-    if any(atom.is_cos for atom in atoms_a | atoms_b):
+    powers = {}
+    found_a = _degree_sums(a, powers)
+    found_b = found_a and _degree_sums(b, powers)
+    if found_b is None:   # a or b holds cos
         return False
-    shared = atoms_a & atoms_b
+    (sums_a, total_a), (sums_b, total_b) = found_a, found_b
+    shared = sums_a.keys() & sums_b.keys()
     if not shared:
         return True
-    powers = {}
-    images_a, images_b = _images(a, shared, powers), _images(b, shared, powers)
-    if images_a is None or images_b is None:
+    if total_a is None or total_b is None:
         return False
     for x in shared:
         if _atom_at_point(x):
-            fa, fb = images_a[x], images_b[x]
+            fa, fb = _image(sums_a[x], total_a), _image(sums_b[x], total_b)
         else:   # x valued 0 is no change of variable: rescan
             fa, fb = _image_in(a, x), _image_in(b, x)
         if not (fa[-1] and fb[-1]):
@@ -760,6 +785,11 @@ def _sign_content(p: Poly) -> int | Fraction:
 # coefficient blowup; past this budget poly_gcd settles for the monomial
 # common factor, which keeps fractions correct, just less reduced.
 _GCD_BUDGET = 20_000
+
+# How many budgeted gcds have given up, past the budget or after a failed
+# division check: packed_gcd bumps it, so a reduction that leaves it as it
+# was divided out every common factor it looked for.
+_gcd_give_ups = 0
 
 
 def _proportional_gcd(a: Poly, b: Poly):
@@ -828,12 +858,24 @@ def poly_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     return (g * mono_poly if mono else g), a, b
 
 
+def _cancel(p: Poly, q: Poly) -> tuple[Poly, Poly]:
+    """p and q divided by their gcd."""
+    if q == _P_ONE:
+        return p, q
+    _, p, q = poly_gcd(p, q)
+    return p, q
+
+
 class Expression:
     """Normalized fraction of two Polys (see the module docstring for what
     normalized guarantees): numerator and denominator are poly_gcd's
-    cofactors.  Immutable; all arithmetic returns new normalized values."""
+    cofactors.  Immutable; all arithmetic returns new normalized values.
 
-    __slots__ = ("num", "den")
+    _canonical records whether the value is canonical, in lowest terms
+    over Q[atoms] and free of cos: False when a gcd of its reduction gave
+    up, else None until is_canonical scans for cos."""
+
+    __slots__ = ("num", "den", "_canonical")
 
     def __init__(self, num: Poly, den: Poly = _P_ONE):
         if den.is_zero:
@@ -841,15 +883,34 @@ class Expression:
         if num.is_zero:
             self.num = _P_ZERO
             self.den = _P_ONE
+            self._canonical = True
             return
+        canonical = None
         if den != _P_ONE:
+            give_ups = _gcd_give_ups
             _, num, den = poly_gcd(num, den)
+            if _gcd_give_ups != give_ups:
+                canonical = False
+        self._store(num, den, canonical)
+
+    def _store(self, num: Poly, den: Poly, canonical: bool | None) -> None:
+        """Set num/den, den scaled to integer-primitive with positive
+        leading coefficient."""
         c = _sign_content(den)
         if c != 1:
             c = _qdiv(1, c)
             num, den = num.scale(c), den.scale(c)
         self.num = num
         self.den = den
+        self._canonical = canonical
+
+    @staticmethod
+    def _reduced(num: Poly, den: Poly, give_ups: int) -> "Expression":
+        """num/den, coprime unless a gcd has given up since give_ups was
+        read: canonical exactly when none has, for cos-free parts."""
+        e = object.__new__(Expression)
+        e._store(num, den, _gcd_give_ups == give_ups)
+        return e
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -868,6 +929,16 @@ class Expression:
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
+
+    @property
+    def is_canonical(self) -> bool:
+        """In lowest terms over Q[atoms] and free of cos, so that the form
+        of the value is unique.  The cos scan runs on first use."""
+        c = self._canonical
+        if c is None:
+            c = self._canonical = not (self.num.has_cos() or
+                                       self.den.has_cos())
+        return c
 
     @property
     def is_one(self) -> bool:
@@ -898,8 +969,19 @@ class Expression:
             return self
         if self.den == other.den:
             return Expression(self.num + other.num, self.den)
-        _, da, db = poly_gcd(self.den, other.den)
-        return Expression(self.num * db + other.num * da, self.den * db)
+        if not (self.is_canonical and other.is_canonical):
+            _, da, db = poly_gcd(self.den, other.den)
+            return Expression(self.num * db + other.num * da, self.den * db)
+        # Henrici: a/b + c/d with b = g*b', d = g*d' is t/(g*b'*d') with
+        # t = a*d' + c*b', and t is coprime to b' and d'
+        give_ups = _gcd_give_ups
+        g, db, dd = poly_gcd(self.den, other.den)
+        t = self.num * dd + other.num * db
+        if t.is_zero:
+            return ZERO
+        if g != _P_ONE:
+            _, t, g = poly_gcd(t, g)
+        return Expression._reduced(t, g * db * dd, give_ups)
 
     __radd__ = __add__
 
@@ -907,6 +989,7 @@ class Expression:
         e = object.__new__(Expression)
         e.num = -self.num
         e.den = self.den
+        e._canonical = self._canonical
         return e
 
     def __sub__(self, other):
@@ -919,7 +1002,14 @@ class Expression:
         other = Expression._coerce(other)
         if self.is_zero or other.is_zero:
             return ZERO
-        return Expression(self.num * other.num, self.den * other.den)
+        if not (self.is_canonical and other.is_canonical):
+            return Expression(self.num * other.num, self.den * other.den)
+        # Henrici: in lowest terms a/b * c/d can only cancel a with d and
+        # c with b
+        give_ups = _gcd_give_ups
+        a, d = _cancel(self.num, other.den)
+        c, b = _cancel(other.num, self.den)
+        return Expression._reduced(a * c, b * d, give_ups)
 
     __rmul__ = __mul__
 
@@ -940,8 +1030,15 @@ class Expression:
         if n < 0:
             if self.is_zero:
                 raise DivisionByZeroExpression("zero to a negative power")
-            return Expression(self.den ** (-n), self.num ** (-n))
-        return Expression(self.num ** n, self.den ** n)
+            num, den = self.den ** -n, self.num ** -n
+        elif self.is_zero:
+            return ZERO
+        else:
+            num, den = self.num ** n, self.den ** n
+        if self.is_canonical:
+            # powers of coprime parts are coprime
+            return Expression._reduced(num, den, _gcd_give_ups)
+        return Expression(num, den)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -950,6 +1047,8 @@ class Expression:
             return NotImplemented
         if self.num == other.num and self.den == other.den:
             return True
+        if self.is_canonical and other.is_canonical:
+            return False   # each has the one form of its value
         # a gcd past its budget, or the trig rewrite, can leave distinct
         # pairs for one value, so decide by cross-multiplication
         return (self.num * other.den - other.num * self.den).is_zero

@@ -19,6 +19,10 @@ So every result and every overrun is the one the tuple code gave.  The
 quotients of the top-level division check are the cofactors that
 expr.poly_gcd hands on, so a reduced fraction is divided once.
 
+Each time a gcd at any depth gives up, past the budget or after a failed
+division check, it adds one to expr._gcd_give_ups, so that expr can tell a
+fraction left loose from one in lowest terms.
+
 divisor_gcd runs before gcd on cos-free operands: when one operand, its
 own monomial content stripped, divides the other, that part is the gcd,
 and the same division check gives gcd's cofactors without the remainder
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import math
 
+from . import expr
 from .expr import (Atom, DivisionByZeroExpression, ExprError, Poly,
                    _GCD_BUDGET, _exact, _qdiv)
 
@@ -180,13 +185,14 @@ def divisor_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly] | None:
 def _checked_gcd(a: dict, b: dict) -> tuple[dict, dict, dict]:
     """The remainder sequence's gcd g one level deeper with a/g and b/g,
     the quotients that check it; 1, a and b past the budget or when the
-    check fails."""
+    check fails, a give-up that expr._gcd_give_ups counts."""
     global _gcd_depth
     _gcd_depth += 1
     try:
         g = _gcd_core(_canon_sign(a), _canon_sign(b))
         return g, _divexact(a, g), _divexact(b, g)
     except (NotDivisible, _GcdBudgetExceeded):
+        expr._gcd_give_ups += 1
         return _ONE, a, b
     finally:
         _gcd_depth -= 1

@@ -40,20 +40,21 @@ LEAVES = (X, Y, A, SIN_X, COS_X, F, W, ONE, Expression.from_int(2),
           Expression.from_fraction(Fraction(-3, 2)))
 
 
-def random_expression(rng: random.Random, depth: int = 3) -> Expression:
+def random_expression(rng: random.Random, depth: int = 3,
+                      leaves: tuple = LEAVES) -> Expression:
     """Small random expression tree over the shared test chart.
 
     Divisions only take leaf denominators; compound denominators make the
     gcd-normalized form intractably large for a bulk property run.
     """
     if depth == 0 or rng.random() < 0.3:
-        return rng.choice(LEAVES)
+        return rng.choice(leaves)
     op = rng.randrange(7)
-    left = random_expression(rng, depth - 1)
+    left = random_expression(rng, depth - 1, leaves)
     if op >= 6:
-        den = rng.choice(LEAVES)
+        den = rng.choice(leaves)
         return left / den if not den.is_zero else left
-    right = random_expression(rng, depth - 1)
+    right = random_expression(rng, depth - 1, leaves)
     if op <= 1:
         return left + right
     if op <= 3:
@@ -366,16 +367,17 @@ def metered_gcds(monkeypatch, solver=None) -> list:
 def test_gcd_work_meter_is_pinned(monkeypatch):
     """The gcd budget decisions of warped-5-D weakly_ricci_symmetric: units
     charged inside poly_gcd, budget overruns and top-level calls.  Any
-    change to term order, coefficient sizes or the gcd itself moves them.
-    The divisor step settles the calls it can for fewer units; the five
-    calls past the budget are not divisor cases, and charge what they did
-    before it."""
+    change to term order, coefficient sizes, the gcds a product or sum of
+    canonical values asks for, or the gcd itself moves them.  The divisor
+    step settles the calls it can for fewer units; the five calls past the
+    budget are not divisor cases.  These pin the gcds' inputs, not the
+    outputs: tests/test_bench_expected.py pins those."""
     calls = metered_gcds(monkeypatch)
     meter = {"units": sum(c[1] for c in calls),
              "raises": sum(c[2] for c in calls), "calls": len(calls)}
-    assert meter == {"units": 106_414, "raises": 189, "calls": 43}
+    assert meter == {"units": 102_863, "raises": 159, "calls": 51}
     assert [c[1] for c in calls if c[1] > expr_mod._GCD_BUDGET] == [
-        20_620, 21_472, 20_072, 20_191, 20_045]
+        20_097, 21_466, 20_241, 20_189, 20_406]
 
 
 def test_deferred_rows_make_only_gcds_of_the_eager_solve(monkeypatch):
@@ -386,7 +388,7 @@ def test_deferred_rows_make_only_gcds_of_the_eager_solve(monkeypatch):
     deferred = Counter(map(tuple, metered_gcds(monkeypatch)))
     eager = Counter(map(tuple, metered_gcds(monkeypatch, eager_solve)))
     assert deferred <= eager
-    assert (deferred.total(), eager.total()) == (43, 47)
+    assert (deferred.total(), eager.total()) == (51, 55)
     past_budget = [sum(n for (_, units, _, _), n in calls.items()
                        if units > expr_mod._GCD_BUDGET)
                    for calls in (deferred, eager)]
@@ -396,17 +398,19 @@ def test_deferred_rows_make_only_gcds_of_the_eager_solve(monkeypatch):
 def test_solve_stress_gcds_are_pinned():
     """Every top-level poly_gcd call of one solve-stress pass, and what it
     returns (tests/gcd_replay.py): the count and the digest were recorded
-    before the one-pass images, the integer contents and the divisor step,
-    so a faster gcd layer must do the same work on the same inputs.  The
-    replay also pins how many calls each stage of poly_gcd settles."""
+    with the crossed gcds of products and sums of canonical values, so a
+    faster gcd layer must do the same work on the same inputs, and a change
+    to which gcds expr asks for is re-recorded here with byte-identical
+    bench outputs.  The replay also pins how many calls each stage of
+    poly_gcd settles."""
     calls = gcd_replay.record()
-    assert len(calls) == 749
+    assert len(calls) == 977
     assert gcd_replay.digest(out for _, out in calls) == (
-        "994eeb4e891b75ee7b36baa1e9d4111e76fd10a940f23688407f4bd9f8df8d87")
+        "8776705f01911c4eb14e8321a3dcb4651fd4b8fecc52268daf76d4b3ce1dbdcd")
     _, _, settled = gcd_replay.kernel_inputs(calls)
-    assert settled == {"zero or monomial": 476, "certificate": 196,
-                       "proportional": 16, "divisor step": 45,
-                       "budgeted kernel": 11, "overrun": 5}
+    assert settled == {"zero or monomial": 787, "certificate": 113,
+                       "proportional": 21, "divisor step": 46,
+                       "budgeted kernel": 5, "overrun": 5}
 
 
 def test_seeded_generator_bulk():
@@ -695,3 +699,191 @@ def test_cofactors_match_reference_division(e1, e2, e3):
     if not (e1.is_zero or e2.is_zero):
         s = e1 + e2
         assert _terms(s.num, s.den) == _terms(*_sum_reference(e1, e2))
+
+
+# every value built from these leaves is canonical unless a gcd gives up
+COS_FREE_LEAVES = tuple(e for e in LEAVES if e is not COS_X)
+
+
+def random_fraction(rng: random.Random) -> Expression:
+    """A cos-free quotient of two small random expressions, times 1 or
+    2/3 and times (x + a)/(y - 1) to the power -1, 0 or 1, so that the
+    crossed gcds of two of them have common factors to divide out."""
+    num = random_expression(rng, 2, COS_FREE_LEAVES)
+    den = random_expression(rng, 2, COS_FREE_LEAVES)
+    e = num if den.is_zero else num / den
+    scale = rng.choice((ONE, Expression.from_fraction(Fraction(2, 3))))
+    return e * scale * ((X + A) / (Y - ONE)) ** rng.randint(-1, 1)
+
+
+cos_free_fractions = st.integers(min_value=0, max_value=2**32 - 1).map(
+    lambda seed: random_fraction(random.Random(seed)))
+cos_free_exprs = st.integers(min_value=0, max_value=2**32 - 1).map(
+    lambda seed: random_expression(random.Random(seed),
+                                   leaves=COS_FREE_LEAVES))
+
+
+def whole_reduction(num: Poly, den: Poly) -> Expression:
+    """num/den with every common factor divided out by one gcd."""
+    give_ups = expr_mod._gcd_give_ups
+    e = Expression(num, den)
+    assert expr_mod._gcd_give_ups == give_ups
+    return e
+
+
+def assert_same_form(e: Expression, want: Expression):
+    assert e.num == want.num and e.den == want.den
+    assert e.is_canonical
+
+
+def spy_poly_gcd(monkeypatch) -> list:
+    """The operands of each later poly_gcd call."""
+    calls = []
+    gcd = expr_mod.poly_gcd
+
+    def spy(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(expr_mod, "poly_gcd", spy)
+    return calls
+
+
+def loose_fraction(monkeypatch) -> Expression:
+    """a*(x - f)/((x - f)*(x + 1)), left unreduced: within a budget of 5
+    units the divisor step declines and the budgeted gcd runs out, as in
+    test_packed_gcd's test_divisor_checks_past_the_budget_run_it."""
+    x, f, a = X.num, F.num, A.num
+    with monkeypatch.context() as mp:
+        mp.setattr(packed_gcd, "_GCD_BUDGET", 5)
+        e = Expression(a * (x - f), (x - f) * (x + Poly.const(1)))
+    assert len(e.den.terms) == 4 and e == A / (X + ONE)
+    return e
+
+
+class TestCrossedGcds:
+    """A product, sum or power of canonical values divides out only the
+    gcds that can be nontrivial (Henrici 1956), and gives the form the
+    whole-fraction reduction gives; any other operand takes the whole
+    reduction."""
+
+    @staticmethod
+    def check(x: Expression, y: Expression, k: int):
+        assert x.is_canonical and y.is_canonical
+        assert_same_form(x * y, whole_reduction(x.num * y.num,
+                                                x.den * y.den))
+        assert_same_form(x + y, whole_reduction(
+            x.num * y.den + y.num * x.den, x.den * y.den))
+        if k >= 0:
+            assert_same_form(x ** k, whole_reduction(x.num ** k,
+                                                     x.den ** k))
+        elif not x.is_zero:
+            assert_same_form(x ** k, whole_reduction(x.den ** -k,
+                                                     x.num ** -k))
+
+    def test_seeded_fractions(self):
+        rng = random.Random(27)
+        for _ in range(60):
+            self.check(random_fraction(rng), random_fraction(rng),
+                       rng.randint(-3, 3))
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(cos_free_fractions, cos_free_fractions, st.integers(-3, 3))
+    def test_fractions(self, x, y, k):
+        self.check(x, y, k)
+
+    def test_product_divides_crossed_gcds(self, monkeypatch):
+        x = (X + A) / (Y - ONE)
+        y = (Y - ONE) / (X * X - A * A)
+        want = ONE / (X - A)
+        calls = spy_poly_gcd(monkeypatch)
+        assert_same_form(x * y, want)
+        assert calls == [(x.num, y.den), (y.num, x.den)]
+
+    def test_sum_divides_gcd_with_shared_denominator(self, monkeypatch):
+        x = (X + ONE - Y) / ((X + ONE) * Y)
+        y = (A + X + ONE) / ((X + ONE) * A)
+        want = (A + Y) / (A * Y)
+        calls = spy_poly_gcd(monkeypatch)
+        assert_same_form(x + y, want)
+        g = (X + ONE).num
+        assert calls[0] == (x.den, y.den) and calls[1][1] == g
+        assert len(calls) == 2
+
+    def test_power_runs_no_gcd(self, monkeypatch):
+        x = (X + A) / (Y - ONE) * Fraction(2, 3)
+        calls = spy_poly_gcd(monkeypatch)
+        for k in (3, -2):
+            assert (x ** k).is_canonical
+        assert calls == []
+
+    def test_loose_value_stays_loose(self, monkeypatch):
+        e = loose_fraction(monkeypatch)
+        for v in (e, -e, copy.copy(e), copy.deepcopy(e),
+                  pickle.loads(pickle.dumps(e))):
+            assert v._canonical is False and not v.is_canonical
+
+    def test_loose_operand_takes_whole_reduction(self, monkeypatch):
+        e = loose_fraction(monkeypatch)
+        reduced = A / (X + ONE)
+        y, z = (X + ONE) / (Y + ONE), ONE / Y
+        want_product, want_sum = reduced * y, reduced + z
+        calls = spy_poly_gcd(monkeypatch)
+        assert_same_form(e * y, want_product)
+        assert calls == [(e.num * y.num, e.den * y.den)]
+        assert_same_form(e + z, want_sum)
+        assert calls[1] == (e.den, z.den) and len(calls) == 3
+
+    def test_cos_operand_takes_whole_reduction(self, monkeypatch):
+        u, v = COS_X / (X - ONE), (X - ONE) / (X + ONE)
+        want = COS_X / (X + ONE)
+        calls = spy_poly_gcd(monkeypatch)
+        assert not u.is_canonical and v.is_canonical
+        product = u * v
+        assert product.num == want.num and product.den == want.den
+        assert calls == [(u.num * v.num, u.den * v.den)]
+
+    def test_give_up_makes_a_result_loose(self, monkeypatch):
+        """A crossed gcd past the budget (loose_fraction's) leaves the
+        product out of lowest terms and not canonical; a product with it
+        then takes the whole reduction."""
+        x, y = A * (X - F) / Y, ONE / ((X - F) * (X + ONE))
+        want = A / (Y * (X + ONE))
+        with monkeypatch.context() as mp:
+            mp.setattr(packed_gcd, "_GCD_BUDGET", 5)
+            r = x * y
+        assert r._canonical is False and r == want
+        assert r.den == (Y * (X - F) * (X + ONE)).num
+        assert_same_form(r * ONE, want)
+
+
+class TestEqualityByForm:
+    """Two canonical values are equal exactly when their forms are; other
+    pairs compare by cross-multiplication, and both answers agree."""
+
+    @staticmethod
+    def check(e1: Expression, e2: Expression):
+        for a, b in ((e1, e2), (e1, e1 + e2 - e2), (e1 * e2, e2 * e1),
+                     ((e1 + e2) * e2, e1 * e2 + e2 * e2)):
+            assert (a == b) == (a.num * b.den - b.num * a.den).is_zero
+
+    @BULK
+    @given(st.one_of(exprs, cos_free_exprs), st.one_of(exprs, cos_free_exprs))
+    def test_agrees_with_cross_multiplication(self, e1, e2):
+        self.check(e1, e2)
+
+    def test_seeded_generator(self):
+        rng = random.Random(20261021)
+        canonical_pairs = 0
+        for _ in range(200):
+            e1 = random_expression(rng, leaves=rng.choice(
+                (LEAVES, COS_FREE_LEAVES)))
+            e2 = random_expression(rng, leaves=COS_FREE_LEAVES)
+            self.check(e1, e2)
+            canonical_pairs += e1.is_canonical and e2.is_canonical
+        assert canonical_pairs > 50
+
+    def test_canonical_pair_skips_cross_multiplication(self, monkeypatch):
+        x, y = (X + A) / (Y - ONE), (X + A) / (Y + ONE)
+        monkeypatch.setattr(Poly, "__mul__", refuse)
+        assert x != y and x == x
