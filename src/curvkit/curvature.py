@@ -18,6 +18,12 @@ oracle and frozen:
 With these choices the scalar curvature of a round sphere of radius a comes
 out as -2/a^2; all catalog reports and golden tables use this convention
 consistently.
+
+riemann computes R from the first-kind Gamma_{m,ij} = g_ml Gamma^l_ij:
+g_im d_k Gamma^m_lj = d_k Gamma_{i,lj} - (Gamma_{i,mk} + Gamma_{m,ik})
+Gamma^m_lj, and the Gamma_{i,mk} terms cancel the sum over p, so
+    R_ijkl = d_k Gamma_{i,lj} - d_l Gamma_{i,kj}
+             + Gamma_{m,li} Gamma^m_kj - Gamma_{m,ki} Gamma^m_lj
 """
 
 from __future__ import annotations
@@ -40,43 +46,33 @@ def christoffel(g: Metric) -> Connection:
     dg = [[[g.lower(i, j).derivative(coords[k]) for k in range(n)]
            for j in range(n)] for i in range(n)]
     half = Expression.from_fraction(Fraction(1, 2))
-    gamma = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for l in range(n):
+    first = _symmetric(n, lambda m, i, j: half * (
+        dg[m][j][i] + dg[m][i][j] - dg[i][j][m]))
+    gamma = _symmetric(n, lambda l, i, j: g.raise_index(
+        l, lambda m: first[m][i][j]))
+    return Connection(g.chart, gamma, first)
+
+
+def _symmetric(n: int, f) -> tuple:
+    """table[a][i][j] = f(a, i, j), formed for i <= j and shared by (j, i)."""
+    table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for a in range(n):
         for i in range(n):
             for j in range(i, n):
-                v = half * g.raise_index(l, lambda m: (
-                    dg[m][j][i] + dg[m][i][j] - dg[i][j][m]))
-                gamma[l][i][j] = v
-                gamma[l][j][i] = v
-    return Connection(g.chart, tuple(tuple(tuple(row) for row in plane)
-                                     for plane in gamma))
+                table[a][i][j] = table[a][j][i] = f(a, i, j)
+    return tuple(tuple(map(tuple, plane)) for plane in table)
 
 
 def riemann(conn: Connection, g: Metric) -> Tensor:
-    n = g.dim
-    coords = g.chart.coords
-    gam = conn.gamma
-    dgam = [[[[gam[m][i][j].derivative(coords[k]) for k in range(n)]
-              for j in range(n)] for i in range(n)] for m in range(n)]
+    first, gamma, coords = conn.first, conn.gamma, g.chart.coords
 
     def entry(idx):
         i, j, k, l = idx
-        total = ZERO
-        for m in range(n):
-            gim = g.lower(i, m)
-            if gim.is_zero:
-                continue
-            term = dgam[m][l][j][k] - dgam[m][k][j][l]
-            for p in range(n):
-                a = gam[m][k][p]
-                b = gam[p][l][j]
-                if not (a.is_zero or b.is_zero):
-                    term = term + a * b
-                a = gam[m][l][p]
-                b = gam[p][k][j]
-                if not (a.is_zero or b.is_zero):
-                    term = term - a * b
-            total = total + gim * term
+        total = (first[i][l][j].derivative(coords[k])
+                 - first[i][k][j].derivative(coords[l]))
+        for m in range(g.dim):
+            total = (total + first[m][l][i] * gamma[m][k][j]
+                     - first[m][k][i] * gamma[m][l][j])
         return total
 
     return Tensor.compute(g.chart, 4, D_RIEMANN, entry)

@@ -456,13 +456,16 @@ def _raise_last(t: Tensor, g: Metric) -> dict:
 # connection and covariant derivative
 
 class Connection(Record):
-    """Christoffel symbols gamma[l][i][j], symmetric in (i, j)."""
+    """Christoffel symbols gamma[l][i][j] and the kept first-kind table
+    first[m][i][j], symmetric in (i, j); equal on chart and gamma."""
 
-    __slots__ = ("chart", "gamma")
+    __slots__ = ("chart", "gamma", "first")
+    _fields = ("chart", "gamma")
 
-    def __init__(self, chart: Chart, gamma: tuple):
+    def __init__(self, chart: Chart, gamma: tuple, first: tuple):
         self.chart = chart
         self.gamma = gamma   # gamma[l][i][j] -> Expression
+        self.first = first   # first[m][i][j] -> Expression
 
     def __getitem__(self, lij):
         l, i, j = lij

@@ -150,7 +150,7 @@ class TestCompute:
         code, out, err = run(capsys, "compute", str(path), "R")
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "6858cd34366890674a995da1ec3e29d75928d218acc2235d710659039c38a5ae")
+            "1f7e7c61db550582d4432f6153108f33f39841c75e8c713adb9a93b22ae1a99c")
 
     def test_metric_by_path(self, capsys):
         code, out, _ = run(capsys, "compute",

@@ -4,15 +4,16 @@ import itertools
 import pytest
 
 from curvkit import CurvatureBundle, TensorError, parse_metric_file
-from curvkit.curvature import christoffel, evaluate_tensor_ast
-from curvkit.expr import ZERO
+from curvkit.curvature import christoffel, evaluate_tensor_ast, riemann
+from curvkit.expr import Expression, ZERO
 from curvkit.parsing import TNode
-from curvkit.tensor import D_RIEMANN, D_SYM2
+from curvkit.tensor import Connection, D_RIEMANN, D_SYM2, Metric
 
 import vaidya_reference as ref
 from conftest import CATALOG, expect_components, expr, load_bundle
 
 BENCH_METRICS = CATALOG.parent / "bench" / "metrics"
+KERR = CATALOG.parent / "tests" / "kerr.metric"
 
 
 def div(b, name):
@@ -158,29 +159,46 @@ class TestBundleApi:
                     assert conn[(l, i, j)] == conn[(l, j, i)]
 
 
+def old_riemann_entry(conn, g):
+    """R_ijkl by the module docstring's convention, as riemann computed it
+    before it read the first-kind table: every Gamma^m_lj differentiated,
+    the bracket lowered by g_im.  Assumes no symmetry of R."""
+    n = g.dim
+    coords = g.chart.coords
+    gam = conn.gamma
+    dgam = [[[[gam[m][i][j].derivative(coords[k]) for k in range(n)]
+              for j in range(n)] for i in range(n)] for m in range(n)]
+
+    def entry(idx):
+        i, j, k, l = idx
+        total = ZERO
+        for m in range(n):
+            gim = g.lower(i, m)
+            if gim.is_zero:
+                continue
+            term = dgam[m][l][j][k] - dgam[m][k][j][l]
+            for p in range(n):
+                a = gam[m][k][p]
+                b = gam[p][l][j]
+                if not (a.is_zero or b.is_zero):
+                    term = term + a * b
+                a = gam[m][l][p]
+                b = gam[p][k][j]
+                if not (a.is_zero or b.is_zero):
+                    term = term - a * b
+            total = total + gim * term
+        return total
+
+    return entry
+
+
 def dense_reference(bundle):
     """R and S at every index tuple from the module docstring's formulas,
     with no symmetry assumed."""
-    g, gam, n = bundle.metric, bundle.connection.gamma, bundle.dim
-    coords = bundle.chart.coords
-    dgam = {}
-
-    def d(m, l, j, k):
-        key = (m, l, j, k)
-        if key not in dgam:
-            dgam[key] = gam[m][l][j].derivative(coords[k])
-        return dgam[key]
-
-    riemann = {}
-    for i, j, k, l in itertools.product(range(n), repeat=4):
-        total = ZERO
-        for m in range(n):
-            term = d(m, l, j, k) - d(m, k, j, l)
-            for p in range(n):
-                term = (term + gam[m][k][p] * gam[p][l][j]
-                        - gam[m][l][p] * gam[p][k][j])
-            total = total + g.lower(i, m) * term
-        riemann[i, j, k, l] = total
+    g, n = bundle.metric, bundle.dim
+    entry = old_riemann_entry(bundle.connection, g)
+    riemann = {idx: entry(idx)
+               for idx in itertools.product(range(n), repeat=4)}
     ricci = {}
     for j, k in itertools.product(range(n), repeat=2):
         s = ZERO
@@ -203,3 +221,53 @@ def test_representatives_carry_every_tuple(path):
         assert bundle.riemann.get(idx) == want, idx
     for idx, want in ricci.items():
         assert bundle.ricci.get(idx) == want, idx
+
+
+@pytest.fixture(scope="module", params=sorted(CATALOG.glob("*.metric"))
+                + sorted(BENCH_METRICS.glob("*.metric")) + [KERR],
+                ids=lambda p: p.stem)
+def oracle_bundle(request):
+    return CurvatureBundle(parse_metric_file(request.param.read_text()))
+
+
+class TestFirstKindRiemann:
+    """riemann reads the connection's first-kind table; its R equals the
+    derivative-of-Gamma route it replaced, exactly, at every
+    representative, Kerr's included."""
+
+    def test_riemann_equals_the_old_route(self, oracle_bundle):
+        b = oracle_bundle
+        entry = old_riemann_entry(b.connection, b.metric)
+        for rep in D_RIEMANN.reps(b.dim, 4):
+            assert (b.riemann.get(rep) - entry(rep)).is_zero, rep
+
+    def test_gamma_lowers_to_the_kept_table(self, oracle_bundle):
+        b = oracle_bundle
+        g, conn, n = b.metric, b.connection, b.dim
+        for m, i, j in itertools.product(range(n), repeat=3):
+            lowered = ZERO
+            for l in range(n):
+                lowered = lowered + g.lower(m, l) * conn.gamma[l][i][j]
+            assert (lowered - conn.first[m][i][j]).is_zero, (m, i, j)
+
+    def test_one_table_feeds_christoffel_and_riemann(self, monkeypatch):
+        b = load_bundle("vaidya")
+        conn = b.connection
+        for table in (conn.first, conn.gamma):
+            for plane in table:
+                for i, j in itertools.combinations(range(b.dim), 2):
+                    assert plane[i][j] is plane[j][i]
+        assert conn == Connection(conn.chart, conn.gamma, ())
+        kept = {id(v) for plane in conn.first for row in plane for v in row}
+        differentiated = []
+        derivative = Expression.derivative
+
+        def spy(self, coord):
+            differentiated.append(id(self))
+            return derivative(self, coord)
+
+        monkeypatch.setattr(Expression, "derivative", spy)
+        monkeypatch.setattr(Metric, "lower", lambda *_: pytest.fail(
+            "riemann read a metric entry"))
+        assert not riemann(conn, b.metric).is_zero
+        assert differentiated and set(differentiated) <= kept

@@ -375,9 +375,9 @@ def test_gcd_work_meter_is_pinned(monkeypatch):
     calls = metered_gcds(monkeypatch)
     meter = {"units": sum(c[1] for c in calls),
              "raises": sum(c[2] for c in calls), "calls": len(calls)}
-    assert meter == {"units": 102_863, "raises": 159, "calls": 51}
+    assert meter == {"units": 102_755, "raises": 177, "calls": 51}
     assert [c[1] for c in calls if c[1] > expr_mod._GCD_BUDGET] == [
-        20_097, 21_466, 20_241, 20_189, 20_406]
+        20_047, 21_465, 20_071, 20_322, 20_386]
 
 
 def test_deferred_rows_make_only_gcds_of_the_eager_solve(monkeypatch):
@@ -398,15 +398,15 @@ def test_deferred_rows_make_only_gcds_of_the_eager_solve(monkeypatch):
 def test_solve_stress_gcds_are_pinned():
     """Every top-level poly_gcd call of one solve-stress pass, and what it
     returns (tests/gcd_replay.py): the count and the digest were recorded
-    with the crossed gcds of products and sums of canonical values, so a
-    faster gcd layer must do the same work on the same inputs, and a change
-    to which gcds expr asks for is re-recorded here with byte-identical
-    bench outputs.  The replay also pins how many calls each stage of
-    poly_gcd settles."""
+    with the crossed gcds of products and sums of canonical values and R
+    built from the first-kind Christoffel table, so a faster gcd layer
+    must do the same work on the same inputs, and a change to which gcds
+    expr asks for is re-recorded here with byte-identical bench outputs.
+    The replay also pins how many calls each stage of poly_gcd settles."""
     calls = gcd_replay.record()
     assert len(calls) == 977
     assert gcd_replay.digest(out for _, out in calls) == (
-        "8776705f01911c4eb14e8321a3dcb4651fd4b8fecc52268daf76d4b3ce1dbdcd")
+        "11dfd2e34218dafda7c5a530a5c4b057caea30a8eebcee021606cb19eb57e90a")
     _, _, settled = gcd_replay.kernel_inputs(calls)
     assert settled == {"zero or monomial": 787, "certificate": 113,
                        "proportional": 21, "divisor step": 46,

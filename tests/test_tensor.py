@@ -709,7 +709,7 @@ class TestCovariantDerivative:
         from curvkit.tensor import Connection
         zero = ZERO
         gamma = tuple(tuple((zero,) * 2 for _ in range(2)) for _ in range(2))
-        conn = Connection(CHART, gamma)
+        conn = Connection(CHART, gamma, gamma)   # the zero first-kind table
         t = _tensor({(0, 0): X * Y})
         d = covariant_derivative(t, conn)
         assert d.get((0, 0, 0)) == Y
