@@ -6,7 +6,10 @@ system over expressions and reports witnesses that can be re-verified by
 substitution.  Every linear condition on the curvature tensors, the
 recurrences, weak Ricci symmetry and compatibility included, is an
 identity: one builder walks one index tuple per orbit of the symmetries it
-derives from the identity's terms, and check_identity decides it.  A
+derives from the identity's terms, and check_identity decides it.  A term
+whose tensor or factor is known zero (see tensor.py) adds nothing, so the
+builder drops it; the walk still comes from every term, so that each walk,
+witness component and pivot label is the one the evaluated zeros give.  A
 compatible space is the compatibility identity solved through the same
 builder; the Ricci decomposition has its own procedure.  The operator
 actions themselves
@@ -189,7 +192,9 @@ def _reader(g: Metric, k: int, t: Tensor, slots, f, at):
 def _system(g: Metric, signed, walk=None):
     """The walk (unless given), known(idx, moved) and equation(idx) of the
     identity whose terms _signed gives; solve_at reads equation.  Each term
-    adds its products at idx in turn to one running total."""
+    adds its products at idx in turn to one running total; a term whose
+    tensor or factor is known zero is dropped, after the walk is derived
+    from all of them."""
     slots, at = signed[0][2], signed[0][5]
     # each free position is written once, a contracted one twice
     k = 2 * len({*slots, *at}) - len(slots + at)
@@ -197,6 +202,8 @@ def _system(g: Metric, signed, walk=None):
         walk = Descriptor(_symmetries(signed, k)).reps(g.dim, k)
     concrete, unknown = [], []
     for coeff, t, slots, names, f, at in signed:
+        if t.known_zero or f is not None and f.known_zero:
+            continue
         read = _reader(g, k, t, slots, f, at)
         if names is None:
             concrete.append((read, _times(coeff), _times(-coeff)))

@@ -6,6 +6,12 @@ Two tensor-valued operations extend a (0,k) tensor to a (0,k+2) tensor: the
 action of a curvature-type operator as a derivation, and the endomorphism
 action attached to a symmetric (0,2) tensor.
 
+A table that stores no component and has no getter is known zero
+(Tensor.known_zero), which is read without evaluating anything; is_zero
+evaluates.  Every table builder given a known-zero operand returns an empty
+stored table, known zero itself, with the descriptor its getter table would
+have had, and builds no raised-index table for it.
+
 Indices are 0-based internally; every public text format is 1-based.
 """
 
@@ -177,7 +183,8 @@ class Tensor(Record):
     representatives only.  A table built with a getter evaluates each on
     its first read and keeps the value, a zero too; a read of comps fills
     it in reps order.  Once all are read, the getter, with any product
-    memo and the operands it holds, is released."""
+    memo and the operands it holds, is released, and a table left with no
+    component is then known zero."""
 
     __slots__ = ("chart", "valence", "descriptor", "_comps", "getter",
                  "_unread")
@@ -276,6 +283,12 @@ class Tensor(Record):
         """Canonical nonzero representatives in lexicographic index order."""
         for idx in sorted(self.comps):
             yield idx, self.comps[idx]
+
+    @property
+    def known_zero(self) -> bool:
+        """Whether the table is zero without evaluating anything: it stores
+        no component and has no getter left to evaluate one."""
+        return self.getter is None and not self._comps
 
     @property
     def is_zero(self) -> bool:
@@ -479,6 +492,8 @@ def covariant_derivative(t: Tensor, conn: Connection) -> Tensor:
     coords = chart.coords
     k = t.valence
     gamma = conn.gamma
+    if t.known_zero:
+        return Tensor(chart, k + 1, t.descriptor)
 
     def entry(idx: tuple) -> Expression:
         head, x = idx[:k], idx[k]
@@ -505,6 +520,8 @@ def kulkarni_nomizu(a: Tensor, e: Tensor) -> Tensor:
     for t in (a, e):
         if t.valence != 2 or t.descriptor != D_SYM2:
             raise TensorError("kulkarni_nomizu needs symmetric (0,2) tensors")
+    if a.known_zero or e.known_zero:
+        return Tensor(a.chart, 4, D_RIEMANN)
 
     def entry(idx):
         i, j, k, l = idx
@@ -544,8 +561,10 @@ def dot_action(d: Tensor, h: Tensor, g: Metric) -> Tensor:
                           "first index pair")
     chart = h.chart
     k = h.valence
-    raised = raised_last(d, g)
     desc = h.descriptor.with_extra(("anti", k, k + 1))
+    if d.known_zero or h.known_zero:
+        return Tensor(chart, k + 2, desc)
+    raised = raised_last(d, g)
     products: dict = {}
 
     def entry(idx):
@@ -579,6 +598,8 @@ def tachibana(a: Tensor, h: Tensor) -> Tensor:
     chart = h.chart
     k = h.valence
     desc = h.descriptor.with_extra(("anti", k, k + 1))
+    if a.known_zero or h.known_zero:
+        return Tensor(chart, k + 2, desc)
     products: dict = {}
 
     def entry(idx):
@@ -609,6 +630,9 @@ def trace2(t: Tensor, g: Metric) -> Expression:
 def endo_square(e: Tensor, g: Metric) -> Tensor:
     """(0,2) tensor of the squared endomorphism: (E^2)(X,Y) = g(EEX, Y),
     componentwise sum_{k,l} E_ik g^kl E_lj, as a getter table."""
+    if e.known_zero:
+        return Tensor(e.chart, 2, D_SYM2)
+
     def entry(idx):
         i, j = idx
         return g.contract(lambda k, l: e.get((i, k)) * e.get((l, j)))
@@ -625,6 +649,8 @@ def divergence_first(nt: Tensor, g: Metric) -> Tensor:
     desc = Descriptor(op[:1] + tuple(a - 1 for a in op[1:])
                       for op in nt.descriptor.ops
                       if 0 not in op[1:] and k not in op[1:])
+    if nt.known_zero:
+        return Tensor(nt.chart, k - 1, desc)
 
     def entry(rest):
         return g.contract(lambda i, m: nt.get((i,) + rest + (m,)))

@@ -13,7 +13,8 @@ from hypothesis import assume, given, settings, strategies as st
 from curvkit import (CurvatureBundle, TensorError, operators,
                      parse_metric_file)
 from curvkit.classify import classify
-from curvkit import curvature as curvature_mod, expr as expr_mod
+from curvkit import (curvature as curvature_mod, expr as expr_mod,
+                     tensor as tensor_mod)
 from curvkit.expr import (Atom, Expression, PRIME, ZERO, gcd_mod_p,
                           matrix_at_point)
 from curvkit.operators import (
@@ -29,7 +30,8 @@ from curvkit.tensor import (Descriptor, Tensor, D_SYM2, D_ANTI2, D_NONE2,
                             common_descriptor, raised_last)
 
 import vaidya_reference as ref
-from conftest import CATALOG, expect_components, expr, load_bundle
+from conftest import (CATALOG, METRIC_FILES, disguise_zeros, disguised,
+                      expect_components, expr, load_bundle)
 
 # `from curvkit import classify` gives the function of that name
 classify_mod = importlib.import_module("curvkit.classify")
@@ -1234,3 +1236,151 @@ class TestQuasiEinsteinRoot:
             shifted = [[s_rows[i][j] - got * g_rows[i][j] for j in range(n)]
                        for i in range(n)]
             assert rank_one_factor(shifted, None) is None
+
+
+# the classify rows that _identity_row makes, as (name, formula, row)
+_IDENTITY_ROW = classify_mod._identity_row("", "")[2].__code__
+IDENTITY_ROWS = tuple((name, formula, row)
+                      for name, formula, row in classify_mod._CATALOG
+                      if row is not None and row.__code__ is _IDENTITY_ROW)
+
+
+def _undefined_or(fn):
+    """fn(), or the message of the TensorError it raises (C and K are
+    undefined on the 2-sphere)."""
+    try:
+        return fn()
+    except TensorError as e:
+        return "undefined: " + str(e)
+
+
+def _printed(check) -> tuple:
+    """Every printed field of an IdentityCheck."""
+    if isinstance(check, str):
+        return (check,)
+    w = check.witness
+    return (check.holds, check.free, str(check.solved), w and (
+        w.kind, w.component, str(w.value), w.unknown, w.anchor_component,
+        str(w.anchor_value)))
+
+
+class TestKnownZero:
+    """A table with no component and no getter is known zero: every table
+    builder returns one for a known-zero operand, and the identity builder
+    drops its terms.  Each check below holds that against the same work
+    done on zero tables that are not known zero (conftest.DisguisedZero),
+    which evaluate every zero they hold."""
+
+    def test_every_shipped_metric_has_identity_rows_and_zeros(self):
+        assert len(IDENTITY_ROWS) == 29
+        zeros = {p.stem: "".join(n for n, t in _tensors(
+            load_metric(p), "RSCT").items() if t.known_zero)
+            for p in METRIC_FILES}
+        assert zeros == {"frw": "C", "ludwig-edgar": "", "minkowski": "RSCT",
+                         "schwarzschild": "ST", "sphere2": "T",
+                         "taub-nut": "ST", "vaidya": "", "warped5": ""}
+
+    @pytest.mark.parametrize("path", METRIC_FILES, ids=lambda p: p.stem)
+    def test_identity_rows_same_as_with_disguised_zeros(self, path,
+                                                         monkeypatch):
+        """Each row's IdentityCheck, its printed fields and verdict line,
+        and the walk its system is built on."""
+        routes = []
+        for disguise in (False, True):
+            with monkeypatch.context() as patch:
+                b = load_metric(path)
+                if disguise:
+                    disguise_zeros(b, patch)
+                    assert not any(t.known_zero for t in _tensors(
+                        b, "RSCPWKGTg").values())
+                walks, system = [], operators._system
+
+                def spy(*args):
+                    got = system(*args)
+                    walks.append(got[0])
+                    return got
+
+                patch.setattr(operators, "_system", spy)
+                rows = []
+                for name, formula, row in IDENTITY_ROWS:
+                    # a product read in full is known zero: one memo a row
+                    b.memo.clear()
+                    walks.clear()
+                    check = _undefined_or(lambda: check_identity(
+                        parse_identity(formula, b.chart), b))
+                    rows.append((name, check, _printed(check), _undefined_or(
+                        lambda: row(classify_mod._Evaluator(b))),
+                        tuple(walks)))
+                routes.append(rows)
+        for got, want in zip(*routes):
+            assert got == want, want[0]
+
+    @pytest.mark.parametrize("path", METRIC_FILES, ids=lambda p: p.stem)
+    def test_compatible_spaces_same_as_with_disguised_zeros(self, path):
+        b = load_metric(path)
+        for name, t in _tensors(b, "RPCK").items():
+            if t.known_zero:
+                got = compatible_space(t, b.metric)
+                want = compatible_space(disguised(t), b.metric)
+                assert got == want, name
+                assert str(got) == str(want), name
+
+    @pytest.mark.parametrize("path", METRIC_FILES, ids=lambda p: p.stem)
+    def test_known_zero_tables_keep_their_descriptors(self, path):
+        b = load_metric(path)
+        g = b.metric
+        tensors = _tensors(b, "RSCPWKGTg")
+        four = [t for t in tensors.values() if t.valence == 4]
+        two = [t for t in tensors.values() if t.valence == 2]
+        cases = ([(tensor_mod.covariant_derivative, (t, b.connection))
+                  for t in tensors.values()]
+                 + [(tensor_mod.dot_action, (d, h, g))
+                    for d in four for h in tensors.values()]
+                 + [(tensor_mod.tachibana, (a, h))
+                    for a in two for h in tensors.values()]
+                 + [(tensor_mod.kulkarni_nomizu, (a, e))
+                    for a in two for e in two]
+                 + [(tensor_mod.endo_square, (e, g)) for e in two]
+                 + [(tensor_mod.divergence_first, (b.nabla(name), g))
+                    for name in tensors])
+        zero = 0
+        for build, operands in cases:
+            if not any(isinstance(t, Tensor) and t.known_zero
+                       for t in operands):
+                continue
+            zero += 1
+            got = build(*operands)
+            assert got.known_zero, build
+            want = build(*(disguised(t) if isinstance(t, Tensor) else t
+                           for t in operands))
+            assert want.valence == got.valence, build
+            assert want.descriptor is got.descriptor, build
+            assert want.is_zero, build
+        # nabla g = 0 on every metric
+        assert zero
+
+    def test_frw_conformal_pseudosymmetry_evaluates_nothing(self,
+                                                            monkeypatch):
+        b = frw()
+        for name in "gRSC":
+            b.tensor(name)
+        assert b.weyl.known_zero
+        builds, reads, made = [], [], []
+        read = Tensor._read
+        monkeypatch.setattr(tensor_mod, "_raise_last",
+                            lambda t, g: builds.append(t))
+        monkeypatch.setattr(Tensor, "_read", lambda self, rep: (
+            reads.append(rep), read(self, rep))[1])
+        for name in ("dot_action", "tachibana"):
+            def spy(*operands, build=getattr(curvature_mod, name)):
+                made.append(build(*operands))
+                return made[-1]
+            monkeypatch.setattr(curvature_mod, name, spy)
+        check = check_identity(parse_identity("R.C = L*Q(g,C)", b.chart), b)
+        assert check.holds and check.free == ("L",)
+        assert len(made) == 2 and all(t.known_zero for t in made)
+        assert builds == [] and reads == []
+
+
+def load_metric(path) -> CurvatureBundle:
+    return CurvatureBundle(parse_metric_file(path.read_text()))

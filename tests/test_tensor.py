@@ -16,14 +16,12 @@ from curvkit.tensor import (
 )
 
 from curvkit import operators, tensor as tensor_mod
-from conftest import CATALOG, load_bundle
+from conftest import CATALOG, METRIC_FILES, disguised, load_bundle
 
 CHART = Chart(coords=("x", "y"), constants=("a",))
 X = parse_expression("x", CHART)
 Y = parse_expression("y", CHART)
 A = parse_expression("a", CHART)
-METRIC_FILES = [path for d in (CATALOG, CATALOG.parent / "bench" / "metrics")
-                for path in sorted(d.glob("*.metric"))]
 
 
 class TestDescriptor:
@@ -405,8 +403,12 @@ class TestRaisedLast:
         classify(b)
         assert len(builds) == len({id(t) for t in builds})
         assert {id(t) for t in builds} == {id(t) for t in calls}
-        # classify raises some operand more than once
-        assert len(calls) > len(builds)
+        if name == "minkowski":
+            # R = 0 there: every operand it would raise is known zero
+            assert not calls
+        else:
+            # classify raises some operand more than once
+            assert len(calls) > len(builds)
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_dot_action_same_without_memo(self, name):
@@ -554,7 +556,9 @@ class TestLazyProducts:
     tables that evaluate a component on its first read; read in any order,
     they print as a table built in full by Tensor.compute with the same
     getter, and a failing identity or zero check reads only the components
-    up to its witness."""
+    up to its witness.  A product of a known-zero operand is known zero and
+    has no getter: its reference is the product whose zero operands are
+    disguised, which has the same descriptor."""
 
     PRODUCTS = (("dot", "R", "R"), ("dot", "R", "C"), ("dot", "C", "R"),
                 ("dot", "C", "C"), ("dot", "R", "S"), ("Q", "g", "R"),
@@ -562,12 +566,13 @@ class TestLazyProducts:
                 ("div", "R", None), ("div", "C", None), ("sq", "S", None))
 
     @staticmethod
-    def product(b, kind, left, right):
+    def product(b, kind, left, right, operand=lambda t: t):
+        """The product of the named tensors, each passed through operand."""
         if kind == "div":
-            return divergence_first(b.nabla(left), b.metric)
+            return divergence_first(operand(b.nabla(left)), b.metric)
         if kind == "sq":
-            return endo_square(b.tensor(left), b.metric)
-        d, h = b.tensor(left), b.tensor(right)
+            return endo_square(operand(b.tensor(left)), b.metric)
+        d, h = operand(b.tensor(left)), operand(b.tensor(right))
         if kind == "dot":
             return tensor_mod.dot_action(d, h, b.metric)
         return tensor_mod.tachibana(d, h)
@@ -579,7 +584,8 @@ class TestLazyProducts:
             if b.dim == 2 and "C" in (left, right):
                 continue   # C is undefined on the 2-sphere
             lazy = self.product(b, kind, left, right)
-            fresh = self.product(b, kind, left, right)
+            fresh = self.product(b, kind, left, right, disguised)
+            assert fresh.descriptor is lazy.descriptor
             want = Tensor.compute(fresh.chart, fresh.valence,
                                   fresh.descriptor, fresh.getter)
             # single reads, last representative first, then the whole
