@@ -1238,6 +1238,10 @@ class TestQuasiEinsteinRoot:
             assert rank_one_factor(shifted, None) is None
 
 
+def load_metric(path) -> CurvatureBundle:
+    return CurvatureBundle(parse_metric_file(path.read_text()))
+
+
 # the classify rows that _identity_row makes, as (name, formula, row)
 _IDENTITY_ROW = classify_mod._identity_row("", "")[2].__code__
 IDENTITY_ROWS = tuple((name, formula, row)
@@ -1381,6 +1385,3 @@ class TestKnownZero:
         assert len(made) == 2 and all(t.known_zero for t in made)
         assert builds == [] and reads == []
 
-
-def load_metric(path) -> CurvatureBundle:
-    return CurvatureBundle(parse_metric_file(path.read_text()))

@@ -16,7 +16,8 @@ from curvkit.tensor import (
 )
 
 from curvkit import operators, tensor as tensor_mod
-from conftest import CATALOG, METRIC_FILES, disguised, load_bundle
+from conftest import (CATALOG, METRIC_FILES, disguise_zeros, disguised,
+                      load_bundle)
 
 CHART = Chart(coords=("x", "y"), constants=("a",))
 X = parse_expression("x", CHART)
@@ -400,15 +401,17 @@ class TestRaisedLast:
         # decisions in operators
         monkeypatch.setattr(tensor_mod, "raised_last", counted_lookup)
         monkeypatch.setattr(operators, "raised_last", counted_lookup)
+        if name == "minkowski":
+            # R = 0 there: every operand classify would raise is known
+            # zero, so the tables are counted with the zeros disguised
+            classify(load_bundle(name))
+            assert not calls and not builds
+            disguise_zeros(b, monkeypatch)
         classify(b)
         assert len(builds) == len({id(t) for t in builds})
         assert {id(t) for t in builds} == {id(t) for t in calls}
-        if name == "minkowski":
-            # R = 0 there: every operand it would raise is known zero
-            assert not calls
-        else:
-            # classify raises some operand more than once
-            assert len(calls) > len(builds)
+        # classify raises some operand more than once
+        assert len(calls) > len(builds)
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_dot_action_same_without_memo(self, name):
