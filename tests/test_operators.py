@@ -1384,4 +1384,3 @@ class TestKnownZero:
         assert check.holds and check.free == ("L",)
         assert len(made) == 2 and all(t.known_zero for t in made)
         assert builds == [] and reads == []
-
