@@ -1,9 +1,12 @@
-"""Levi-Civita connection, the curvature tensors built from it, the
-energy-momentum tensor, and the evaluation of tensor expressions over them.
+"""Levi-Civita connection, the curvature tensors built from it, and the
+evaluation of tensor expressions over them.
 
-Each operation a bundle repeats runs once per set of operand objects (see
-once), and a tensor plus a zero tensor is the tensor itself (Tensor.add):
-on a Ricci-flat metric C, K and W are R, and their products are R's.
+G, P, K, W, C and the energy-momentum tensor T are each one
+tensor.combination of R, S, g, G and getter tables, which drops a
+known-zero term or a zero coefficient: on a Ricci-flat metric C, K and W
+are R, and their products are R's.  Each operation a bundle repeats runs
+once per set of operand objects (see once); CurvatureBundle.nabla reads
+the getter table of its operation in full.
 
 Sign conventions are calibrated once against a numeric divided-difference
 oracle and frozen:
@@ -35,9 +38,9 @@ from .chart import Chart
 from .expr import Atom, Expression, ONE, ZERO
 from .parsing import MetricSpec, TNode
 from .tensor import (Connection, D_ANTI2, D_RIEMANN, D_SYM2, Metric, Tensor,
-                     TensorError, covariant_derivative, divergence_first,
-                     dot_action, endo_square, kulkarni_nomizu, tachibana,
-                     trace2)
+                     TensorError, combination, covariant_derivative,
+                     divergence_first, dot_action, endo_square,
+                     kulkarni_nomizu, tachibana, trace2)
 
 
 def christoffel(g: Metric) -> Connection:
@@ -86,20 +89,6 @@ def ricci(r: Tensor, g: Metric) -> Tensor:
     return Tensor.compute(g.chart, 2, D_SYM2, entry)
 
 
-def energy_momentum(s: Tensor, kappa: Expression, g: Metric) -> Tensor:
-    c4 = Expression.from_atom(Atom.constant("c")) ** 4
-    denom = (Expression.from_int(8) * Expression.from_atom(Atom.constant("pi"))
-             * Expression.from_atom(Atom.constant("G")))
-    factor = c4 / denom
-    half_kappa = kappa / 2
-
-    def entry(idx):
-        i, j = idx
-        return factor * (s.get((i, j)) - half_kappa * g.lower(i, j))
-
-    return Tensor.compute(g.chart, 2, D_SYM2, entry)
-
-
 class CurvatureBundle:
     """All curvature data of one metric, built lazily and cached.
 
@@ -139,21 +128,20 @@ class CurvatureBundle:
     @cached_property
     def gaussian(self) -> Tensor:
         """G = 1/2 (g ^ g)."""
-        return kulkarni_nomizu(self.g_tensor, self.g_tensor).scale(
-            Expression.from_fraction(Fraction(1, 2)))
+        return combination([(Expression.from_fraction(Fraction(1, 2)),
+                             kulkarni_nomizu(self.g_tensor, self.g_tensor))])
 
     @cached_property
     def projective(self) -> Tensor:
         """P = R - 1/(n-1) * D, D(X1..X4) = S(X2,X3)g(X1,X4) - S(X1,X3)g(X2,X4)."""
-        n = self.dim
         s, g = self.ricci, self.metric
 
         def entry(idx):
             i, j, k, l = idx
             return s.get((j, k)) * g.lower(i, l) - s.get((i, k)) * g.lower(j, l)
 
-        ds = Tensor.compute(self.chart, 4, D_ANTI2, entry)
-        return self.riemann.sub(ds.scale(ONE / (n - 1)))
+        ds = Tensor(self.chart, 4, D_ANTI2, getter=entry)
+        return combination([(None, self.riemann), (-ONE / (self.dim - 1), ds)])
 
     @cached_property
     def conharmonic(self) -> Tensor:
@@ -161,14 +149,15 @@ class CurvatureBundle:
         n = self.dim
         if n <= 2:
             raise TensorError("conharmonic tensor needs dimension >= 3")
-        gs = kulkarni_nomizu(self.g_tensor, self.ricci)
-        return self.riemann.sub(gs.scale(ONE / (n - 2)))
+        return combination([(None, self.riemann), (
+            -ONE / (n - 2), kulkarni_nomizu(self.g_tensor, self.ricci))])
 
     @cached_property
     def concircular(self) -> Tensor:
         """W = R - kappa/(n(n-1)) G."""
         n = self.dim
-        return self.riemann.sub(self.gaussian.scale(self.kappa / (n * (n - 1))))
+        return combination([(None, self.riemann),
+                            (-self.kappa / (n * (n - 1)), self.gaussian)])
 
     @cached_property
     def weyl(self) -> Tensor:
@@ -176,12 +165,17 @@ class CurvatureBundle:
         n = self.dim
         if n <= 2:
             raise TensorError("conformal tensor needs dimension >= 3")
-        return self.conharmonic.add(
-            self.gaussian.scale(self.kappa / ((n - 2) * (n - 1))))
+        return combination([(None, self.conharmonic),
+                            (self.kappa / ((n - 2) * (n - 1)), self.gaussian)])
 
     @cached_property
     def energy_momentum(self) -> Tensor:
-        return energy_momentum(self.ricci, self.kappa, self.metric)
+        """T = c^4/(8 pi G) (S - kappa/2 g)."""
+        c, pi, grav = (Expression.from_atom(Atom.constant(a))
+                       for a in ("c", "pi", "G"))
+        factor = c ** 4 / (8 * pi * grav)
+        return combination([(factor, self.ricci),
+                            (-factor * self.kappa / 2, self.g_tensor)])
 
     _NAMES = {"R": "riemann", "S": "ricci", "C": "weyl", "P": "projective",
               "W": "concircular", "K": "conharmonic", "G": "gaussian",
@@ -194,8 +188,10 @@ class CurvatureBundle:
         return getattr(self, attr)
 
     def nabla(self, name: str) -> Tensor:
-        return evaluate_tensor_ast(TNode("nabla", TNode(name)), self,
-                                   self.memo)
+        """nabla of the named tensor, the memo's table, read in full."""
+        t = evaluate_tensor_ast(TNode("nabla", TNode(name)), self, self.memo)
+        t.comps
+        return t
 
 
 def once(memo: dict, fn, *operands):

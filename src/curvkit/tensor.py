@@ -1,6 +1,8 @@
 """Valence-(0,k) component tables with symmetry-aware sparse storage, the
-metric with every contraction by its inverse, covariant differentiation,
-Kulkarni-Nomizu products and the operator actions.
+metric with every contraction by its inverse, and the operations on tables:
+linear combinations, built in full, and covariant differentiation,
+Kulkarni-Nomizu products, divergences, squares and the operator actions,
+each a getter table that evaluates a component on its first read.
 
 Two tensor-valued operations extend a (0,k) tensor to a (0,k+2) tensor: the
 action of a curvature-type operator as a derivation, and the endomorphism
@@ -294,34 +296,6 @@ class Tensor(Record):
     def is_zero(self) -> bool:
         return all(self.stored(rep)[0] is None for rep in self._comps)
 
-    def map(self, f) -> "Tensor":
-        out = {}
-        for idx, v in self.comps.items():
-            w = f(v)
-            if not w.is_zero:
-                out[idx] = w
-        return Tensor(self.chart, self.valence, self.descriptor, out)
-
-    def scale(self, c: Expression) -> "Tensor":
-        if c.is_zero:
-            return Tensor(self.chart, self.valence, self.descriptor, {})
-        return self.map(lambda v: v * c)
-
-    def add(self, other: "Tensor") -> "Tensor":
-        """Componentwise sum; the result keeps only symmetries common to both
-        descriptors (set intersection of ops).  A zero operand whose common
-        descriptor with the other is the other's own gives that other."""
-        self._check_same_shape(other)
-        desc = common_descriptor((self, other))
-        for t, zero in ((self, other), (other, self)):
-            if zero.is_zero and desc is t.descriptor:
-                return t
-        return Tensor.compute(self.chart, self.valence, desc,
-                              lambda idx: self.get(idx) + other.get(idx))
-
-    def sub(self, other: "Tensor") -> "Tensor":
-        return self.add(other.scale(-ONE))
-
     def equals(self, other: "Tensor") -> bool:
         self._check_same_shape(other)
         walk = common_descriptor((self, other)).reps(self.chart.dim,
@@ -342,6 +316,32 @@ def common_descriptor(tensors) -> Descriptor:
     first, *rest = tensors
     return Descriptor(op for op in first.descriptor.ops
                       if all(op in t.descriptor.ops for t in rest))
+
+
+def combination(terms) -> Tensor:
+    """sum of c * t over the (c, t) pairs of a non-empty list, c None for
+    1: one table on the symmetries common to every t.  A known-zero t or a
+    zero c drops its term, and the first stays if every term drops; one
+    term left, with c None and t of the common descriptor, is that t."""
+    first = terms[0][1]
+    for _, t in terms:
+        first._check_same_shape(t)
+    desc = common_descriptor(t for _, t in terms)
+    kept = [(c, t) for c, t in terms
+            if not (t.known_zero or c is not None and c.is_zero)]
+    c, t = (kept or terms)[0]
+    if len(kept) <= 1 and c is None and t.descriptor is desc:
+        return t
+
+    def entry(idx):
+        total = ZERO
+        for c, t in kept:
+            v = t.get(idx)
+            if not v.is_zero:
+                total = total + (v if c is None else v * c)
+        return total
+
+    return Tensor.compute(first.chart, first.valence, desc, entry)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +486,7 @@ class Connection(Record):
 
 
 def covariant_derivative(t: Tensor, conn: Connection) -> Tensor:
-    """(0,k) -> (0,k+1); the differentiation slot is the LAST index."""
+    """(0,k) -> (0,k+1) getter table, differentiated in the LAST slot."""
     chart = t.chart
     n = chart.dim
     coords = chart.coords
@@ -508,7 +508,7 @@ def covariant_derivative(t: Tensor, conn: Connection) -> Tensor:
                     v = v - gam * tv
         return v
 
-    return Tensor.compute(chart, k + 1, t.descriptor, entry)
+    return Tensor(chart, k + 1, t.descriptor, getter=entry)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +528,7 @@ def kulkarni_nomizu(a: Tensor, e: Tensor) -> Tensor:
         return (a.get((i, l)) * e.get((j, k)) + a.get((j, k)) * e.get((i, l))
                 - a.get((i, k)) * e.get((j, l)) - a.get((j, l)) * e.get((i, k)))
 
-    return Tensor.compute(a.chart, 4, D_RIEMANN, entry)
+    return Tensor(a.chart, 4, D_RIEMANN, getter=entry)
 
 
 def _times(products: dict, a: Expression, b: Expression) -> Expression:

@@ -78,6 +78,18 @@ def digest(results) -> str:
     return h.hexdigest()
 
 
+def printed_digest(calls) -> str:
+    """sha256 over each call's operands and results in printed form, which
+    does not depend on the order in which a polynomial's terms were
+    inserted."""
+    from curvkit.expr import format_poly
+    h = hashlib.sha256()
+    for (a, b), out in calls:
+        h.update(" | ".join(map(format_poly, (a, b, *out))).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
 # poly_gcd's stages in the order it tries them, by the kernel that settles
 # a call (none for a zero or single-term part); a call past the budget of
 # packed_gcd.gcd counts as "overrun"

@@ -1,5 +1,6 @@
 """End-to-end command-line tests: byte-stable dumps, verdicts, exit codes,
 catalog resolution."""
+import ast
 import collections
 import contextlib
 import hashlib
@@ -738,3 +739,25 @@ def test_readme_quick_start(capsys, monkeypatch, command, expected):
     assert code in (0, 1) and err == ""
     lines = out.splitlines()
     assert (lines[:int(head)] if head else lines) == expected
+
+
+def test_readme_library_use(monkeypatch):
+    """The README "Library use" block runs line by line from the repository
+    root, and each line whose comment is a Python literal gives it."""
+    text = (CATALOG.parent / "README.md").read_text()
+    block = text.split("## Library use", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    monkeypatch.chdir(CATALOG.parent)
+    namespace, checked = {}, []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        try:
+            want = ast.literal_eval(comment.strip())
+        except (SyntaxError, ValueError):
+            exec(line, namespace)
+            continue
+        assert eval(code, namespace) == want, line
+        checked.append(want)
+    assert checked == [(True, "m(u)/r^3"), 6]
+    # bundle.nabla hands back its table read in full
+    assert namespace["bundle"].nabla("C").getter is None

@@ -5,9 +5,9 @@ import pytest
 
 from curvkit import CurvatureBundle, TensorError, parse_metric_file
 from curvkit.curvature import christoffel, evaluate_tensor_ast, riemann
-from curvkit.expr import Expression, ZERO
+from curvkit.expr import Atom, Expression, ZERO
 from curvkit.parsing import TNode
-from curvkit.tensor import Connection, D_RIEMANN, D_SYM2, Metric
+from curvkit.tensor import Connection, D_RIEMANN, D_SYM2, Metric, combination
 
 import vaidya_reference as ref
 from conftest import CATALOG, expect_components, expr, load_bundle
@@ -65,7 +65,7 @@ class TestSphere:
 
     def test_einstein(self, sphere2):
         alpha = expr("-1/a^2", sphere2)
-        assert sphere2.ricci.equals(sphere2.g_tensor.scale(alpha))
+        assert sphere2.ricci.equals(combination([(alpha, sphere2.g_tensor)]))
 
     def test_riemann_single_component(self, sphere2):
         comps = dict(sphere2.riemann.iter_nonzero())
@@ -148,7 +148,8 @@ class TestBundleApi:
     def test_gaussian_is_half_wedge(self, minkowski):
         from curvkit import kulkarni_nomizu
         gg = kulkarni_nomizu(minkowski.g_tensor, minkowski.g_tensor)
-        assert minkowski.gaussian.scale(expr("2", minkowski)).equals(gg)
+        assert combination([(expr("2", minkowski),
+                             minkowski.gaussian)]).equals(gg)
 
     def test_connection_symmetry(self, vaidya):
         conn = christoffel(vaidya.metric)
@@ -193,34 +194,67 @@ def old_riemann_entry(conn, g):
 
 
 def dense_reference(bundle):
-    """R and S at every index tuple from the module docstring's formulas,
-    with no symmetry assumed."""
+    """{name: {index tuple: value}} for R, S, G, P, K, W, C and T from the
+    formulas of README "Conventions", at every index tuple, with no
+    symmetry assumed; K and C are None below dimension 3."""
     g, n = bundle.metric, bundle.dim
+    pairs = list(itertools.product(range(n), repeat=2))
+    quads = list(itertools.product(range(n), repeat=4))
     entry = old_riemann_entry(bundle.connection, g)
-    riemann = {idx: entry(idx)
-               for idx in itertools.product(range(n), repeat=4)}
+    riemann = {idx: entry(idx) for idx in quads}
     ricci = {}
-    for j, k in itertools.product(range(n), repeat=2):
+    for j, k in pairs:
         s = ZERO
-        for i, l in itertools.product(range(n), repeat=2):
+        for i, l in pairs:
             s = s + g.upper(i, l) * riemann[i, j, k, l]
         ricci[j, k] = s
-    return riemann, ricci
+    kappa = ZERO
+    for j, k in pairs:
+        kappa = kappa + g.upper(j, k) * ricci[j, k]
+
+    def wedge(a, e):
+        return {(i, j, k, l): a[i, l] * e[j, k] + a[j, k] * e[i, l]
+                - a[i, k] * e[j, l] - a[j, l] * e[i, k]
+                for i, j, k, l in quads}
+
+    lower = {ij: g.lower(*ij) for ij in pairs}
+    gaussian = {idx: v / 2 for idx, v in wedge(lower, lower).items()}
+    out = {"R": riemann, "S": ricci, "G": gaussian, "K": None, "C": None}
+    out["P"] = {(i, j, k, l): riemann[i, j, k, l]
+                - (ricci[j, k] * lower[i, l] - ricci[i, k] * lower[j, l])
+                / (n - 1) for i, j, k, l in quads}
+    out["W"] = {idx: riemann[idx] - kappa / (n * (n - 1)) * gaussian[idx]
+                for idx in quads}
+    if n > 2:
+        gs = wedge(lower, ricci)
+        out["K"] = {idx: riemann[idx] - gs[idx] / (n - 2) for idx in quads}
+        out["C"] = {idx: riemann[idx] - gs[idx] / (n - 2)
+                    + kappa / ((n - 1) * (n - 2)) * gaussian[idx]
+                    for idx in quads}
+    c, pi, grav = (Expression.from_atom(Atom.constant(a))
+                   for a in ("c", "pi", "G"))
+    out["T"] = {ij: c ** 4 / (8 * pi * grav)
+                * (ricci[ij] - kappa / 2 * lower[ij]) for ij in pairs}
+    return out
 
 
 @pytest.mark.parametrize("path", sorted(CATALOG.glob("*.metric"))
                          + sorted(BENCH_METRICS.glob("*.metric")),
                          ids=lambda p: p.stem)
 def test_representatives_carry_every_tuple(path):
-    """R and S are built from canonical representatives only; every index
-    tuple of a dense reference agrees with get, so the declared symmetries
-    hold and every tuple they force to zero is zero."""
+    """R, S and the tensors combined from them (G, P, K, W, C, T) are built
+    from canonical representatives only; every index tuple of a dense
+    reference agrees with get, so the declared symmetries hold and every
+    tuple they force to zero is zero."""
     bundle = CurvatureBundle(parse_metric_file(path.read_text()))
-    riemann, ricci = dense_reference(bundle)
-    for idx, want in riemann.items():
-        assert bundle.riemann.get(idx) == want, idx
-    for idx, want in ricci.items():
-        assert bundle.ricci.get(idx) == want, idx
+    for name, dense in dense_reference(bundle).items():
+        if dense is None:
+            with pytest.raises(TensorError, match="dimension"):
+                bundle.tensor(name)
+            continue
+        got = bundle.tensor(name)
+        for idx, want in dense.items():
+            assert got.get(idx) == want, (name, idx)
 
 
 @pytest.fixture(scope="module", params=sorted(CATALOG.glob("*.metric"))

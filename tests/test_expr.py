@@ -402,11 +402,17 @@ def test_solve_stress_gcds_are_pinned():
     built from the first-kind Christoffel table, so a faster gcd layer
     must do the same work on the same inputs, and a change to which gcds
     expr asks for is re-recorded here with byte-identical bench outputs.
-    The replay also pins how many calls each stage of poly_gcd settles."""
+    The digest was re-recorded when tensor.combination built the derived
+    tensors, w*(-c) in place of (w*c)*(-1): that moved only the order of
+    terms, and every operand and result prints as it did before, which
+    the printed digest pins.  The replay also pins how many calls each
+    stage of poly_gcd settles."""
     calls = gcd_replay.record()
     assert len(calls) == 977
     assert gcd_replay.digest(out for _, out in calls) == (
-        "11dfd2e34218dafda7c5a530a5c4b057caea30a8eebcee021606cb19eb57e90a")
+        "12c75c123360011962c85e35e6674e16e36e3d7d0495a4224b6983c0de240386")
+    assert gcd_replay.printed_digest(calls) == (
+        "a87b6738928500d639734d0368e97cc42b8b15773cb6886281bce5ecb1676d67")
     _, _, settled = gcd_replay.kernel_inputs(calls)
     assert settled == {"zero or monomial": 787, "certificate": 113,
                        "proportional": 21, "divisor step": 46,

@@ -493,12 +493,19 @@ class TestContraction:
             for i in range(b.dim))
 
 
-def _add_always_computed(self, other):
-    """Tensor.add summing every component, with no operand returned as is."""
-    self._check_same_shape(other)
-    return Tensor.compute(self.chart, self.valence,
-                          common_descriptor((self, other)),
-                          lambda idx: self.get(idx) + other.get(idx))
+def _combination_always_computed(terms):
+    """combination summing every term at every component, with no term
+    dropped and no operand returned as is."""
+    first = terms[0][1]
+    for _, t in terms:
+        first._check_same_shape(t)
+
+    def entry(idx):
+        return sum((t.get(idx) if c is None else t.get(idx) * c
+                    for c, t in terms), ZERO)
+
+    return Tensor.compute(first.chart, first.valence,
+                          common_descriptor(t for _, t in terms), entry)
 
 
 REPORT_METRICS = (sorted(CATALOG.glob("*.metric"))
@@ -535,7 +542,8 @@ class TestBundleMemo:
     def test_report_same_as_with_every_sum_computed(self, path, monkeypatch):
         text = path.read_text()
         got = classify(CurvatureBundle(parse_metric_file(text))).render()
-        monkeypatch.setattr(Tensor, "add", _add_always_computed)
+        monkeypatch.setattr(curvature_mod, "combination",
+                            _combination_always_computed)
         want = classify(CurvatureBundle(parse_metric_file(text))).render()
         assert got == want
 

@@ -9,10 +9,13 @@ from curvkit import Tensor, Metric, TensorError, covariant_derivative, \
     kulkarni_nomizu, endo_square, format_dump, classify, CurvatureBundle
 from curvkit.chart import Chart
 from curvkit.expr import Expression, ZERO, ONE, format_expression
-from curvkit.parsing import parse_expression, parse_identity, parse_metric_file
+from curvkit.curvature import evaluate_tensor_ast
+from curvkit.parsing import (TNode, parse_expression, parse_identity,
+                             parse_metric_file)
 from curvkit.tensor import (
     Descriptor, D_SYM2, D_RIEMANN, D_ANTI2, D_NONE2, RIEMANN, SYM2,
-    trace2, divergence_first, format_component_lines, raised_last,
+    combination, trace2, divergence_first, format_component_lines,
+    raised_last,
 )
 
 from curvkit import operators, tensor as tensor_mod
@@ -293,16 +296,16 @@ class TestTensor:
     def test_add_scale_sub(self):
         t = _tensor({(0, 0): X})
         u = _tensor({(0, 0): Y, (0, 1): ONE})
-        s = t.add(u)
+        s = combination([(None, t), (None, u)])
         assert s.get((0, 0)) == X + Y
         assert s.get((1, 0)) == ONE
-        assert t.sub(t).is_zero
-        assert t.scale(A).get((0, 0)) == A * X
+        assert combination([(None, t), (-ONE, t)]).is_zero
+        assert combination([(A, t)]).get((0, 0)) == A * X
 
     def test_add_keeps_common_symmetries_only(self):
         sym = _tensor({(0, 1): X})
         anti = Tensor.from_reps(CHART, 2, D_ANTI2, {(0, 1): Y})
-        s = sym.add(anti)
+        s = combination([(None, sym), (None, anti)])
         assert s.descriptor.ops == ()
         assert s.get((0, 1)) == X + Y
         assert s.get((1, 0)) == X - Y
@@ -310,13 +313,28 @@ class TestTensor:
     def test_adding_zero_gives_the_operand_itself(self):
         t = _tensor({(0, 1): X})
         zero = Tensor.from_reps(CHART, 2, D_SYM2, {})
-        assert t.add(zero) is t and zero.add(t) is t
-        assert t.sub(zero) is t
+        assert combination([(None, t), (None, zero)]) is t
+        assert combination([(None, zero), (None, t)]) is t
+        assert combination([(None, t), (-ONE, zero)]) is t
+
+    def test_zero_coefficients_drop_their_terms(self):
+        t = _tensor({(0, 1): X})
+        u = _tensor({(0, 0): Y})
+        zero = Tensor.from_reps(CHART, 2, D_SYM2, {})
+        assert combination([(None, t), (ZERO, u)]) is t
+        assert combination([(ZERO, u), (None, t)]) is t
+        # every term drops: the first one stays
+        assert combination([(None, zero), (ZERO, t)]) is zero
+        s = combination([(ZERO, t), (None, zero)])
+        assert s is not t and s.known_zero
+        # a coefficient keeps the sum from being the tensor itself
+        s = combination([(ONE, t), (None, zero)])
+        assert s is not t and s.equals(t)
 
     def test_zero_of_fewer_symmetries_still_sums(self):
         t = _tensor({(0, 1): X})
         zero = Tensor.from_reps(CHART, 2, D_NONE2, {})
-        s = t.add(zero)
+        s = combination([(None, t), (None, zero)])
         assert s is not t and s.descriptor is D_NONE2
         assert s.get((1, 0)) == X
 
@@ -329,7 +347,7 @@ class TestTensor:
         t = _tensor({(0, 1): X})
         u = Tensor.from_reps(CHART, 3, Descriptor(()), {})
         with pytest.raises(TensorError, match="valence"):
-            t.add(u)
+            combination([(None, t), (None, u)])
 
 
 class TestMetric:
@@ -555,18 +573,22 @@ class TestReuseMatchesReference:
 
 
 class TestLazyProducts:
-    """dot_action, tachibana, divergence_first and endo_square return
-    tables that evaluate a component on its first read; read in any order,
-    they print as a table built in full by Tensor.compute with the same
-    getter, and a failing identity or zero check reads only the components
-    up to its witness.  A product of a known-zero operand is known zero and
-    has no getter: its reference is the product whose zero operands are
-    disguised, which has the same descriptor."""
+    """dot_action, tachibana, divergence_first, endo_square,
+    covariant_derivative and kulkarni_nomizu return tables that evaluate a
+    component on its first read; read in any order, they print as a table
+    built in full by Tensor.compute with the same getter, and a failing
+    identity or zero check reads only the components up to its witness.  A
+    product of a known-zero operand is known zero and has no getter: its
+    reference is the product whose zero operands are disguised, which has
+    the same descriptor."""
 
     PRODUCTS = (("dot", "R", "R"), ("dot", "R", "C"), ("dot", "C", "R"),
                 ("dot", "C", "C"), ("dot", "R", "S"), ("Q", "g", "R"),
                 ("Q", "g", "C"), ("Q", "S", "R"), ("Q", "S", "C"),
-                ("div", "R", None), ("div", "C", None), ("sq", "S", None))
+                ("div", "R", None), ("div", "C", None), ("sq", "S", None),
+                ("nabla", "R", None), ("nabla", "S", None),
+                ("nabla", "C", None), ("wedge", "g", "g"),
+                ("wedge", "g", "S"))
 
     @staticmethod
     def product(b, kind, left, right, operand=lambda t: t):
@@ -575,9 +597,14 @@ class TestLazyProducts:
             return divergence_first(operand(b.nabla(left)), b.metric)
         if kind == "sq":
             return endo_square(operand(b.tensor(left)), b.metric)
+        if kind == "nabla":
+            return covariant_derivative(operand(b.tensor(left)),
+                                        b.connection)
         d, h = operand(b.tensor(left)), operand(b.tensor(right))
         if kind == "dot":
             return tensor_mod.dot_action(d, h, b.metric)
+        if kind == "wedge":
+            return kulkarni_nomizu(d, h)
         return tensor_mod.tachibana(d, h)
 
     @pytest.mark.parametrize("path", METRIC_FILES, ids=lambda p: p.stem)
@@ -637,6 +664,28 @@ class TestLazyProducts:
         for kind, left, right in (("dot", "R", "C"), ("div", "C", None)):
             t = self.product(vaidya, kind, left, right)
             assert self.evaluated(t) == len(t.descriptor.reps(4, t.valence))
+
+    @pytest.mark.parametrize("name", ["R", "S", "C"])
+    def test_bundle_nabla_is_its_memo_table_read_in_full(self, name):
+        b = load_bundle("vaidya")
+        lazy = evaluate_tensor_ast(TNode("nabla", TNode(name)), b, b.memo)
+        assert lazy.getter is not None
+        assert b.nabla(name) is lazy and lazy.getter is None
+
+    def test_kerr_conformal_recurrence_reads_six_representatives(
+            self, monkeypatch):
+        from curvkit.classify import _CATALOG, FAILS, _Evaluator
+        b = CurvatureBundle(parse_metric_file(
+            (CATALOG.parent / "tests" / "kerr.metric").read_text()))
+        b.riemann
+        made = self.evaluations(monkeypatch, ("covariant_derivative",))
+        row = {name: row for name, _, row in _CATALOG}["conformally-recurrent"]
+        verdict, witnesses = row(_Evaluator(b))
+        assert verdict == FAILS and witnesses[0][0] == "residual_12132"
+        # Kerr is Ricci-flat, so C is R and nabla C is nabla R
+        (t, count), = made
+        assert t.valence == 5 and len(t.descriptor.reps(4, 5)) == 84
+        assert 0 < count[0] <= 6
 
     def test_unread_table_fills_on_iteration(self, vaidya):
         lazy = self.product(vaidya, "dot", "R", "R")
